@@ -11,7 +11,7 @@ exponent.  The whole recovery stays within K^2 + K pair operations.
 import time
 from random import Random
 
-from tropkex import SemigroupOpKind, recover_key, run_exchange, setup
+from tropkex import SemigroupOpKind, recover_key_targeting, run_exchange, setup
 
 print("=== a small instance, step by step ===")
 rng = Random(5)
@@ -19,7 +19,7 @@ params = setup(k=3, N=50, K=10, op=SemigroupOpKind.CIRC, rng=rng)
 transcript, alice_key, bob_key = run_exchange(params, rng)
 print("shared key (known to the parties):", alice_key.rows)
 
-result = recover_key(transcript)
+result = recover_key_targeting(transcript, "alice")
 print("eavesdropper recovers           :", result.recovered_key.rows)
 print(f"found exponent m' = {result.m_prime}, doubling bound t = {result.t}, "
       f"{result.op_count} pair operations (bound K^2+K = {10**2 + 10})")
@@ -43,7 +43,7 @@ flat = ProtocolParams(
     M=TropicalMatrix([[5]]), H=TropicalMatrix([[0]]),
 )
 transcript, key, _ = run_exchange(flat, Queue(7, 5))
-result = recover_key(transcript)
+result = recover_key_targeting(transcript, "alice")
 print(f"true m = 7, recovered m' = {result.m_prime}, "
       f"recovered key {result.recovered_key.rows} == shared key {key.rows}")
 assert result.recovered_key == key
@@ -55,7 +55,7 @@ params = setup(k=10, N=1000, K=200, op=SemigroupOpKind.CIRC, rng=rng)
 start = time.perf_counter()
 transcript, alice_key, _ = run_exchange(params, rng)
 exchanged = time.perf_counter()
-result = recover_key(transcript)
+result = recover_key_targeting(transcript, "alice")
 done = time.perf_counter()
 assert result.recovered_key == alice_key
 print(f"k=10, entries in [-1000, 1000], 200-bit exponents:")

@@ -7,10 +7,6 @@ from .tropical import (
     FormatError,
     TropicalMatrix,
     chain_compare,
-    mat_leq,
-    mat_oplus,
-    mat_otimes,
-    mat_transpose,
     matrix_from_json,
     matrix_to_json,
     oplus,
@@ -51,10 +47,8 @@ from .attack import (
     ChainViolationError,
     ExponentNotFoundError,
     attack_result_to_json,
-    binary_search_exponent,
     doubling_phase,
     find_chain_exponent,
-    recover_key,
     recover_key_targeting,
 )
 from .bench import (
@@ -69,62 +63,3 @@ from .bench import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttackError",
-    "AttackResult",
-    "CSV_HEADER",
-    "ChainOrdering",
-    "ChainViolationError",
-    "DimensionMismatchError",
-    "ExperimentRow",
-    "ExponentNotFoundError",
-    "FormatError",
-    "KeyAgreementError",
-    "OpCounter",
-    "PartyState",
-    "ProtocolParams",
-    "RunConfig",
-    "SemigroupOpKind",
-    "SemigroupPair",
-    "SquareCache",
-    "Transcript",
-    "TropicalMatrix",
-    "apply",
-    "attack_result_to_json",
-    "average_key_size_bits",
-    "binary_search_exponent",
-    "build_square_cache",
-    "chain_compare",
-    "derive_shared_key",
-    "doubling_phase",
-    "find_chain_exponent",
-    "make_party",
-    "mat_leq",
-    "mat_oplus",
-    "mat_otimes",
-    "mat_transpose",
-    "matrix_from_json",
-    "matrix_to_json",
-    "measure_alpha",
-    "op_circ",
-    "op_star",
-    "oplus",
-    "otimes",
-    "pair_from_json",
-    "pair_to_json",
-    "params_from_json",
-    "params_to_json",
-    "power",
-    "power_from_cache",
-    "random_matrix",
-    "recover_key",
-    "recover_key_targeting",
-    "rows_to_csv",
-    "run_exchange",
-    "run_experiment",
-    "setup",
-    "transcript_from_json",
-    "transcript_to_json",
-    "write_csv",
-]

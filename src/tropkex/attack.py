@@ -125,8 +125,16 @@ def _bisect_chain(
     counter: OpCounter | None,
     cached: bool,
 ) -> tuple[int, SemigroupPair]:
-    # Returns the matched exponent together with the probe pair that hit it,
-    # so callers get (A, P_E) without re-running the powering.
+    """Bisect [1, 2^t] for an exponent whose first component equals the target.
+
+    Probes compare against the target with ``chain_compare``; above means
+    search right, below means search left.  With ``cached`` each probe is
+    assembled from the square ladder (at most t - 1 applications each);
+    otherwise each probe is powered from scratch (at most 2t each), which
+    exists as the reference cost baseline.  Returns the matched exponent
+    with the probe pair that hit it, so callers get (A, P_E) without
+    re-running the powering.
+    """
     lo, hi = 1, 1 << t
     while lo <= hi:
         mid = (lo + hi) // 2
@@ -150,26 +158,6 @@ def _bisect_chain(
         "bisection exhausted without an exact match; "
         "the target is not a first component on this chain"
     )
-
-
-def binary_search_exponent(
-    op: SemigroupOpKind,
-    cache: SquareCache,
-    target: TropicalMatrix,
-    t: int,
-    counter: OpCounter | None = None,
-    cached: bool = True,
-) -> int:
-    """Bisect [1, 2^t] for an exponent whose first component equals the target.
-
-    Probes compare against the target with ``chain_compare``; above means
-    search right, below means search left.  With ``cached`` each probe is
-    assembled from the square ladder (at most t - 1 applications each);
-    otherwise each probe is powered from scratch (at most 2t each), which
-    exists as the reference cost baseline.
-    """
-    m_prime, _ = _bisect_chain(op, cache, target, t, counter, cached)
-    return m_prime
 
 
 def find_chain_exponent(
@@ -218,11 +206,6 @@ def recover_key_targeting(
         eve_pair=eve_pair,
         recovered_key=key,
     )
-
-
-def recover_key(transcript: Transcript, cached: bool = True) -> AttackResult:
-    """Recover the shared key from Alice's intercepted message."""
-    return recover_key_targeting(transcript, "alice", cached=cached)
 
 
 def attack_result_to_json(result: AttackResult) -> dict:

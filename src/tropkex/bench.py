@@ -77,7 +77,6 @@ class RunConfig:
     op: SemigroupOpKind = SemigroupOpKind.CIRC
     trials: int = 40
     seed: int = 0
-    output_path: str | Path | None = None
 
     def __post_init__(self):
         if not self.k_list:

@@ -55,10 +55,6 @@ def _resolve_seed(flag_value: int | None) -> int:
     return 0
 
 
-def _op_kind(name: str) -> SemigroupOpKind:
-    return SemigroupOpKind(name)
-
-
 def _k_list_arg(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
@@ -152,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     rng = Random(_resolve_seed(args.seed))
-    params = setup(args.k, args.N, args.K, _op_kind(args.op), rng)
+    params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
     _emit(json.dumps(params_to_json(params), indent=2), args.out)
     return EXIT_OK
 
@@ -163,7 +159,7 @@ def _cmd_exchange(args) -> int:
         rng = Random(_resolve_seed(args.seed))
     else:
         rng = Random(_resolve_seed(args.seed))
-        params = setup(args.k, args.N, args.K, _op_kind(args.op), rng)
+        params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
     transcript, alice_key, bob_key = run_exchange(params, rng)
     _emit(json.dumps(transcript_to_json(transcript), indent=2), args.out)
     keys = {
@@ -188,10 +184,9 @@ def _cmd_bench(args) -> int:
         k_list=args.k,
         N=args.N,
         K=args.K,
-        op=_op_kind(args.op),
+        op=SemigroupOpKind(args.op),
         trials=args.trials,
         seed=_resolve_seed(args.seed),
-        output_path=args.out,
     )
     rows = run_experiment(config)
     _emit(rows_to_csv(rows), args.out)

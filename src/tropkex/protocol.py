@@ -24,18 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .semidirect import (
-    SemigroupOpKind,
-    SemigroupPair,
-    op_kind_from_json,
-    op_kind_to_json,
-    power,
-)
+from .semidirect import SemigroupOpKind, SemigroupPair, power, product_first
 from .tropical import (
     DimensionMismatchError,
     FormatError,
     TropicalMatrix,
-    _oplus_many,
     matrix_from_json,
     matrix_to_json,
     random_matrix,
@@ -126,24 +119,14 @@ def derive_shared_key(
     """First component of (partner_pair combined with own pair).
 
     The partner enters as the left factor, so only its public first
-    component Y is needed.  With own pair (X, P):
-
-      circ: Y + X + P + (Y * P)
-      star: (P * Y^T) + (Y^T * P) + X
-
-    in (min, +) arithmetic.  Powers of the shared base commute, so both
-    parties land on the first component of (M, H)^(m+n).
+    component is needed (see ``semidirect``).  Powers of the shared base
+    commute, so both parties land on the first component of (M, H)^(m+n).
     """
     if other_message.k != params.k:
         raise DimensionMismatchError(
             f"partner message is {other_message.k}x{other_message.k}, expected {params.k}"
         )
-    x, p = own.pair.first, own.pair.second
-    y = other_message
-    if params.op is SemigroupOpKind.CIRC:
-        return _oplus_many(y, x, p, y.otimes(p))
-    yt = y.transpose()
-    return _oplus_many(p.otimes(yt), yt.otimes(p), x)
+    return product_first(params.op, other_message, own.pair)
 
 
 def run_exchange(
@@ -176,7 +159,7 @@ def params_to_json(params: ProtocolParams) -> dict:
         "k": params.k,
         "N": params.N,
         "K": params.K,
-        "op": op_kind_to_json(params.op),
+        "op": params.op.value,
         "M": matrix_to_json(params.M),
         "H": matrix_to_json(params.H),
     }
@@ -197,7 +180,7 @@ def params_from_json(obj) -> ProtocolParams:
             k=k,
             N=n_bound,
             K=exp_bits,
-            op=op_kind_from_json(obj["op"]),
+            op=SemigroupOpKind(obj["op"]),
             M=matrix_from_json(obj["M"]),
             H=matrix_from_json(obj["H"]),
         )

@@ -31,9 +31,11 @@ semiring has no multiplicative identity matrix), so exponents start
 at 1.  A ``SquareCache`` holds the ladder base^(2^i) so that later
 powers cost one operation per set bit of the exponent.
 
-All functions that combine pairs accept an optional ``OpCounter``; each
-application increments it by exactly one.  The attack's cost guarantees
-are stated in these counts, so they are measured, never estimated.
+Every counted application goes through ``apply``, which picks the law and
+increments an optional ``OpCounter`` by exactly one.  The attack's cost
+guarantees are stated in these counts, so they are measured, never
+estimated.  ``product_first`` computes only the first component of a
+product, which is all a party needs to derive the shared key.
 """
 
 from __future__ import annotations
@@ -89,79 +91,64 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# The two operations fuse the entrywise minima into the product pass: a
-# separate pass per oplus term would add a k^2 cost with a constant big
-# enough to distort small-k timings, and the benchmark asserts that the
-# attack's cost profile is k^3-shaped.
+# The kernels fuse the entrywise minima into the product pass: a separate
+# pass per oplus term would add a k^2 cost with a constant big enough to
+# distort small-k timings, and the benchmark asserts that the attack's cost
+# profile is k^3-shaped.
 
 
-def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
-    """First law: with p=(M,G), q=(S,H) the product is
-    (M+S+H+(M*H), G+H+(G*H)) written in (min, +) arithmetic."""
-    first_p = p.first
-    second_q = q.second
-    if first_p.k != q.first.k:
-        raise DimensionMismatchError(
-            f"pair dimension mismatch: {first_p.k} vs {q.first.k}"
-        )
-    m_rows, g_rows = first_p.rows, p.second.rows
-    s_rows, h_rows = q.first.rows, second_q.rows
-    h_cols = second_q._columns()
+def _circ_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
+    # M + S + H + (M * H): circ's first component; with S = H also its second.
+    h_cols = h._columns()
     _min, _map, _add = min, map, add
-    first = tuple(
+    return TropicalMatrix._wrap(tuple([
         tuple(_map(
             _min,
             [_min(_map(_add, m_row, col)) for col in h_cols],
             m_row, s_row, h_row,
         ))
-        for m_row, s_row, h_row in zip(m_rows, s_rows, h_rows)
-    )
-    second = tuple(
-        tuple(_map(
-            _min,
-            [_min(_map(_add, g_row, col)) for col in h_cols],
-            g_row, h_row,
-        ))
-        for g_row, h_row in zip(g_rows, h_rows)
-    )
-    return _new_pair(TropicalMatrix._wrap(first), TropicalMatrix._wrap(second))
+        for m_row, s_row, h_row in zip(m.rows, s.rows, h.rows)
+    ]))
 
 
-def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
-    """Second law: with p=(M,G), q=(S,H) the product is
-    ((H*M^T)+(M^T*H)+S, G*H) written in (min, +) arithmetic."""
-    first_p = p.first
-    second_q = q.second
-    if first_p.k != q.first.k:
-        raise DimensionMismatchError(
-            f"pair dimension mismatch: {first_p.k} vs {q.first.k}"
-        )
-    m_rows, g_rows = first_p.rows, p.second.rows
-    s_rows, h_rows = q.first.rows, second_q.rows
-    h_cols = second_q._columns()
-    m_cols = first_p._columns()  # row i of M^T is column i of M
+def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
+    # (H * M^T) + (M^T * H) + S: star's first component.
+    h_cols = h._columns()
+    m_rows = m.rows
     _min, _map, _add = min, map, add
-    first = tuple(
+    return TropicalMatrix._wrap(tuple([
         tuple(_map(
             _min,
             [_min(_map(_add, h_row, m_row_j)) for m_row_j in m_rows],  # (H * M^T)_i*
             [_min(_map(_add, m_col_i, col)) for col in h_cols],        # (M^T * H)_i*
             s_row,
         ))
-        for h_row, m_col_i, s_row in zip(h_rows, m_cols, s_rows)
-    )
-    second = tuple(
-        tuple([_min(_map(_add, g_row, col)) for col in h_cols])
-        for g_row in g_rows
-    )
-    return _new_pair(TropicalMatrix._wrap(first), TropicalMatrix._wrap(second))
+        # row i of M^T is column i of M
+        for h_row, m_col_i, s_row in zip(h.rows, m._columns(), s.rows)
+    ]))
 
 
-def _op_function(op: SemigroupOpKind):
+def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
+    """First law, circ: see the module docstring."""
+    if p.first.k != q.first.k:
+        raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
+    h = q.second
+    return _new_pair(_circ_first(p.first, q.first, h), _circ_first(p.second, h, h))
+
+
+def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
+    """Second law, star: see the module docstring."""
+    if p.first.k != q.first.k:
+        raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
+    return _new_pair(_star_first(p.first, q.first, q.second), p.second.otimes(q.second))
+
+
+def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> TropicalMatrix:
+    """First component of (m, G) combined with q, which is the same for every G."""
     if op is SemigroupOpKind.CIRC:
-        return op_circ
+        return _circ_first(m, q.first, q.second)
     if op is SemigroupOpKind.STAR:
-        return op_star
+        return _star_first(m, q.first, q.second)
     raise ValueError(f"unknown operation kind: {op!r}")
 
 
@@ -171,10 +158,18 @@ def apply(
     q: SemigroupPair,
     counter: OpCounter | None = None,
 ) -> SemigroupPair:
-    """Dispatch one pair application, bumping ``counter`` by one."""
+    """One pair application under ``op``, bumping ``counter`` by one."""
+    # op_circ / op_star are looked up at call time, so a wrapper installed
+    # on the module attribute sees every application.
+    if op is SemigroupOpKind.CIRC:
+        combine = op_circ
+    elif op is SemigroupOpKind.STAR:
+        combine = op_star
+    else:
+        raise ValueError(f"unknown operation kind: {op!r}")
     if counter is not None:
         counter.count += 1
-    return _op_function(op)(p, q)
+    return combine(p, q)
 
 
 def power(
@@ -190,16 +185,11 @@ def power(
     """
     if e < 1:
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
-    combine = _op_function(op)
     acc = base
     for bit in bin(e)[3:]:
-        acc = combine(acc, acc)
-        if counter is not None:
-            counter.count += 1
+        acc = apply(op, acc, acc, counter)
         if bit == "1":
-            acc = combine(acc, base)
-            if counter is not None:
-                counter.count += 1
+            acc = apply(op, acc, base, counter)
     return acc
 
 
@@ -225,12 +215,9 @@ def build_square_cache(
     """Precompute base^(2^i) for i in [0, levels); exactly levels-1 applications."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    combine = _op_function(op)
     squares = [base]
     for _ in range(levels - 1):
-        squares.append(combine(squares[-1], squares[-1]))
-        if counter is not None:
-            counter.count += 1
+        squares.append(apply(op, squares[-1], squares[-1], counter))
     return SquareCache(op, base, tuple(squares))
 
 
@@ -251,7 +238,6 @@ def power_from_cache(
         raise ValueError(
             f"exponent {e} outside [1, 2^{cache.levels}) covered by the cache"
         )
-    combine = _op_function(cache.op)
     acc = None
     squares = cache.squares
     for i in range(e.bit_length()):
@@ -259,22 +245,8 @@ def power_from_cache(
             if acc is None:
                 acc = squares[i]
             else:
-                acc = combine(acc, squares[i])
-                if counter is not None:
-                    counter.count += 1
+                acc = apply(cache.op, acc, squares[i], counter)
     return acc
-
-
-def op_kind_to_json(op: SemigroupOpKind) -> str:
-    return op.value
-
-
-def op_kind_from_json(value) -> SemigroupOpKind:
-    if value == "circ":
-        return SemigroupOpKind.CIRC
-    if value == "star":
-        return SemigroupOpKind.STAR
-    raise FormatError(f"operation must be 'circ' or 'star', got {value!r}")
 
 
 def pair_to_json(p: SemigroupPair) -> dict:

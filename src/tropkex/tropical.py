@@ -146,32 +146,6 @@ class TropicalMatrix:
         return all(all(map(le, ra, rb)) for ra, rb in zip(self.rows, other.rows))
 
 
-def mat_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    return a.oplus(b)
-
-
-def mat_otimes(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    return a.otimes(b)
-
-
-def mat_transpose(a: TropicalMatrix) -> TropicalMatrix:
-    return a.transpose()
-
-
-def mat_leq(x: TropicalMatrix, y: TropicalMatrix) -> bool:
-    return x.leq(y)
-
-
-def _oplus_many(*mats: TropicalMatrix) -> TropicalMatrix:
-    # n-ary entrywise min in one pass; callers guarantee matching dims.
-    return TropicalMatrix._wrap(
-        tuple(
-            tuple(map(min, *rows))
-            for rows in zip(*(m.rows for m in mats))
-        )
-    )
-
-
 def chain_compare(x: TropicalMatrix, y: TropicalMatrix) -> ChainOrdering:
     """Classify x against y under the min-plus partial order.
 
@@ -234,6 +208,9 @@ def matrix_from_json(obj) -> TropicalMatrix:
         for cell in row:
             if not isinstance(cell, str) or not _DECIMAL.fullmatch(cell):
                 raise FormatError(f"entry {cell!r} is not a canonical decimal string")
-            parsed.append(int(cell))
+            try:
+                parsed.append(int(cell))
+            except ValueError as exc:  # past the interpreter's digit limit
+                raise FormatError(f"entry of {len(cell)} digits: {exc}") from exc
         rows.append(tuple(parsed))
     return TropicalMatrix._wrap(tuple(rows))

@@ -35,7 +35,6 @@ from tropkex import (
     power,
     power_from_cache,
     build_square_cache,
-    recover_key,
     recover_key_targeting,
     run_exchange,
     run_experiment,
@@ -70,7 +69,7 @@ def _exchange_and_attack_sweep(op, count, seed_base):
             stats["agreement_failures"] += 1
             continue
         try:
-            result = recover_key(transcript)
+            result = recover_key_targeting(transcript, "alice")
         except AttackError:
             stats["attack_errors"] += 1
             continue
@@ -104,8 +103,8 @@ def test_ac2_operation_count_bounds():
             rng = Random(7_000 + 100 * exp_bits + trial)
             params = setup(3, 100, exp_bits, CIRC, rng)
             transcript, alice_key, _ = run_exchange(params, rng)
-            cached = recover_key(transcript, cached=True)
-            uncached = recover_key(transcript, cached=False)
+            cached = recover_key_targeting(transcript, "alice", cached=True)
+            uncached = recover_key_targeting(transcript, "alice", cached=False)
             assert cached.recovered_key == uncached.recovered_key == alice_key
             assert cached.op_count <= exp_bits**2 + exp_bits, (
                 f"cached count {cached.op_count} exceeds {exp_bits**2 + exp_bits}"
@@ -310,7 +309,7 @@ def test_ac8_plateau_robustness():
 
     transcript, alice_key, bob_key = run_exchange(params, Queue(7, 5))
     assert alice_key == bob_key
-    result = recover_key(transcript)
+    result = recover_key_targeting(transcript, "alice")
     ok = result.m_prime != 7 and result.recovered_key == alice_key
     # the other target plateaus the same way
     result_bob = recover_key_targeting(transcript, "bob")
@@ -331,7 +330,7 @@ def test_ac9_full_parameter_smoke():
     rng = Random(424242)
     params = setup(10, 1000, 200, CIRC, rng)
     transcript, alice_key, bob_key = run_exchange(params, rng)
-    result = recover_key(transcript)
+    result = recover_key_targeting(transcript, "alice")
     elapsed = time.perf_counter() - start
     ok = result.recovered_key == alice_key == bob_key and elapsed < 60.0
     report(

@@ -13,17 +13,16 @@ from tropkex import (
     SemigroupPair,
     TropicalMatrix,
     attack_result_to_json,
-    binary_search_exponent,
     build_square_cache,
     doubling_phase,
     find_chain_exponent,
     matrix_from_json,
     power,
-    recover_key,
     recover_key_targeting,
     run_exchange,
     setup,
 )
+from tropkex.attack import _bisect_chain
 
 from _oracles import chain_fold
 
@@ -33,6 +32,11 @@ STAR = SemigroupOpKind.STAR
 
 def m1(x):
     return TropicalMatrix([[x]])
+
+
+def _bisect(cache, target, t):
+    m_prime, _ = _bisect_chain(CIRC, cache, target, t, None, True)
+    return m_prime
 
 
 def test_doubling_phase_examples():
@@ -81,14 +85,14 @@ def test_doubling_phase_input_checks():
 def test_binary_search_examples():
     base_m, base_h = m1(10), m1(-3)
     t, cache = doubling_phase(CIRC, base_m, base_h, m1(-9), 8)
-    assert binary_search_exponent(CIRC, cache, m1(-9), t) == 4
+    assert _bisect(cache, m1(-9), t) == 4
 
     # plateau: any index whose first equals the target is acceptable
     t, cache = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
-    assert binary_search_exponent(CIRC, cache, m1(0), t) == 2
+    assert _bisect(cache, m1(0), t) == 2
 
     t, cache = doubling_phase(CIRC, base_m, base_h, m1(10), 8)
-    assert binary_search_exponent(CIRC, cache, m1(10), t) == 1
+    assert _bisect(cache, m1(10), t) == 1
 
 
 def test_binary_search_no_match():
@@ -96,7 +100,7 @@ def test_binary_search_no_match():
     t, cache = doubling_phase(CIRC, m1(10), m1(-3), m1(-7), 8)
     assert t == 2
     with pytest.raises(ExponentNotFoundError):
-        binary_search_exponent(CIRC, cache, m1(-7), t)
+        _bisect(cache, m1(-7), t)
 
 
 def test_binary_search_incomparable_probe():
@@ -110,7 +114,7 @@ def test_binary_search_incomparable_probe():
     cache = build_square_cache(CIRC, base, 4)
     target = TropicalMatrix([[-100, 100], [0, 0]])
     with pytest.raises((ChainViolationError, ExponentNotFoundError)):
-        binary_search_exponent(CIRC, cache, target, 3)
+        _bisect(cache, target, 3)
 
 
 def test_recover_key_pinned_instance():
@@ -127,7 +131,7 @@ def test_recover_key_pinned_instance():
 
     transcript, alice_key, bob_key = run_exchange(params, Queue(2, 3))
     assert alice_key == m1(-12)
-    result = recover_key(transcript)
+    result = recover_key_targeting(transcript, "alice")
     assert result.recovered_key == m1(-12)
     assert result.m_prime == 2  # chain is strictly decreasing here
     assert result.eve_pair.first == transcript.alice_message
@@ -152,7 +156,7 @@ def test_recover_key_random_circ_transcripts():
             params, PartyState(alice_exp, alice_pair), bob_pair.first
         )
 
-        result = recover_key(transcript)
+        result = recover_key_targeting(transcript, "alice")
         assert result.recovered_key == shared
         # recovered exponent really reproduces the intercepted message
         assert power(CIRC, params.base_pair, result.m_prime).first == transcript.alice_message
@@ -174,8 +178,8 @@ def test_reference_variant_counts():
         params = setup(3, 100, exp_bits, CIRC, rng)
         transcript, alice_key, _ = run_exchange(params, rng)
 
-        cached = recover_key(transcript, cached=True)
-        uncached = recover_key(transcript, cached=False)
+        cached = recover_key_targeting(transcript, "alice", cached=True)
+        uncached = recover_key_targeting(transcript, "alice", cached=False)
         assert cached.recovered_key == uncached.recovered_key == alice_key
         assert cached.m_prime == uncached.m_prime
         assert cached.op_count <= exp_bits**2 + exp_bits
@@ -187,8 +191,8 @@ def test_attack_determinism():
     rng = Random(21)
     params = setup(4, 100, 12, CIRC, rng)
     transcript, _, _ = run_exchange(params, rng)
-    first = recover_key(transcript)
-    second = recover_key(transcript)
+    first = recover_key_targeting(transcript, "alice")
+    second = recover_key_targeting(transcript, "alice")
     assert first == second  # includes m_prime, t, op_count, keys
 
 
@@ -201,7 +205,7 @@ def test_recover_key_targeting_bob():
         via_bob = recover_key_targeting(transcript, "bob")
         assert via_alice.recovered_key == via_bob.recovered_key == alice_key
         assert via_bob.eve_pair.first == transcript.bob_message
-    assert recover_key_targeting(transcript, "alice") == recover_key(transcript)
+    assert recover_key_targeting(transcript, "alice") == recover_key_targeting(transcript, "alice")
     with pytest.raises(ValueError):
         recover_key_targeting(transcript, "carol")
 
@@ -233,7 +237,7 @@ def test_star_attack_on_1x1_works():
     for _ in range(40):
         params = setup(1, 100, 10, STAR, rng)
         transcript, alice_key, _ = run_exchange(params, rng)
-        assert recover_key(transcript).recovered_key == alice_key
+        assert recover_key_targeting(transcript, "alice").recovered_key == alice_key
 
 
 def test_star_attack_can_fail_off_chain_for_k_at_least_2():
@@ -244,7 +248,7 @@ def test_star_attack_can_fail_off_chain_for_k_at_least_2():
     params = setup(3, 30, 8, STAR, rng)
     transcript, _, _ = run_exchange(params, rng)
     with pytest.raises(AttackError):
-        recover_key(transcript)
+        recover_key_targeting(transcript, "alice")
 
 
 def test_find_chain_exponent_counter_totals():
@@ -256,7 +260,7 @@ def test_find_chain_exponent_counter_totals():
         CIRC, params.M, params.H, transcript.alice_message, params.K, counter
     )
     assert pair.first == transcript.alice_message
-    result = recover_key(transcript)
+    result = recover_key_targeting(transcript, "alice")
     assert result.op_count == counter.count
     assert (result.m_prime, result.t) == (m_prime, t)
 
@@ -265,7 +269,7 @@ def test_attack_result_json():
     rng = Random(45)
     params = setup(2, 50, 80, CIRC, rng)  # m' will not fit in 64 bits
     transcript, alice_key, _ = run_exchange(params, rng)
-    result = recover_key(transcript)
+    result = recover_key_targeting(transcript, "alice")
     obj = attack_result_to_json(result)
     assert set(obj) == {"m_prime", "t", "op_count", "recovered_key"}
     assert obj["m_prime"] == str(result.m_prime)

@@ -139,6 +139,20 @@ def test_error_exit_codes(tmp_path, capsys):
     not_transcript.write_text(json.dumps({"params": {}}))
     assert run_cli("attack", "--transcript", str(not_transcript)) == EXIT_FORMAT
 
+    # an entry past the interpreter's int-from-str digit limit is malformed
+    # input, not a usage error
+    transcript = tmp_path / "tr.json"
+    assert run_cli(
+        "exchange", "--k", "2", "--N", "5", "--K", "4", "--seed", "1",
+        "--out", str(transcript), "--keys-out", str(tmp_path / "keys.json"),
+    ) == EXIT_OK
+    obj = json.loads(transcript.read_text())
+    obj["alice_message"]["entries"][0][0] = "9" * 4301
+    overlong = tmp_path / "overlong.json"
+    overlong.write_text(json.dumps(obj))
+    assert run_cli("attack", "--transcript", str(overlong)) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error:format:")
+
     # usage errors from argparse
     assert run_cli("no-such-command") == EXIT_USAGE
     assert run_cli("bench", "--k", "2,x", "--out", "t.csv") == EXIT_USAGE

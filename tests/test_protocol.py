@@ -23,7 +23,7 @@ from tropkex import (
     transcript_to_json,
 )
 
-from _oracles import chain_fold, random_pair
+from _oracles import chain_fold, naive_apply, random_mat, random_pair
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -115,6 +115,20 @@ def test_derive_shared_key_1x1_star():
     params = params_1x1(1, 3, op=STAR)
     own = PartyState(exponent=1, pair=params.base_pair)
     assert derive_shared_key(params, own, TropicalMatrix([[0]])) == TropicalMatrix([[1]])
+
+
+def test_derive_shared_key_matches_oracle():
+    # the key is the first component of (partner message, anything) combined
+    # with the own pair, whatever the partner's second component is
+    rng = Random(107)
+    for op in (CIRC, STAR):
+        for k in range(1, 6):
+            params = setup(k, 50, 4, op, rng)
+            for _ in range(10):
+                own = PartyState(exponent=1, pair=random_pair(rng, k))
+                y, x = random_mat(rng, k), random_mat(rng, k)
+                oracle = naive_apply(op, SemigroupPair(y, x), own.pair).first
+                assert derive_shared_key(params, own, y) == oracle
 
 
 def test_derive_dimension_check():

@@ -17,7 +17,7 @@ from tropkex import (
     power,
     power_from_cache,
 )
-from tropkex.semidirect import apply, op_kind_from_json, op_kind_to_json
+from tropkex.semidirect import apply
 
 from _oracles import chain_fold, fold_left, fold_right, naive_apply, random_pair
 
@@ -287,11 +287,7 @@ def test_pair_serialization_round_trip():
     p = random_pair(rng, 3, 10**40)
     obj = pair_to_json(p)
     assert pair_from_json(obj) == p
-    assert op_kind_from_json(op_kind_to_json(CIRC)) is CIRC
-    assert op_kind_from_json("star") is STAR
     from tropkex import FormatError
 
-    with pytest.raises(FormatError):
-        op_kind_from_json("plus")
     with pytest.raises(FormatError):
         pair_from_json({"first": obj["first"]})

@@ -10,10 +10,6 @@ from tropkex import (
     FormatError,
     TropicalMatrix,
     chain_compare,
-    mat_leq,
-    mat_oplus,
-    mat_otimes,
-    mat_transpose,
     matrix_from_json,
     matrix_to_json,
     oplus,
@@ -71,15 +67,6 @@ def test_otimes_matches_naive_oracle():
         k = 1 + trial % 6
         a, b = random_mat(rng, k), random_mat(rng, k)
         assert a.otimes(b) == naive_otimes(a, b)
-
-
-def test_module_level_aliases():
-    a = TropicalMatrix([[1, 5], [3, -2]])
-    b = TropicalMatrix([[2, 4], [0, 7]])
-    assert mat_oplus(a, b) == a.oplus(b)
-    assert mat_otimes(a, b) == a.otimes(b)
-    assert mat_transpose(a) == a.transpose()
-    assert mat_leq(a, b) == a.leq(b)
 
 
 def test_transpose():
