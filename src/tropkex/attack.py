@@ -6,8 +6,9 @@ a public message A therefore:
 
   1. squares (M, H) repeatedly until the chain descends to A or below,
      which bounds the hidden exponent by 2^t (doubling phase), then
-  2. bisects [1, 2^t], rebuilding each probe power from the stored
-     squares, until some m' with M_{m'} == A is found, then
+  2. descends the stored squares from the top bit down (binary lifting),
+     keeping each square whose product with the kept power still lies
+     above A, which pins the least m' with M_{m'} == A, then
   3. derives the shared key from (A, P_E) = (M, H)^{m'} and the other
      party's public message, exactly as a legitimate party would.
 
@@ -15,16 +16,16 @@ The chain may plateau, in which case m' can differ from the true private
 exponent; any index whose first component equals A yields the same key,
 so the attack does not care.
 
-With the square cache the whole recovery takes at most K^2 + K pair
-applications; a reference variant that recomputes every probe power from
-scratch stays within 2K^2 + K.  Both figures are enforced on the measured
-counters, not estimated.
+With the square cache the whole recovery takes at most 2K pair
+applications (t to double, t to descend); a reference variant that
+recomputes every candidate power from scratch stays within 2K^2 + K.
+Both figures are enforced on the measured counters, not estimated.
 
 The recovery is reliable over circ.  Over star with k >= 2 the squares
-and probe products are bracketing-dependent (star is not associative;
-see ``semidirect``), so probes need not land on the monotone chain and
-the search can raise ``ChainViolationError`` or ``ExponentNotFoundError``
-even on honestly generated transcripts.
+and candidate products are bracketing-dependent (star is not
+associative; see ``semidirect``), so candidates need not land on the
+monotone chain and the search can raise ``ChainViolationError`` or
+``ExponentNotFoundError`` even on honestly generated transcripts.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .semidirect import (
     SquareCache,
     apply,
     power,
-    power_from_cache,
 )
 from .tropical import (
     ChainOrdering,
@@ -90,6 +90,11 @@ def doubling_phase(
     squares up to level t.  Honest targets satisfy t <= K because the
     hidden exponent is below 2^K.  Costs at most ``max_levels``
     applications.
+
+    Under circ, M_{j+1} = M_j + M + H + (M_j * H) depends on M_j alone,
+    so two equal consecutive squares M_{2^l} == M_{2^(l+1)} mean the
+    chain is constant from index 2^l on.  Still above the target, it
+    never reaches it, and the phase stops at once.
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
@@ -97,23 +102,31 @@ def doubling_phase(
         raise DimensionMismatchError(
             f"target is {target.k}x{target.k}, expected {m.k}"
         )
-    base = SemigroupPair(m, h)
+    square = base = SemigroupPair(m, h)
     squares = [base]
+    stationary_exit = op is SemigroupOpKind.CIRC
     for level in range(max_levels + 1):
-        relation = chain_compare(squares[level].first, target)
-        if relation is ChainOrdering.INCOMPARABLE:
+        relation = chain_compare(square.first, target)
+        if relation is ChainOrdering.GREATER:
+            if level == max_levels:
+                raise ExponentNotFoundError(
+                    f"chain never descended to the target within 2^{max_levels}; "
+                    "the transcript is malformed or the bound is wrong"
+                )
+            previous, square = square, apply(op, square, square, counter)
+            squares.append(square)
+            if stationary_exit and square.first == previous.first:
+                raise ExponentNotFoundError(
+                    f"chain is constant from index 2^{level} on and still above "
+                    "the target; the transcript is malformed"
+                )
+        elif relation is ChainOrdering.INCOMPARABLE:
             raise ChainViolationError(
                 f"chain element at level {level} is incomparable with the target; "
                 "the intercepted matrix was not generated from these parameters"
             )
-        if relation in (ChainOrdering.LESS, ChainOrdering.EQUAL):
+        else:
             return level, SquareCache(op, base, tuple(squares))
-        if level == max_levels:
-            raise ExponentNotFoundError(
-                f"chain never descended to the target within 2^{max_levels}; "
-                "the transcript is malformed or the bound is wrong"
-            )
-        squares.append(apply(op, squares[level], squares[level], counter))
     raise AssertionError("unreachable")
 
 
@@ -125,39 +138,52 @@ def _bisect_chain(
     counter: OpCounter | None,
     cached: bool,
 ) -> tuple[int, SemigroupPair]:
-    """Bisect [1, 2^t] for an exponent whose first component equals the target.
+    """Find the least exponent whose first component equals the target.
 
-    Probes compare against the target with ``chain_compare``; above means
-    search right, below means search left.  With ``cached`` each probe is
-    assembled from the square ladder (at most t - 1 applications each);
-    otherwise each probe is powered from scratch (at most 2t each), which
-    exists as the reference cost baseline.  Returns the matched exponent
-    with the probe pair that hit it, so callers get (A, P_E) without
-    re-running the powering.
+    Precondition, established by ``doubling_phase``: the first component
+    of ``squares[t]`` lies at or below the target and, when t >= 1, that
+    of ``squares[t - 1]`` lies strictly above it.  On the monotone chain
+    the exponents strictly above the target form a prefix [1, m' - 1], so
+    binary lifting finds its end e from the top bit down: start at
+    e = 2^(t-1), and for i = t-2 ... 0 keep e + 2^i if its first component
+    is still above the target.  The answer is m' = e + 1.
+
+    With ``cached`` each candidate is the kept power times ``squares[i]``
+    (powers of one element commute under circ), one application per bit:
+    at most t in all.  Otherwise every candidate is powered from scratch
+    (at most 2t^2 in all), which exists as the reference cost baseline
+    and returns the same m'.  Returns m' with its pair, so callers get
+    (A, P_E) without re-running the powering.
     """
-    lo, hi = 1, 1 << t
-    while lo <= hi:
-        mid = (lo + hi) // 2
+    base, squares = cache.base, cache.squares
+    e = 1 << t >> 1  # 2^(t-1), or 0 when t == 0
+    acc = squares[t - 1] if t else None
+    for i in range(t - 2, -1, -1):
+        step = 1 << i
         if cached:
-            probe = power_from_cache(cache, mid, counter)
+            candidate = apply(op, acc, squares[i], counter)
         else:
-            probe = power(op, cache.base, mid, counter)
-        relation = chain_compare(probe.first, target)
-        if relation is ChainOrdering.EQUAL:
-            return mid, probe
+            candidate = power(op, base, e + step, counter)
+        relation = chain_compare(candidate.first, target)
         if relation is ChainOrdering.GREATER:
-            # Chain is decreasing: probe above target means mid is too early.
-            lo = mid + 1
-        elif relation is ChainOrdering.LESS:
-            hi = mid - 1
-        else:
+            acc, e = candidate, e + step
+        elif relation is ChainOrdering.INCOMPARABLE:
             raise ChainViolationError(
-                f"probe at exponent {mid} is incomparable with the target"
+                f"candidate at exponent {e + step} is incomparable with the target"
             )
-    raise ExponentNotFoundError(
-        "bisection exhausted without an exact match; "
-        "the target is not a first component on this chain"
-    )
+    m_prime = e + 1
+    if not t:
+        pair = base
+    elif cached:
+        pair = apply(op, acc, base, counter)
+    else:
+        pair = power(op, base, m_prime, counter)
+    if pair.first != target:
+        raise ExponentNotFoundError(
+            "no exponent up to the doubling bound has the target as first "
+            "component; the target is not on this chain"
+        )
+    return m_prime, pair
 
 
 def find_chain_exponent(

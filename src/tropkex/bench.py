@@ -10,9 +10,10 @@ Timing is wall clock from a monotonic high-resolution counter, taken on
 the thread running the trial, with the cycle collector paused for the
 timed region (the workload allocates no reference cycles, and ambient
 collections would tax short runs disproportionately).  Two figures are
-kept per trial: the time to find m' (doubling plus bisection), which is
-the one comparable across machines via the t/k^3 and t/alpha^1.5
-ratios, and the time including the final key derivation.
+kept per trial: the time to find m' (doubling plus the binary-lifting
+descent, about 2K pair operations), which is the one comparable across
+machines via the t/k^3 and t/alpha^1.5 ratios, and the time including
+the final key derivation.
 
 Key size alpha counts, for every entry, the bit length of its magnitude
 plus one sign bit.  Zero therefore counts as one bit.

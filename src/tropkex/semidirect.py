@@ -44,13 +44,18 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import add
 
-from .tropical import DimensionMismatchError, FormatError, TropicalMatrix
+from .tropical import DimensionMismatchError, FormatError, TropicalMatrix, _flatten, _wrap_flat
 from .tropical import matrix_from_json, matrix_to_json
 
 
 class SemigroupOpKind(Enum):
     CIRC = "circ"
     STAR = "star"
+
+
+# Enum members bound once: a class-attribute lookup on an Enum costs several
+# times a global load, and ``apply`` runs once per pair application.
+_CIRC, _STAR = SemigroupOpKind.CIRC, SemigroupOpKind.STAR
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,49 +88,50 @@ class OpCounter:
         return f"OpCounter(count={self.count})"
 
 
+_new_pair_object = object.__new__
+_set_first = SemigroupPair.first.__set__
+_set_second = SemigroupPair.second.__set__
+
+
 def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
-    # Internal fast constructor for results whose dimensions already match.
-    pair = object.__new__(SemigroupPair)
-    object.__setattr__(pair, "first", first)
-    object.__setattr__(pair, "second", second)
+    # Internal fast constructor for results whose dimensions already match;
+    # the slot descriptors bypass the frozen dataclass's __setattr__.
+    pair = _new_pair_object(SemigroupPair)
+    _set_first(pair, first)
+    _set_second(pair, second)
     return pair
 
 
 # The kernels fuse the entrywise minima into the product pass: a separate
 # pass per oplus term would add a k^2 cost with a constant big enough to
 # distort small-k timings, and the benchmark asserts that the attack's cost
-# profile is k^3-shaped.
+# profile is k^3-shaped.  For the same reason each kernel works on the k^2
+# entries as one flat row-major sequence and cuts it into rows only once, in
+# ``_wrap_flat``: per-row iterators and comprehension frames cost about as
+# much as the arithmetic at k = 5.
 
 
-def _circ_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
-    # M + S + H + (M * H): circ's first component; with S = H also its second.
-    h_cols = h._columns()
+def _circ_first(
+    m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix, h_cols: tuple[tuple[int, ...], ...]
+) -> TropicalMatrix:
+    # M + S + H + (M * H), given the columns of H: circ's first component;
+    # with S = H also its second.
     _min, _map, _add = min, map, add
-    return TropicalMatrix._wrap(tuple([
-        tuple(_map(
-            _min,
-            [_min(_map(_add, m_row, col)) for col in h_cols],
-            m_row, s_row, h_row,
-        ))
-        for m_row, s_row, h_row in zip(m.rows, s.rows, h.rows)
-    ]))
+    products = [_min(_map(_add, m_row, col)) for m_row in m.rows for col in h_cols]
+    return _wrap_flat(
+        _map(_min, products, _flatten(m.rows), _flatten(s.rows), _flatten(h.rows)),
+        len(h_cols),
+    )
 
 
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
     # (H * M^T) + (M^T * H) + S: star's first component.
-    h_cols = h._columns()
-    m_rows = m.rows
+    m_rows, h_cols = m.rows, h._columns()
     _min, _map, _add = min, map, add
-    return TropicalMatrix._wrap(tuple([
-        tuple(_map(
-            _min,
-            [_min(_map(_add, h_row, m_row_j)) for m_row_j in m_rows],  # (H * M^T)_i*
-            [_min(_map(_add, m_col_i, col)) for col in h_cols],        # (M^T * H)_i*
-            s_row,
-        ))
-        # row i of M^T is column i of M
-        for h_row, m_col_i, s_row in zip(h.rows, m._columns(), s.rows)
-    ]))
+    left = [_min(_map(_add, h_row, m_row)) for h_row in h.rows for m_row in m_rows]
+    # row i of M^T is column i of M
+    right = [_min(_map(_add, m_col, h_col)) for m_col in m._columns() for h_col in h_cols]
+    return _wrap_flat(_map(_min, left, right, _flatten(s.rows)), len(m_rows))
 
 
 def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -133,7 +139,8 @@ def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     if p.first.k != q.first.k:
         raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
     h = q.second
-    return _new_pair(_circ_first(p.first, q.first, h), _circ_first(p.second, h, h))
+    h_cols = h._columns()
+    return _new_pair(_circ_first(p.first, q.first, h, h_cols), _circ_first(p.second, h, h, h_cols))
 
 
 def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -145,9 +152,9 @@ def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
 
 def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> TropicalMatrix:
     """First component of (m, G) combined with q, which is the same for every G."""
-    if op is SemigroupOpKind.CIRC:
-        return _circ_first(m, q.first, q.second)
-    if op is SemigroupOpKind.STAR:
+    if op is _CIRC:
+        return _circ_first(m, q.first, q.second, q.second._columns())
+    if op is _STAR:
         return _star_first(m, q.first, q.second)
     raise ValueError(f"unknown operation kind: {op!r}")
 
@@ -161,9 +168,9 @@ def apply(
     """One pair application under ``op``, bumping ``counter`` by one."""
     # op_circ / op_star are looked up at call time, so a wrapper installed
     # on the module attribute sees every application.
-    if op is SemigroupOpKind.CIRC:
+    if op is _CIRC:
         combine = op_circ
-    elif op is SemigroupOpKind.STAR:
+    elif op is _STAR:
         combine = op_star
     else:
         raise ValueError(f"unknown operation kind: {op!r}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from itertools import chain
 from operator import add, le
 from random import Random
 from typing import Iterable
@@ -58,7 +59,7 @@ class TropicalMatrix:
     matrices, and instances may be shared freely across threads.
     """
 
-    __slots__ = ("k", "rows", "_cols")
+    __slots__ = ("k", "rows")
 
     k: int
     rows: tuple[tuple[int, ...], ...]
@@ -76,15 +77,6 @@ class TropicalMatrix:
                     raise TypeError(f"entries must be int, not {type(entry).__name__}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "TropicalMatrix":
-        # Internal fast path: rows must already be a square tuple-of-tuples
-        # of ints.  Skips validation, which would dominate the hot loops.
-        m = object.__new__(cls)
-        object.__setattr__(m, "k", len(rows))
-        object.__setattr__(m, "rows", rows)
-        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("TropicalMatrix is immutable")
@@ -110,19 +102,12 @@ class TropicalMatrix:
             )
 
     def _columns(self) -> tuple[tuple[int, ...], ...]:
-        # Column tuples, memoized: matrices reused as right factors across
-        # many chain probes (the ladder squares) pay for the zip only once.
-        try:
-            return self._cols
-        except AttributeError:
-            cols = tuple(zip(*self.rows))
-            object.__setattr__(self, "_cols", cols)
-            return cols
+        return tuple(zip(*self.rows))
 
     def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise minimum of two matrices of the same size."""
         self._check_dim(other)
-        return TropicalMatrix._wrap(
+        return _wrap(
             tuple(tuple(map(min, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
@@ -130,7 +115,7 @@ class TropicalMatrix:
         """Min-plus matrix product: result[i][j] = min over l of a[i][l] + b[l][j]."""
         self._check_dim(other)
         cols = other._columns()
-        return TropicalMatrix._wrap(
+        return _wrap(
             tuple(
                 tuple(min(map(add, row, col)) for col in cols)
                 for row in self.rows
@@ -138,12 +123,51 @@ class TropicalMatrix:
         )
 
     def transpose(self) -> "TropicalMatrix":
-        return TropicalMatrix._wrap(self._columns())
+        return _wrap(self._columns())
 
     def leq(self, other: "TropicalMatrix") -> bool:
         """True iff self oplus other == self, i.e. entrywise self <= other."""
         self._check_dim(other)
-        return all(all(map(le, ra, rb)) for ra, rb in zip(self.rows, other.rows))
+        return _rows_leq(self.rows, other.rows)
+
+
+# Internal fast path for results built by the kernels: rows must already be
+# a square tuple-of-tuples of ints.  Skips validation (which would dominate
+# the hot loops) and sets the slots through their descriptors, past the
+# immutability guard in __setattr__.
+_new_matrix = object.__new__
+_set_k = TropicalMatrix.k.__set__
+_set_rows = TropicalMatrix.rows.__set__
+
+
+def _wrap(rows: tuple[tuple[int, ...], ...]) -> TropicalMatrix:
+    m = _new_matrix(TropicalMatrix)
+    _set_k(m, len(rows))
+    _set_rows(m, rows)
+    return m
+
+
+def _wrap_flat(entries: Iterable[int], k: int) -> TropicalMatrix:
+    # k*k entries in row-major order; zip pulls k at a time from one iterator.
+    m = _new_matrix(TropicalMatrix)
+    _set_k(m, k)
+    _set_rows(m, tuple(zip(*[iter(entries)] * k)))
+    return m
+
+
+_flatten = chain.from_iterable
+
+
+def _rows_leq(x_rows, y_rows) -> bool:
+    # Entrywise x <= y in one pass over the flattened rows, with no Python
+    # frame or iterator per row: the attack compares once per pair
+    # application, where per-row costs are a visible share at small k.
+    return all(map(le, _flatten(x_rows), _flatten(y_rows)))
+
+
+_LESS, _EQUAL, _GREATER, _INCOMPARABLE = (
+    ChainOrdering.LESS, ChainOrdering.EQUAL, ChainOrdering.GREATER, ChainOrdering.INCOMPARABLE
+)
 
 
 def chain_compare(x: TropicalMatrix, y: TropicalMatrix) -> ChainOrdering:
@@ -154,13 +178,14 @@ def chain_compare(x: TropicalMatrix, y: TropicalMatrix) -> ChainOrdering:
     common chain, not as a value to coerce.
     """
     x._check_dim(y)
-    if x.rows == y.rows:
-        return ChainOrdering.EQUAL
-    if x.leq(y):
-        return ChainOrdering.LESS
-    if y.leq(x):
-        return ChainOrdering.GREATER
-    return ChainOrdering.INCOMPARABLE
+    x_rows, y_rows = x.rows, y.rows
+    if x_rows == y_rows:
+        return _EQUAL
+    if _rows_leq(x_rows, y_rows):
+        return _LESS
+    if _rows_leq(y_rows, x_rows):
+        return _GREATER
+    return _INCOMPARABLE
 
 
 def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
@@ -174,7 +199,7 @@ def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
     if n_bound < 0:
         raise ValueError("entry bound must be >= 0")
     ri = rng.randint
-    return TropicalMatrix._wrap(
+    return _wrap(
         tuple(tuple(ri(-n_bound, n_bound) for _ in range(k)) for _ in range(k))
     )
 
@@ -213,4 +238,4 @@ def matrix_from_json(obj) -> TropicalMatrix:
             except ValueError as exc:  # past the interpreter's digit limit
                 raise FormatError(f"entry of {len(cell)} digits: {exc}") from exc
         rows.append(tuple(parsed))
-    return TropicalMatrix._wrap(tuple(rows))
+    return _wrap(tuple(rows))

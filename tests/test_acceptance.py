@@ -23,15 +23,11 @@ import pytest
 from tropkex import (
     AttackError,
     KeyAgreementError,
-    PartyState,
     ProtocolParams,
     RunConfig,
     SemigroupOpKind,
-    SemigroupPair,
-    Transcript,
     TropicalMatrix,
     average_key_size_bits,
-    derive_shared_key,
     power,
     power_from_cache,
     build_square_cache,
@@ -42,7 +38,7 @@ from tropkex import (
 )
 from tropkex.semidirect import apply
 
-from _oracles import fold_left, fold_right, naive_apply, naive_otimes, random_mat, random_pair
+from _oracles import fold_left, fold_right, naive_otimes, random_mat, random_pair
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR

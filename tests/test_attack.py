@@ -24,7 +24,7 @@ from tropkex import (
 )
 from tropkex.attack import _bisect_chain
 
-from _oracles import chain_fold
+from _oracles import chain_fold, naive_apply
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -60,11 +60,28 @@ def test_doubling_phase_examples():
 
 
 def test_doubling_phase_unreachable_target():
-    # plateau chain 5, 0, 0, ... never descends to -10**9
+    # plateau chain 5, 0, 0, ... never descends to -10**9; the second
+    # square equals the first, so doubling stops there
     counter = OpCounter()
     with pytest.raises(ExponentNotFoundError):
         doubling_phase(CIRC, m1(5), m1(0), m1(-(10**9)), 6, counter)
-    assert counter.count == 6  # the budget is consumed, never exceeded
+    assert counter.count == 2
+
+    # strictly descending chain 10, -3, -6, ...: never stationary, so
+    # the budget is consumed, never exceeded
+    counter = OpCounter()
+    with pytest.raises(ExponentNotFoundError):
+        doubling_phase(CIRC, m1(10), m1(-3), m1(-(10**9)), 6, counter)
+    assert counter.count == 6
+
+
+def test_doubling_phase_stationary_chain_exits_early():
+    # chain 1, 0, 0, ...: without the stationary exit doubling would run
+    # all 10**7 levels before giving up
+    counter = OpCounter()
+    with pytest.raises(ExponentNotFoundError):
+        doubling_phase(CIRC, m1(1), m1(0), m1(-1), 10**7, counter)
+    assert counter.count <= 3
 
 
 def test_doubling_phase_incomparable_target():
@@ -93,6 +110,39 @@ def test_binary_search_examples():
 
     t, cache = doubling_phase(CIRC, base_m, base_h, m1(10), 8)
     assert _bisect(cache, m1(10), t) == 1
+
+
+def _search_oracle_bases():
+    # N = 0 draws plateau from the first element on
+    rng = Random(11)
+    for k in range(1, 5):
+        for n_bound in (0, 10):
+            yield setup(k, n_bound, 8, CIRC, rng).base_pair
+    # paths along the superdiagonal of H shorten the chain by one per step
+    # until index 5, where it plateaus; a bisection over [1, 8] probes 4,
+    # then 6, and would return 6
+    h = TropicalMatrix([[-1 if j == i + 1 else 10 for j in range(5)] for i in range(5)])
+    yield SemigroupPair(TropicalMatrix([[0] * 5 for _ in range(5)]), h)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "reference"])
+def test_search_finds_least_matching_exponent(cached):
+    for base in _search_oracle_bases():
+        # chain_fold's recursion, one step per exponent
+        chain, pair = [], base
+        for _ in range(1, 1 << 8):
+            chain.append(pair.first)
+            pair = naive_apply(CIRC, pair, base)
+        assert chain[-1] == chain_fold(CIRC, base, len(chain)).first
+        for target in set(chain):
+            counter = OpCounter()
+            m_prime, t, found = find_chain_exponent(
+                CIRC, base.first, base.second, target, 8, counter, cached
+            )
+            assert m_prime == chain.index(target) + 1
+            assert found.first == target
+            if cached:
+                assert counter.count <= 2 * t
 
 
 def test_binary_search_no_match():

@@ -2,8 +2,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 from tropkex import matrix_from_json, params_from_json, transcript_from_json
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 

@@ -19,7 +19,7 @@ from tropkex import (
 )
 from tropkex.semidirect import apply
 
-from _oracles import chain_fold, fold_left, fold_right, naive_apply, random_pair
+from _oracles import fold_left, fold_right, naive_apply, random_pair
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
