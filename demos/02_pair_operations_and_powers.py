@@ -34,7 +34,7 @@ r = op_star(p, q)
 print("star: ([2],[5]) * ([1],[3]) =", (r.first.rows, r.second.rows))
 print()
 
-print("=== square-and-multiply powering, with an operation counter ===")
+print("=== least-bit-first powering, with an operation counter ===")
 base = SemigroupPair(TropicalMatrix([[10]]), TropicalMatrix([[-3]]))
 counter = OpCounter()
 p13 = power(SemigroupOpKind.CIRC, base, 13, counter)

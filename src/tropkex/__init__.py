@@ -26,6 +26,7 @@ from .semidirect import (
     pair_to_json,
     power,
     power_from_cache,
+    powers,
 )
 from .protocol import (
     KeyAgreementError,
@@ -37,6 +38,7 @@ from .protocol import (
     params_from_json,
     params_to_json,
     run_exchange,
+    run_parties,
     setup,
     transcript_from_json,
     transcript_to_json,

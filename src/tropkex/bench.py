@@ -36,6 +36,7 @@ from .protocol import (
     PartyState,
     derive_shared_key,
     make_party,
+    run_parties,
     setup,
 )
 from .semidirect import SemigroupOpKind
@@ -98,14 +99,10 @@ def _run_trial(k: int, config: RunConfig, trial: int):
     # isolation and the same exponent stream recurs at every k.
     rng = Random(config.seed + trial)
     params = setup(k, config.N, config.K, config.op, rng)
-    alice = make_party(params, rng)
-    bob = make_party(params, rng)
-    shared = derive_shared_key(params, alice, bob.public_message)
-    bob_key = derive_shared_key(params, bob, alice.public_message)
-    if shared != bob_key:
-        raise KeyAgreementError(
-            f"exchange disagreement at k={k}, trial={trial}, seed={config.seed + trial}"
-        )
+    try:
+        alice, bob, shared = run_parties(params, rng)
+    except KeyAgreementError as exc:
+        raise KeyAgreementError(f"{exc} at trial={trial}, seed={config.seed + trial}") from exc
 
     # The recovery allocates pure object trees (no reference cycles), so the
     # cycle collector only adds ambient-heap jitter to the timed region;

@@ -12,6 +12,10 @@ variable is used, and failing that, seed 0.  Exit codes are 0 on
 success, 2 for usage errors, 3 for I/O errors, 4 for malformed input
 files, 5 for attack failures; the matching category is printed to
 stderr as ``error:<category>: <message>``.
+
+Params and transcript files are capped at k <= 30 and K <= 4096
+(``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``); a file asking
+for more is malformed input and exits 4 before any matrix is parsed.
 """
 
 from __future__ import annotations

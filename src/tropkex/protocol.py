@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .semidirect import SemigroupOpKind, SemigroupPair, power, product_first
+from .semidirect import SemigroupOpKind, SemigroupPair, power, powers, product_first
 from .tropical import (
     DimensionMismatchError,
     FormatError,
@@ -33,6 +33,14 @@ from .tropical import (
     matrix_to_json,
     random_matrix,
 )
+
+
+# Caps on what a params file may ask for, checked by ``params_from_json``
+# before any matrix is parsed: a k-by-k operation costs ~k^3 and a
+# recovery up to ~2K of them, so a hostile file cannot request unbounded
+# work.  The suggested sizes (k up to 30, K = 200) are within both.
+MAX_K = 30
+MAX_EXPONENT_BITS = 4096
 
 
 class KeyAgreementError(RuntimeError):
@@ -104,11 +112,14 @@ def setup(k: int, N: int, K: int, op: SemigroupOpKind, rng: Random) -> ProtocolP
     return ProtocolParams(k=k, N=N, K=K, op=op, M=m, H=h)
 
 
+def _draw_exponent(params: ProtocolParams, rng: Random) -> int:
+    return rng.randint(1, (1 << params.K) - 1)
+
+
 def make_party(params: ProtocolParams, rng: Random) -> PartyState:
     """Pick a private exponent uniformly from [1, 2^K - 1] and power up."""
-    exponent = rng.randint(1, (1 << params.K) - 1)
-    pair = power(params.op, params.base_pair, exponent)
-    return PartyState(exponent=exponent, pair=pair)
+    exponent = _draw_exponent(params, rng)
+    return PartyState(exponent=exponent, pair=power(params.op, params.base_pair, exponent))
 
 
 def derive_shared_key(
@@ -129,29 +140,42 @@ def derive_shared_key(
     return product_first(params.op, other_message, own.pair)
 
 
+def run_parties(
+    params: ProtocolParams, rng: Random
+) -> tuple[PartyState, PartyState, TropicalMatrix]:
+    """Alice, Bob and their shared key.
+
+    Both exponents are drawn from ``rng``, Alice's first, as two
+    ``make_party`` calls would draw them; then one powering pass serves
+    both parties, so the squarings of the public pair are paid once.
+    Raises KeyAgreementError if the two derived keys differ.
+    """
+    exponents = (_draw_exponent(params, rng), _draw_exponent(params, rng))
+    alice, bob = map(PartyState, exponents, powers(params.op, params.base_pair, exponents))
+    key = derive_shared_key(params, alice, bob.public_message)
+    if key != derive_shared_key(params, bob, alice.public_message):
+        raise KeyAgreementError(
+            f"parties disagree on the shared key (k={params.k}, K={params.K})"
+        )
+    return alice, bob, key
+
+
 def run_exchange(
     params: ProtocolParams, rng: Random
 ) -> tuple[Transcript, TropicalMatrix, TropicalMatrix]:
-    """Run a full exchange; both parties draw exponents from ``rng`` in turn.
+    """Run a full exchange (see ``run_parties``).
 
     Returns the eavesdropper-visible transcript plus both derived keys.
     Raises KeyAgreementError if the keys disagree, which would mean the
     scheme itself is broken in a way this package does not expect.
     """
-    alice = make_party(params, rng)
-    bob = make_party(params, rng)
+    alice, bob, key = run_parties(params, rng)
     transcript = Transcript(
         params=params,
         alice_message=alice.public_message,
         bob_message=bob.public_message,
     )
-    alice_key = derive_shared_key(params, alice, bob.public_message)
-    bob_key = derive_shared_key(params, bob, alice.public_message)
-    if alice_key != bob_key:
-        raise KeyAgreementError(
-            f"parties disagree on the shared key (k={params.k}, K={params.K})"
-        )
-    return transcript, alice_key, bob_key
+    return transcript, key, key
 
 
 def params_to_json(params: ProtocolParams) -> dict:
@@ -175,6 +199,9 @@ def params_from_json(obj) -> ProtocolParams:
     for name, value in (("k", k), ("N", n_bound), ("K", exp_bits)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise FormatError(f"'{name}' must be an integer")
+    for name, value, cap in (("k", k, MAX_K), ("K", exp_bits, MAX_EXPONENT_BITS)):
+        if value > cap:
+            raise FormatError(f"'{name}' is {value}, above the cap of {cap}")
     try:
         return ProtocolParams(
             k=k,

@@ -18,18 +18,21 @@ component applies X -> (H * X^T) + (X^T * H) to M, and composing two
 such maps re-transposes X, producing terms no single-parameter map of
 the same shape can express.  The test suite pins a concrete 2x2
 counterexample.  Consequences, all exercised by tests: powers under star
-depend on the multiplication order, so ``power`` (square-and-multiply)
-and the two step-by-step folds can disagree for k >= 2; the key exchange
-over star can fail to agree; and the chain search over star can step off
-the chain.  Only the left fold base * (base * (... )) yields the
-monotone first-component chain, so chain-related code uses that order
-for star.  Everything is consistent for k == 1, where transposition is
-trivial and star is associative.
+depend on the multiplication order, so ``power`` (which brackets like
+``power_from_cache``) and the two step-by-step folds can disagree for
+k >= 2; the key exchange over star can fail to agree; and the chain
+search over star can step off the chain.  Only the left fold
+base * (base * (... )) yields the monotone first-component chain, so
+chain-related code uses that order for star.  Everything is consistent
+for k == 1, where transposition is trivial and star is associative.
 
-Powering is square-and-multiply.  There is no identity pair (the
-semiring has no multiplicative identity matrix), so exponents start
-at 1.  A ``SquareCache`` holds the ladder base^(2^i) so that later
-powers cost one operation per set bit of the exponent.
+Powering is one least-bit-first pass: ``powers`` squares the base once
+per bit and folds each square into the accumulator of every exponent
+with that bit set, so several powers of one base share their squarings
+(both parties of an exchange power the same public pair).  There is no
+identity pair (the semiring has no multiplicative identity matrix), so
+exponents start at 1.  A ``SquareCache`` keeps the ladder base^(2^i) so
+that later powers cost one operation per set bit of the exponent.
 
 Every counted application goes through ``apply``, which picks the law and
 increments an optional ``OpCounter`` by exactly one.  The attack's cost
@@ -43,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import add
+from typing import Sequence
 
 from .tropical import DimensionMismatchError, FormatError, TropicalMatrix, _flatten, _wrap_flat
 from .tropical import matrix_from_json, matrix_to_json
@@ -179,25 +183,46 @@ def apply(
     return combine(p, q)
 
 
+def powers(
+    op: SemigroupOpKind,
+    base: SemigroupPair,
+    exponents: Sequence[int],
+    counter: OpCounter | None = None,
+) -> tuple[SemigroupPair, ...]:
+    """base^e for every e in ``exponents``, in one least-bit-first pass.
+
+    The base is squared once per bit up to the largest exponent's top bit,
+    and each square is folded into the accumulator of every exponent whose
+    bit is set, new factor on the right (the bracketing of
+    ``power_from_cache``).  The squarings are shared, so the pass costs
+    (L - 1) + sum(popcount(e) - 1) applications, L the largest bit length.
+    It streams: only the current square and one accumulator per exponent
+    are kept.  Exponents below 1 are rejected: without an identity pair
+    there is nothing for them to mean.
+    """
+    if any(e < 1 for e in exponents):
+        raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
+    accs: list[SemigroupPair | None] = [None] * len(exponents)
+    square = base
+    for i in range(max(exponents, default=0).bit_length()):
+        if i:
+            square = apply(op, square, square, counter)
+        for j, e in enumerate(exponents):
+            if e >> i & 1:
+                acc = accs[j]
+                accs[j] = square if acc is None else apply(op, acc, square, counter)
+    return tuple(accs)
+
+
 def power(
     op: SemigroupOpKind,
     base: SemigroupPair,
     e: int,
     counter: OpCounter | None = None,
 ) -> SemigroupPair:
-    """base^e by square-and-multiply, most significant exponent bit first.
-
-    Uses at most 2*(bit_length(e) - 1) applications.  e == 0 is rejected:
-    without an identity pair there is nothing for it to mean.
-    """
-    if e < 1:
-        raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
-    acc = base
-    for bit in bin(e)[3:]:
-        acc = apply(op, acc, acc, counter)
-        if bit == "1":
-            acc = apply(op, acc, base, counter)
-    return acc
+    """base^e: ``powers`` with one exponent, so (bit_length(e) - 1) +
+    (popcount(e) - 1) applications."""
+    return powers(op, base, (e,), counter)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,10 +18,12 @@ from tropkex import (
     params_to_json,
     power,
     run_exchange,
+    semidirect,
     setup,
     transcript_from_json,
     transcript_to_json,
 )
+from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 
 from _oracles import chain_fold, naive_apply, random_mat, random_pair
 
@@ -198,6 +200,37 @@ def test_run_exchange_pinned_key():
     assert transcript.bob_message == TropicalMatrix([[-6]])
 
 
+def test_run_exchange_shares_the_squarings(monkeypatch):
+    """One powering pass serves both parties: the messages and the key are
+    the chain's first components at a, b and a + b, and the exchange costs
+    (L - 1) + (popcount(a) - 1) + (popcount(b) - 1) applications, L the
+    larger exponent's bit length."""
+    calls = 0
+    op_circ = semidirect.op_circ
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return op_circ(p, q)
+
+    monkeypatch.setattr(semidirect, "op_circ", counted)
+    rng = Random(131)
+    for trial in range(24):
+        k = 1 + trial % 4
+        exp_bits = rng.randint(1, 10)
+        params = setup(k, 100, exp_bits, CIRC, rng)
+        a, b = rng.randint(1, (1 << exp_bits) - 1), rng.randint(1, (1 << exp_bits) - 1)
+        calls = 0
+        transcript, alice_key, bob_key = run_exchange(params, FixedExponents(a, b))
+        assert calls == (
+            (max(a, b).bit_length() - 1) + (bin(a).count("1") - 1) + (bin(b).count("1") - 1)
+        )
+        base = params.base_pair
+        assert transcript.alice_message == chain_fold(CIRC, base, a).first
+        assert transcript.bob_message == chain_fold(CIRC, base, b).first
+        assert alice_key == bob_key == chain_fold(CIRC, base, a + b).first
+
+
 def test_transcript_round_trip_and_privacy():
     rng = Random(83)
     params = setup(3, 1000, 16, CIRC, rng)
@@ -217,6 +250,16 @@ def test_transcript_round_trip_and_privacy():
 def test_params_json_round_trip():
     params = setup(2, 9, 6, STAR, Random(5))
     assert params_from_json(json.loads(json.dumps(params_to_json(params)))) == params
+    # the loader's caps admit the largest sizes in use
+    at_caps = setup(MAX_K, 1000, MAX_EXPONENT_BITS, CIRC, Random(5))
+    assert params_from_json(params_to_json(at_caps)) == at_caps
+
+
+def _resize(obj, k):
+    # every matrix of the transcript replaced by a k-by-k zero matrix
+    zero = {"k": k, "entries": [["0"] * k for _ in range(k)]}
+    obj["params"].update(k=k, M=zero, H=zero)
+    obj.update(alice_message=zero, bob_message=zero)
 
 
 @pytest.mark.parametrize(
@@ -229,6 +272,8 @@ def test_params_json_round_trip():
         lambda obj: obj["params"].update(K="many"),
         lambda obj: obj.update(bob_message={"k": 1, "entries": [["0"]]}),
         lambda obj: obj["params"]["M"]["entries"][0].__setitem__(0, "zero"),
+        lambda obj: _resize(obj, MAX_K + 1),
+        lambda obj: obj["params"].update(K=MAX_EXPONENT_BITS + 1),
     ],
 )
 def test_transcript_from_json_rejects_bad_input(mutate):

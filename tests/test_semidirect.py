@@ -191,7 +191,8 @@ def test_power_addition_rule_for_circ():
 
 def test_star_powers_are_bracketing_dependent():
     """Pinned consequence of star's non-associativity: the two folds (and
-    square-and-multiply) can disagree from exponent 3 on, for k >= 2."""
+    ``power``, whose bracketing follows the exponent's bits) can disagree
+    from exponent 3 on, for k >= 2."""
     rng = Random(42)
     diverged = False
     for _ in range(50):
@@ -270,16 +271,23 @@ def test_power_from_cache():
 
 
 def test_power_from_cache_matches_power_and_oracle():
+    """Under both laws ``power`` brackets like ``power_from_cache``
+    (ascending bits, new factor on the right) and costs (bit_length - 1)
+    + (popcount - 1) applications; under circ both match the fold."""
     rng = Random(41)
-    for _ in range(5):
-        base = random_pair(rng, 3, 30)
-        cache = build_square_cache(CIRC, base, 7)
-        for e in range(1, 65):
-            counter = OpCounter()
-            via_cache = power_from_cache(cache, e, counter)
-            assert counter.count == bin(e).count("1") - 1
-            assert via_cache == power(CIRC, base, e)
-            assert via_cache == fold_right(CIRC, base, e)
+    for op, k in ((CIRC, 3), (STAR, 2), (STAR, 3)):
+        for _ in range(5):
+            base = random_pair(rng, k, 30)
+            cache = build_square_cache(op, base, 7)
+            for e in range(1, 1 << 7):
+                counter = OpCounter()
+                via_cache = power_from_cache(cache, e, counter)
+                assert counter.count == bin(e).count("1") - 1
+                counter = OpCounter()
+                assert power(op, base, e, counter) == via_cache
+                assert counter.count == (e.bit_length() - 1) + (bin(e).count("1") - 1)
+                if op is CIRC:
+                    assert via_cache == fold_right(CIRC, base, e)
 
 
 def test_pair_serialization_round_trip():
