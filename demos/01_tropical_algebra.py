@@ -6,12 +6,14 @@ Everything below is exact integer arithmetic; entries can grow to
 hundreds of bits without losing a single bit.
 """
 
-from tropkex import ChainOrdering, TropicalMatrix, chain_compare, oplus, otimes
+from tropkex import ChainOrdering, TropicalMatrix, chain_compare
 
-print("=== scalars ===")
-print("3 (+) 7   =", oplus(3, 7), "   (minimum)")
-print("3 (x) 7   =", otimes(3, 7), "  (ordinary addition)")
-print("huge values stay exact: -2^200 (+) 0 =", oplus(-(2**200), 0))
+print("=== scalars, as 1x1 matrices ===")
+three, seven = TropicalMatrix([[3]]), TropicalMatrix([[7]])
+print("3 (+) 7   =", three.oplus(seven).rows[0][0], "   (minimum)")
+print("3 (x) 7   =", three.otimes(seven).rows[0][0], "  (ordinary addition)")
+huge = TropicalMatrix([[-(2**200)]])
+print("huge values stay exact: -2^200 (+) 0 =", huge.oplus(TropicalMatrix([[0]])).rows[0][0])
 print()
 
 print("=== matrices ===")

@@ -14,11 +14,10 @@ from tropkex import (
     SemigroupOpKind,
     SemigroupPair,
     TropicalMatrix,
-    build_square_cache,
     op_circ,
     op_star,
     power,
-    power_from_cache,
+    powers,
     random_matrix,
 )
 from tropkex.semidirect import apply
@@ -40,14 +39,13 @@ counter = OpCounter()
 p13 = power(SemigroupOpKind.CIRC, base, 13, counter)
 print("base^13 first component:", p13.first.rows, " using", counter.count, "applications")
 
+print("  13 = 0b1101: 3 squarings, then 2 products of the squares at the set bits")
+
 counter = OpCounter()
-cache = build_square_cache(SemigroupOpKind.CIRC, base, 8, counter)
-print("square ladder to 2^7 costs", counter.count, "applications")
-counter = OpCounter()
-from_cache = power_from_cache(cache, 13, counter)
-print("base^13 from the ladder:", from_cache.first.rows,
-      " using only", counter.count, "more applications")
-assert from_cache == p13
+again13, p11 = powers(SemigroupOpKind.CIRC, base, (13, 11), counter)
+print("base^13 and base^11 in one pass share the squarings:", counter.count,
+      "applications, not 5 + 5")
+assert again13 == p13
 print()
 
 print("=== the monotone chain ===")

@@ -13,8 +13,8 @@ from random import Random
 from tropkex import (
     SemigroupOpKind,
     derive_shared_key,
-    make_party,
     run_exchange,
+    run_parties,
     setup,
     transcript_to_json,
 )
@@ -26,8 +26,9 @@ print("public matrix H:", params.H.rows)
 print("exponent bound : 2^8")
 print()
 
-alice = make_party(params, rng)
-bob = make_party(params, rng)
+# both private exponents, drawn uniformly from [1, 2^8 - 1], and both
+# parties' powers, computed in one pass
+alice, bob, shared_key = run_parties(params, rng)
 print(f"Alice draws private m = {alice.exponent}, sends A = {alice.public_message.rows}")
 print(f"Bob   draws private n = {bob.exponent}, sends B = {bob.public_message.rows}")
 print()
@@ -36,7 +37,7 @@ alice_key = derive_shared_key(params, alice, bob.public_message)
 bob_key = derive_shared_key(params, bob, alice.public_message)
 print("Alice derives:", alice_key.rows)
 print("Bob   derives:", bob_key.rows)
-assert alice_key == bob_key
+assert alice_key == bob_key == shared_key
 print("keys agree:", alice_key == bob_key)
 print()
 

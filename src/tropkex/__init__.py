@@ -9,23 +9,18 @@ from .tropical import (
     chain_compare,
     matrix_from_json,
     matrix_to_json,
-    oplus,
-    otimes,
     random_matrix,
 )
 from .semidirect import (
     OpCounter,
     SemigroupOpKind,
     SemigroupPair,
-    SquareCache,
     apply,
-    build_square_cache,
     op_circ,
     op_star,
     pair_from_json,
     pair_to_json,
     power,
-    power_from_cache,
     powers,
 )
 from .protocol import (
@@ -34,7 +29,7 @@ from .protocol import (
     ProtocolParams,
     Transcript,
     derive_shared_key,
-    make_party,
+    draw_exponent,
     params_from_json,
     params_to_json,
     run_exchange,
@@ -61,7 +56,6 @@ from .bench import (
     measure_alpha,
     rows_to_csv,
     run_experiment,
-    write_csv,
 )
 
 __version__ = "0.1.0"

@@ -16,10 +16,10 @@ The chain may plateau, in which case m' can differ from the true private
 exponent; any index whose first component equals A yields the same key,
 so the attack does not care.
 
-With the square cache the whole recovery takes at most 2K pair
+Descending the stored squares, the whole recovery takes at most 2K pair
 applications (t to double, t to descend); a reference variant that
-recomputes every candidate power from scratch stays within 2K^2 + K.
-Both figures are enforced on the measured counters, not estimated.
+powers every candidate from scratch stays within 2K^2 + K.  Both
+figures are enforced on the measured counters, not estimated.
 
 The recovery is reliable over circ.  Over star with k >= 2 the squares
 and candidate products are bracketing-dependent (star is not
@@ -38,7 +38,6 @@ from .semidirect import (
     OpCounter,
     SemigroupOpKind,
     SemigroupPair,
-    SquareCache,
     apply,
     power,
 )
@@ -83,11 +82,12 @@ def doubling_phase(
     target: TropicalMatrix,
     max_levels: int,
     counter: OpCounter | None = None,
-) -> tuple[int, SquareCache]:
+) -> tuple[int, tuple[SemigroupPair, ...]]:
     """Square (M, H) until the chain reaches the target or goes below it.
 
     Returns the least t with M_{2^t} <= target together with the ladder of
-    squares up to level t.  Honest targets satisfy t <= K because the
+    squares up to level t: ``squares[i]`` is (M, H)^(2^i), so
+    ``squares[0]`` is the base.  Honest targets satisfy t <= K because the
     hidden exponent is below 2^K.  Costs at most ``max_levels``
     applications.
 
@@ -126,13 +126,13 @@ def doubling_phase(
                 "the intercepted matrix was not generated from these parameters"
             )
         else:
-            return level, SquareCache(op, base, tuple(squares))
+            return level, tuple(squares)
     raise AssertionError("unreachable")
 
 
 def _bisect_chain(
     op: SemigroupOpKind,
-    cache: SquareCache,
+    squares: tuple[SemigroupPair, ...],
     target: TropicalMatrix,
     t: int,
     counter: OpCounter | None,
@@ -155,7 +155,7 @@ def _bisect_chain(
     and returns the same m'.  Returns m' with its pair, so callers get
     (A, P_E) without re-running the powering.
     """
-    base, squares = cache.base, cache.squares
+    base = squares[0]
     e = 1 << t >> 1  # 2^(t-1), or 0 when t == 0
     acc = squares[t - 1] if t else None
     for i in range(t - 2, -1, -1):
@@ -196,8 +196,8 @@ def find_chain_exponent(
     cached: bool = True,
 ) -> tuple[int, int, SemigroupPair]:
     """Both attack phases in sequence: returns (m', t, (M, H)^{m'})."""
-    t, cache = doubling_phase(op, m, h, target, max_levels, counter)
-    m_prime, pair = _bisect_chain(op, cache, target, t, counter, cached)
+    t, squares = doubling_phase(op, m, h, target, max_levels, counter)
+    m_prime, pair = _bisect_chain(op, squares, target, t, counter, cached)
     return m_prime, t, pair
 
 

@@ -26,7 +26,6 @@ import gc
 import io
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from random import Random
 from typing import Sequence
 
@@ -35,11 +34,11 @@ from .protocol import (
     KeyAgreementError,
     PartyState,
     derive_shared_key,
-    make_party,
+    draw_exponent,
     run_parties,
     setup,
 )
-from .semidirect import SemigroupOpKind
+from .semidirect import SemigroupOpKind, power
 from .tropical import TropicalMatrix
 
 CSV_HEADER = (
@@ -184,8 +183,8 @@ def average_key_size_bits(
     for trial in range(trials):
         rng = Random(seed + trial)
         params = setup(k, N, K, op, rng)
-        party = make_party(params, rng)
-        total += measure_alpha(party.public_message)
+        message = power(op, params.base_pair, draw_exponent(params, rng)).first
+        total += measure_alpha(message)
     return total / trials
 
 
@@ -204,7 +203,3 @@ def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
             _format_cell(getattr(row, column)) for column in CSV_HEADER
         )
     return buf.getvalue()
-
-
-def write_csv(rows: Sequence[ExperimentRow], path: str | Path) -> None:
-    Path(path).write_text(rows_to_csv(rows))

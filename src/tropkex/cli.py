@@ -10,8 +10,10 @@ Subcommands:
 Every command takes --seed; when absent, the TROPKEX_SEED environment
 variable is used, and failing that, seed 0.  Exit codes are 0 on
 success, 2 for usage errors, 3 for I/O errors, 4 for malformed input
-files, 5 for attack failures; the matching category is printed to
-stderr as ``error:<category>: <message>``.
+files (including files that are not UTF-8, hold an int literal past
+the digit limit or nest too deeply to parse), 5 for attack failures;
+the matching category is printed to stderr as
+``error:<category>: <message>``.
 
 Params and transcript files are capped at k <= 30 and K <= 4096
 (``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``); a file asking
@@ -82,8 +84,14 @@ def _emit(payload: str, path: str | None) -> None:
 
 
 def _load_json(path: str):
+    # Every ValueError of the parser (bad syntax, undecodable bytes, an int
+    # literal past the digit limit) and nesting past the recursion limit
+    # mean a malformed file, not a usage error.
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_at.add_argument(
         "--no-cache",
         action="store_true",
-        help="recompute every probe power from scratch (reference cost variant)",
+        help="reference variant: power every candidate from scratch",
     )
 
     p_bench = sub.add_parser("bench", help="run the experiment grid")
@@ -217,7 +225,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FormatError, json.JSONDecodeError) as exc:
+    except FormatError as exc:
         print(f"error:format: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (AttackError, KeyAgreementError) as exc:

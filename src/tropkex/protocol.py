@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .semidirect import SemigroupOpKind, SemigroupPair, power, powers, product_first
+from .semidirect import SemigroupOpKind, SemigroupPair, powers, product_first
 from .tropical import (
     DimensionMismatchError,
     FormatError,
@@ -112,14 +112,9 @@ def setup(k: int, N: int, K: int, op: SemigroupOpKind, rng: Random) -> ProtocolP
     return ProtocolParams(k=k, N=N, K=K, op=op, M=m, H=h)
 
 
-def _draw_exponent(params: ProtocolParams, rng: Random) -> int:
+def draw_exponent(params: ProtocolParams, rng: Random) -> int:
+    """A private exponent, uniform over [1, 2^K - 1]: one ``rng.randint`` call."""
     return rng.randint(1, (1 << params.K) - 1)
-
-
-def make_party(params: ProtocolParams, rng: Random) -> PartyState:
-    """Pick a private exponent uniformly from [1, 2^K - 1] and power up."""
-    exponent = _draw_exponent(params, rng)
-    return PartyState(exponent=exponent, pair=power(params.op, params.base_pair, exponent))
 
 
 def derive_shared_key(
@@ -145,12 +140,12 @@ def run_parties(
 ) -> tuple[PartyState, PartyState, TropicalMatrix]:
     """Alice, Bob and their shared key.
 
-    Both exponents are drawn from ``rng``, Alice's first, as two
-    ``make_party`` calls would draw them; then one powering pass serves
-    both parties, so the squarings of the public pair are paid once.
-    Raises KeyAgreementError if the two derived keys differ.
+    Both exponents are drawn from ``rng`` with ``draw_exponent``, Alice's
+    first; then one powering pass serves both parties, so the squarings
+    of the public pair are paid once.  Raises KeyAgreementError if the
+    two derived keys differ.
     """
-    exponents = (_draw_exponent(params, rng), _draw_exponent(params, rng))
+    exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
     alice, bob = map(PartyState, exponents, powers(params.op, params.base_pair, exponents))
     key = derive_shared_key(params, alice, bob.public_message)
     if key != derive_shared_key(params, bob, alice.public_message):

@@ -18,10 +18,10 @@ component applies X -> (H * X^T) + (X^T * H) to M, and composing two
 such maps re-transposes X, producing terms no single-parameter map of
 the same shape can express.  The test suite pins a concrete 2x2
 counterexample.  Consequences, all exercised by tests: powers under star
-depend on the multiplication order, so ``power`` (which brackets like
-``power_from_cache``) and the two step-by-step folds can disagree for
-k >= 2; the key exchange over star can fail to agree; and the chain
-search over star can step off the chain.  Only the left fold
+depend on the multiplication order, so ``power`` (which combines the
+squares in ascending bit order) and the two step-by-step folds can
+disagree for k >= 2; the key exchange over star can fail to agree; and
+the chain search over star can step off the chain.  Only the left fold
 base * (base * (... )) yields the monotone first-component chain, so
 chain-related code uses that order for star.  Everything is consistent
 for k == 1, where transposition is trivial and star is associative.
@@ -31,8 +31,7 @@ per bit and folds each square into the accumulator of every exponent
 with that bit set, so several powers of one base share their squarings
 (both parties of an exchange power the same public pair).  There is no
 identity pair (the semiring has no multiplicative identity matrix), so
-exponents start at 1.  A ``SquareCache`` keeps the ladder base^(2^i) so
-that later powers cost one operation per set bit of the exponent.
+exponents start at 1.
 
 Every counted application goes through ``apply``, which picks the law and
 increments an optional ``OpCounter`` by exactly one.  The attack's cost
@@ -193,8 +192,11 @@ def powers(
 
     The base is squared once per bit up to the largest exponent's top bit,
     and each square is folded into the accumulator of every exponent whose
-    bit is set, new factor on the right (the bracketing of
-    ``power_from_cache``).  The squarings are shared, so the pass costs
+    bit is set, in ascending bit order with the new factor on the right.
+    Under circ any order would give the same value (powers of one element
+    commute there); the fixed order makes results and op counts
+    reproducible, and matters under star, whose products are
+    order-dependent.  The squarings are shared, so the pass costs
     (L - 1) + sum(popcount(e) - 1) applications, L the largest bit length.
     It streams: only the current square and one accumulator per exponent
     are kept.  Exponents below 1 are rejected: without an identity pair
@@ -223,62 +225,6 @@ def power(
     """base^e: ``powers`` with one exponent, so (bit_length(e) - 1) +
     (popcount(e) - 1) applications."""
     return powers(op, base, (e,), counter)[0]
-
-
-@dataclass(frozen=True, slots=True)
-class SquareCache:
-    """Ladder of repeated squares: squares[i] == base^(2^i)."""
-
-    op: SemigroupOpKind
-    base: SemigroupPair
-    squares: tuple[SemigroupPair, ...]
-
-    @property
-    def levels(self) -> int:
-        return len(self.squares)
-
-
-def build_square_cache(
-    op: SemigroupOpKind,
-    base: SemigroupPair,
-    levels: int,
-    counter: OpCounter | None = None,
-) -> SquareCache:
-    """Precompute base^(2^i) for i in [0, levels); exactly levels-1 applications."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    squares = [base]
-    for _ in range(levels - 1):
-        squares.append(apply(op, squares[-1], squares[-1], counter))
-    return SquareCache(op, base, tuple(squares))
-
-
-def power_from_cache(
-    cache: SquareCache,
-    e: int,
-    counter: OpCounter | None = None,
-) -> SemigroupPair:
-    """base^e assembled from cached squares at the set bits of e.
-
-    Factors combine in ascending bit order with the new factor on the
-    right.  Under circ any order would give the same value (powers of
-    one element commute there); the fixed order makes results and op
-    counts reproducible, and matters under star, whose products are
-    order-dependent.  Costs popcount(e) - 1 applications.
-    """
-    if e < 1 or e >= (1 << cache.levels):
-        raise ValueError(
-            f"exponent {e} outside [1, 2^{cache.levels}) covered by the cache"
-        )
-    acc = None
-    squares = cache.squares
-    for i in range(e.bit_length()):
-        if (e >> i) & 1:
-            if acc is None:
-                acc = squares[i]
-            else:
-                acc = apply(cache.op, acc, squares[i], counter)
-    return acc
 
 
 def pair_to_json(p: SemigroupPair) -> dict:

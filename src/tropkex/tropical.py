@@ -32,16 +32,6 @@ class FormatError(ValueError):
     """A serialized object violates the wire format."""
 
 
-def oplus(a: int, b: int) -> int:
-    """Tropical sum of two scalars: min(a, b)."""
-    return a if a <= b else b
-
-
-def otimes(a: int, b: int) -> int:
-    """Tropical product of two scalars: a + b."""
-    return a + b
-
-
 class ChainOrdering(Enum):
     """Outcome of comparing two matrices under the min-plus partial order."""
 

@@ -89,6 +89,20 @@ def fold_left(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair
     return acc
 
 
+def ladder_power(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
+    """base^e from the ladder of squares base^(2^i), combined in ascending
+    bit order with the new factor on the right: the bracketing ``power``
+    promises, which matters under star."""
+    squares = [base]
+    while len(squares) < e.bit_length():
+        squares.append(naive_apply(op, squares[-1], squares[-1]))
+    acc = None
+    for i, square in enumerate(squares):
+        if e >> i & 1:
+            acc = square if acc is None else naive_apply(op, acc, square)
+    return acc
+
+
 def chain_fold(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     """The fold whose first components form the monotone chain.
 

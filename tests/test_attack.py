@@ -12,8 +12,8 @@ from tropkex import (
     SemigroupOpKind,
     SemigroupPair,
     TropicalMatrix,
+    apply,
     attack_result_to_json,
-    build_square_cache,
     doubling_phase,
     find_chain_exponent,
     matrix_from_json,
@@ -34,29 +34,31 @@ def m1(x):
     return TropicalMatrix([[x]])
 
 
-def _bisect(cache, target, t):
-    m_prime, _ = _bisect_chain(CIRC, cache, target, t, None, True)
+def _bisect(squares, target, t):
+    m_prime, _ = _bisect_chain(CIRC, squares, target, t, None, True)
     return m_prime
 
 
 def test_doubling_phase_examples():
     # chain firsts at powers of two: 10, -3, -9; stop once at or below -9
     counter = OpCounter()
-    t, cache = doubling_phase(CIRC, m1(10), m1(-3), m1(-9), 8, counter)
+    t, squares = doubling_phase(CIRC, m1(10), m1(-3), m1(-9), 8, counter)
     assert t == 2
     assert counter.count == 2
-    assert [s.first.rows[0][0] for s in cache.squares] == [10, -3, -9]
+    assert [s.first.rows[0][0] for s in squares] == [10, -3, -9]
+    assert squares[0] == SemigroupPair(m1(10), m1(-3))
+    assert all(squares[i + 1] == apply(CIRC, squares[i], squares[i]) for i in range(t))
 
     # a plateau instance: chain is 5, 0, 0, ... so level 1 already matches
-    t, cache = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
+    t, squares = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
     assert t == 1
 
     # the target equal to M itself stops immediately
     counter = OpCounter()
-    t, cache = doubling_phase(CIRC, m1(10), m1(-3), m1(10), 8, counter)
+    t, squares = doubling_phase(CIRC, m1(10), m1(-3), m1(10), 8, counter)
     assert t == 0
     assert counter.count == 0
-    assert cache.levels == 1
+    assert squares == (SemigroupPair(m1(10), m1(-3)),)
 
 
 def test_doubling_phase_unreachable_target():
@@ -101,15 +103,15 @@ def test_doubling_phase_input_checks():
 
 def test_binary_search_examples():
     base_m, base_h = m1(10), m1(-3)
-    t, cache = doubling_phase(CIRC, base_m, base_h, m1(-9), 8)
-    assert _bisect(cache, m1(-9), t) == 4
+    t, squares = doubling_phase(CIRC, base_m, base_h, m1(-9), 8)
+    assert _bisect(squares, m1(-9), t) == 4
 
     # plateau: any index whose first equals the target is acceptable
-    t, cache = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
-    assert _bisect(cache, m1(0), t) == 2
+    t, squares = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
+    assert _bisect(squares, m1(0), t) == 2
 
-    t, cache = doubling_phase(CIRC, base_m, base_h, m1(10), 8)
-    assert _bisect(cache, m1(10), t) == 1
+    t, squares = doubling_phase(CIRC, base_m, base_h, m1(10), 8)
+    assert _bisect(squares, m1(10), t) == 1
 
 
 def _search_oracle_bases():
@@ -147,10 +149,10 @@ def test_search_finds_least_matching_exponent(cached):
 
 def test_binary_search_no_match():
     # -7 sits strictly between chain elements -6 and -9: never matched
-    t, cache = doubling_phase(CIRC, m1(10), m1(-3), m1(-7), 8)
+    t, squares = doubling_phase(CIRC, m1(10), m1(-3), m1(-7), 8)
     assert t == 2
     with pytest.raises(ExponentNotFoundError):
-        _bisect(cache, m1(-7), t)
+        _bisect(squares, m1(-7), t)
 
 
 def test_binary_search_incomparable_probe():
@@ -161,10 +163,12 @@ def test_binary_search_incomparable_probe():
     m = TropicalMatrix([[0, 0], [0, 0]])
     h = TropicalMatrix([[-1, -1], [-1, -1]])
     base = SemigroupPair(m, h)
-    cache = build_square_cache(CIRC, base, 4)
+    squares = [base]
+    for _ in range(3):
+        squares.append(apply(CIRC, squares[-1], squares[-1]))
     target = TropicalMatrix([[-100, 100], [0, 0]])
     with pytest.raises((ChainViolationError, ExponentNotFoundError)):
-        _bisect(cache, target, 3)
+        _bisect(tuple(squares), target, 3)
 
 
 def test_recover_key_pinned_instance():

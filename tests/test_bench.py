@@ -12,7 +12,6 @@ from tropkex import (
     measure_alpha,
     rows_to_csv,
     run_experiment,
-    write_csv,
 )
 
 CIRC = SemigroupOpKind.CIRC
@@ -93,16 +92,6 @@ def test_csv_format():
     assert cells[4] == "9.87654e-07"
     assert cells[6] == "40"
     assert cells[7] == "0"
-
-
-def test_write_csv(tmp_path):
-    config = RunConfig(k_list=(2,), N=5, K=6, trials=2, seed=1)
-    rows = run_experiment(config)
-    path = tmp_path / "out.csv"
-    write_csv(rows, path)
-    content = path.read_text()
-    assert content.startswith(",".join(CSV_HEADER))
-    assert len(content.strip().split("\n")) == 2
 
 
 def test_average_key_size_deterministic():

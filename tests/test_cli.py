@@ -1,8 +1,25 @@
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from pathlib import Path
+from random import Random
 
-from tropkex import matrix_from_json, params_from_json, transcript_from_json
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from tropkex import (
+    SemigroupOpKind,
+    draw_exponent,
+    matrix_from_json,
+    matrix_to_json,
+    params_from_json,
+    params_to_json,
+    powers,
+    setup,
+    transcript_from_json,
+)
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 
 
@@ -151,6 +168,21 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run_cli("attack", "--transcript", str(overlong)) == EXIT_FORMAT
     assert capsys.readouterr().err.startswith("error:format:")
 
+    # files the JSON parser cannot read at all: bytes that are not UTF-8,
+    # nesting past the recursion limit, an int literal past the digit limit
+    unreadable = {
+        "not_utf8.json": b"\xff\xfe",
+        "deep.json": b"[" * 100_000 + b"]" * 100_000,
+        "long_int.json": b'{"params": ' + b"9" * 4301 + b"}",
+    }
+    for name, content in unreadable.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert run_cli("attack", "--transcript", str(path)) == EXIT_FORMAT, name
+        assert capsys.readouterr().err.startswith("error:format:"), name
+        assert run_cli("exchange", "--params", str(path)) == EXIT_FORMAT, name
+        assert capsys.readouterr().err.startswith("error:format:"), name
+
     # usage errors from argparse
     assert run_cli("no-such-command") == EXIT_USAGE
     assert run_cli("bench", "--k", "2,x", "--out", "t.csv") == EXIT_USAGE
@@ -179,3 +211,123 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert params_from_json(json.loads(out.read_text())).k == 2
+
+
+# --- attack on mutated transcripts -------------------------------------------
+
+_MATRICES = (("params", "M"), ("params", "H"), ("alice_message",), ("bob_message",))
+_CATEGORY = {EXIT_IO: "io", EXIT_FORMAT: "format", EXIT_ATTACK: "attack"}
+
+
+@st.composite
+def _honest_transcripts(draw):
+    # A transcript as the exchange would write it; star's parties need not
+    # agree for k >= 2, so both messages are powered without the check.
+    op = draw(st.sampled_from(list(SemigroupOpKind)))
+    rng = Random(draw(st.integers(0, 2**16)))
+    params = setup(draw(st.integers(1, 3)), draw(st.sampled_from((0, 5, 1000))),
+                   draw(st.integers(1, 8)), op, rng)
+    exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
+    alice, bob = powers(op, params.base_pair, exponents)
+    return {
+        "params": params_to_json(params),
+        "alice_message": matrix_to_json(alice.first),
+        "bob_message": matrix_to_json(bob.first),
+    }
+
+
+def _node(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _paths(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutate(draw, obj):
+    kind = draw(st.sampled_from(
+        ("type", "drop", "size", "digits", "off_chain", "op", "caps")
+    ))
+    if kind in ("type", "drop"):
+        path = draw(st.sampled_from(list(_paths(obj))[1:]))
+        parent = _node(obj, path[:-1])
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(
+                (None, True, 1.5, 0, -1, "x", "0", [], {}, [["0"]], {"k": 1})
+            ))
+        return
+    if kind in ("op", "caps"):
+        field = "op" if kind == "op" else draw(st.sampled_from(("k", "N", "K")))
+        obj["params"][field] = draw(st.sampled_from(
+            ("circ", "star", "plus", "CIRC", None, 1, [])
+            if kind == "op"
+            else (0, -1, 1, 2, 3, 30, 31, 4096, 4097, 10**30, True, "3")
+        ))
+        return
+    matrix = _node(obj, draw(st.sampled_from(_MATRICES)))
+    rows = matrix["entries"]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    if kind == "size":
+        action = draw(st.sampled_from(("k", "drop_row", "add_row", "drop_entry", "add_entry")))
+        if action == "k":
+            matrix["k"] = draw(st.integers(0, 4))
+        elif action == "drop_row":
+            rows.pop(i)
+        elif action == "add_row":
+            rows.append(list(rows[i]))
+        elif action == "drop_entry":
+            rows[i].pop(j)
+        else:
+            rows[i].append("0")
+    elif kind == "digits":
+        rows[i][j] = draw(st.sampled_from(
+            ("-0", "01", "+1", " 1", "1e3", "", "\u0661", "0x10", "9" * 4301, "-" + "9" * 400)
+        ) | st.from_regex(r"-?[0-9]{1,30}", fullmatch=True))
+    else:  # off_chain: a valid entry moved off its place on the chain
+        rows[i][j] = str(int(rows[i][j]) + draw(st.sampled_from((-3, -1, 1, 3, -(10**6)))))
+
+
+@settings(
+    max_examples=150,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_attack_on_mutated_transcripts(data):
+    """Every hostile transcript ends in a documented exit class: 0 with a
+    result, or 3/4/5 with its error line and no result file; never a usage
+    error or an uncaught exception."""
+    obj = data.draw(_honest_transcripts())
+    for _ in range(data.draw(st.integers(1, 3))):
+        try:
+            _mutate(data.draw, obj)
+        except (KeyError, IndexError, TypeError, ValueError):
+            break  # an earlier mutation removed what this one needed
+    with tempfile.TemporaryDirectory() as tmp:
+        transcript, result = Path(tmp) / "tr.json", Path(tmp) / "res.json"
+        transcript.write_text(json.dumps(obj))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = run_cli("attack", "--transcript", str(transcript), "--out", str(result))
+        if code == EXIT_OK:
+            written = json.loads(result.read_text())
+            assert set(written) == {"m_prime", "t", "op_count", "recovered_key"}
+        else:
+            assert code in _CATEGORY, (code, err.getvalue())
+            assert err.getvalue().startswith(f"error:{_CATEGORY[code]}:"), err.getvalue()
+            assert not result.exists()

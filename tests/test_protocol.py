@@ -13,11 +13,12 @@ from tropkex import (
     SemigroupPair,
     TropicalMatrix,
     derive_shared_key,
-    make_party,
+    draw_exponent,
     params_from_json,
     params_to_json,
     power,
     run_exchange,
+    run_parties,
     semidirect,
     setup,
     transcript_from_json,
@@ -76,31 +77,33 @@ def test_params_validation():
         ProtocolParams(k=2, N=5, K=8, op=CIRC, M=m, H=m)
 
 
-def test_make_party_k1_forces_exponent_one():
+def test_run_parties_k1_forces_exponent_one():
     params = params_1x1(7, -2, K=1)
-    party = make_party(params, Random(123))
-    assert party.exponent == 1
-    assert party.public_message == params.M
-    assert party.pair == SemigroupPair(params.M, params.H)
+    for party in run_parties(params, Random(123))[:2]:
+        assert party.exponent == 1
+        assert party.public_message == params.M
+        assert party.pair == SemigroupPair(params.M, params.H)
 
 
-def test_make_party_pinned_exponent():
+def test_run_parties_pinned_exponents():
     params = params_1x1(10, -3)
-    party = make_party(params, FixedExponents(4))
-    assert party.exponent == 4
-    # firsts of the circ chain go 10, -3, -6, -9
-    assert party.public_message == TropicalMatrix([[-9]])
-    assert party.pair == power(CIRC, params.base_pair, 4)
+    alice, bob, key = run_parties(params, FixedExponents(4, 2))
+    assert (alice.exponent, bob.exponent) == (4, 2)
+    # firsts of the circ chain go 10, -3, -6, -9, -12, -15
+    assert alice.public_message == TropicalMatrix([[-9]])
+    assert alice.pair == power(CIRC, params.base_pair, 4)
+    assert bob.pair == power(CIRC, params.base_pair, 2)
+    assert key == TropicalMatrix([[-15]])
 
 
-def test_make_party_exponent_range():
+def test_run_parties_exponent_range():
     params = setup(2, 10, 5, CIRC, Random(2))
     seen = set()
     rng = Random(99)
-    for _ in range(300):
-        e = make_party(params, rng).exponent
-        assert 1 <= e < 2**5
-        seen.add(e)
+    for _ in range(150):
+        for party in run_parties(params, rng)[:2]:
+            assert 1 <= party.exponent < 2**5
+            seen.add(party.exponent)
     assert len(seen) > 20  # draws actually spread over the range
 
 
@@ -145,11 +148,10 @@ def test_exchange_agreement_and_oracle_circ():
     for trial in range(120):
         k = 1 + trial % 4
         params = setup(k, 100, 10, CIRC, rng)
-        alice = make_party(params, rng)
-        bob = make_party(params, rng)
+        alice, bob, key = run_parties(params, rng)
         alice_key = derive_shared_key(params, alice, bob.public_message)
         bob_key = derive_shared_key(params, bob, alice.public_message)
-        assert alice_key == bob_key
+        assert alice_key == bob_key == key
         # independent oracle: first component of base^(m+n), folded naively
         oracle = chain_fold(CIRC, params.base_pair, alice.exponent + bob.exponent)
         assert alice_key == oracle.first
@@ -180,14 +182,15 @@ def test_key_ignores_partner_second_component():
     rng = Random(79)
     for op in (CIRC, STAR):
         params = setup(3, 50, 8, op, rng)
-        alice = make_party(params, rng)
-        bob = make_party(params, rng)
-        key = derive_shared_key(params, alice, bob.public_message)
+        # drawn and powered one by one: over star the keys may disagree,
+        # which run_parties would raise on
+        a, b = draw_exponent(params, rng), draw_exponent(params, rng)
+        alice = PartyState(exponent=a, pair=power(op, params.base_pair, a))
+        bob_message = power(op, params.base_pair, b).first
+        key = derive_shared_key(params, alice, bob_message)
         for _ in range(5):
             fake_second = random_pair(rng, 3).second
-            forged = PartyState(
-                exponent=bob.exponent, pair=SemigroupPair(bob.public_message, fake_second)
-            )
+            forged = PartyState(exponent=b, pair=SemigroupPair(bob_message, fake_second))
             assert derive_shared_key(params, alice, forged.public_message) == key
 
 

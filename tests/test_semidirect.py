@@ -9,17 +9,15 @@ from tropkex import (
     SemigroupOpKind,
     SemigroupPair,
     TropicalMatrix,
-    build_square_cache,
     op_circ,
     op_star,
     pair_from_json,
     pair_to_json,
     power,
-    power_from_cache,
 )
 from tropkex.semidirect import apply
 
-from _oracles import fold_left, fold_right, naive_apply, random_pair
+from _oracles import fold_left, fold_right, ladder_power, naive_apply, random_pair
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -152,6 +150,7 @@ def test_power_basics():
     assert power(CIRC, base, 1) == base
     assert power(CIRC, pair1(0, 1), 2) == pair1(0, 1)
     # iterating circ by hand: firsts go 10, -3, -6, -9
+    assert power(CIRC, base, 3).first == m1(-6)
     assert power(CIRC, base, 4).first == m1(-9)
     with pytest.raises(ValueError):
         power(CIRC, base, 0)
@@ -239,55 +238,21 @@ def test_circ_chain_tail_recursion():
             assert m_next == m_ell.oplus(m_ell.otimes(h))
 
 
-def test_build_square_cache():
-    base = pair1(10, -3)
-    cache = build_square_cache(CIRC, base, 1)
-    assert cache.levels == 1 and cache.squares == (base,)
-
-    counter = OpCounter()
-    cache = build_square_cache(CIRC, base, 3, counter)
-    assert counter.count == 2
-    assert [s.first.rows[0][0] for s in cache.squares] == [10, -3, -9]
-    assert all(
-        cache.squares[i + 1] == apply(CIRC, cache.squares[i], cache.squares[i])
-        for i in range(cache.levels - 1)
-    )
-    with pytest.raises(ValueError):
-        build_square_cache(CIRC, base, 0)
-
-
-def test_power_from_cache():
-    base = pair1(10, -3)
-    cache = build_square_cache(CIRC, base, 4)
-    # exact powers of two come straight from the ladder, zero applications
-    for i in range(4):
-        counter = OpCounter()
-        assert power_from_cache(cache, 1 << i, counter) == cache.squares[i]
-        assert counter.count == 0
-    assert power_from_cache(cache, 3).first == m1(-6)
-    for e in (0, 16, 17):
-        with pytest.raises(ValueError):
-            power_from_cache(cache, e)
-
-
-def test_power_from_cache_matches_power_and_oracle():
-    """Under both laws ``power`` brackets like ``power_from_cache``
-    (ascending bits, new factor on the right) and costs (bit_length - 1)
-    + (popcount - 1) applications; under circ both match the fold."""
+def test_power_matches_ladder_oracle():
+    """Under both laws ``power`` combines the squares in ascending bit
+    order, new factor on the right, and costs (bit_length - 1) +
+    (popcount - 1) applications; under circ it also matches the fold."""
     rng = Random(41)
     for op, k in ((CIRC, 3), (STAR, 2), (STAR, 3)):
         for _ in range(5):
             base = random_pair(rng, k, 30)
-            cache = build_square_cache(op, base, 7)
             for e in range(1, 1 << 7):
                 counter = OpCounter()
-                via_cache = power_from_cache(cache, e, counter)
-                assert counter.count == bin(e).count("1") - 1
-                counter = OpCounter()
-                assert power(op, base, e, counter) == via_cache
+                result = power(op, base, e, counter)
+                assert result == ladder_power(op, base, e)
                 assert counter.count == (e.bit_length() - 1) + (bin(e).count("1") - 1)
                 if op is CIRC:
-                    assert via_cache == fold_right(CIRC, base, e)
+                    assert result == fold_right(CIRC, base, e)
 
 
 def test_pair_serialization_round_trip():

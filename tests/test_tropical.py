@@ -12,8 +12,6 @@ from tropkex import (
     chain_compare,
     matrix_from_json,
     matrix_to_json,
-    oplus,
-    otimes,
     random_matrix,
 )
 
@@ -31,13 +29,6 @@ def matrix_triples(draw, max_k=8, bound=50):
         )
 
     return one(), one(), one()
-
-
-def test_scalar_ops():
-    assert oplus(3, 7) == 3
-    assert oplus(-2, -2) == -2
-    assert otimes(2, 3) == 5
-    assert otimes(-(2**200), 1) == 1 - 2**200
 
 
 def test_oplus_examples():
