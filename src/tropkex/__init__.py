@@ -20,6 +20,7 @@ from .semidirect import (
     op_star,
     pair_from_json,
     pair_to_json,
+    periodic_powers,
     power,
     powers,
 )
@@ -32,6 +33,7 @@ from .protocol import (
     draw_exponent,
     params_from_json,
     params_to_json,
+    party_powers,
     run_exchange,
     run_parties,
     setup,

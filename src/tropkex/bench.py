@@ -35,10 +35,11 @@ from .protocol import (
     PartyState,
     derive_shared_key,
     draw_exponent,
+    party_powers,
     run_parties,
     setup,
 )
-from .semidirect import SemigroupOpKind, power
+from .semidirect import SemigroupOpKind
 from .tropical import TropicalMatrix
 
 CSV_HEADER = (
@@ -177,13 +178,13 @@ def average_key_size_bits(
     """Average alpha of a party's public message, without running the attack.
 
     Useful when only the key-size column is wanted: the message alone
-    costs one powering instead of a full recovery.
+    costs one ``party_powers`` call instead of a full recovery.
     """
     total = 0
     for trial in range(trials):
         rng = Random(seed + trial)
         params = setup(k, N, K, op, rng)
-        message = power(op, params.base_pair, draw_exponent(params, rng)).first
+        message = party_powers(params, (draw_exponent(params, rng),))[0].first
         total += measure_alpha(message)
     return total / trials
 

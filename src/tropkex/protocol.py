@@ -11,6 +11,13 @@ A ``Transcript`` is exactly what a passive eavesdropper sees: the public
 parameters plus the two exchanged matrices.  Private exponents are never
 serialized.
 
+Every honest powering goes through ``party_powers``.  Under circ it reads
+the powers off the chain's checked period (``semidirect.periodic_powers``)
+in at most 2(T + p) applications, T the transient and p the period,
+however large K is.  Under star, or when that would cost more than the
+least-bit-first pass ``powers`` (about 2K applications), it runs the pass
+instead; under circ both give the same pairs.
+
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two
 parties' powers are not powers of a common element in any usable sense,
@@ -23,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Sequence
 
-from .semidirect import SemigroupOpKind, SemigroupPair, powers, product_first
+from .semidirect import SemigroupOpKind, SemigroupPair, periodic_powers, powers, product_first
 from .tropical import (
     DimensionMismatchError,
     FormatError,
@@ -117,6 +125,26 @@ def draw_exponent(params: ProtocolParams, rng: Random) -> int:
     return rng.randint(1, (1 << params.K) - 1)
 
 
+def party_powers(params: ProtocolParams, exponents: Sequence[int]) -> tuple[SemigroupPair, ...]:
+    """(M, H)^e for every e in ``exponents``.
+
+    Under circ the powers come from ``periodic_powers``, given as budget
+    the exact count ``powers`` would spend, (L - 1) + sum(popcount(e) - 1)
+    with L the largest bit length; under star, or when the certificate
+    does not fit that budget, from ``powers``.  So the periodic path never
+    costs more applications than the pass, and a fallback at most twice.
+    """
+    base = params.base_pair
+    if params.op is SemigroupOpKind.CIRC:
+        budget = max(exponents, default=1).bit_length() - 1 + sum(
+            e.bit_count() - 1 for e in exponents
+        )
+        pairs = periodic_powers(base, exponents, budget)
+        if pairs is not None:
+            return pairs
+    return powers(params.op, base, exponents)
+
+
 def derive_shared_key(
     params: ProtocolParams,
     own: PartyState,
@@ -141,12 +169,12 @@ def run_parties(
     """Alice, Bob and their shared key.
 
     Both exponents are drawn from ``rng`` with ``draw_exponent``, Alice's
-    first; then one powering pass serves both parties, so the squarings
-    of the public pair are paid once.  Raises KeyAgreementError if the
-    two derived keys differ.
+    first; then one ``party_powers`` call serves both parties, so the
+    walk to the chain's period (or the squarings of the fallback pass) is
+    paid once.  Raises KeyAgreementError if the two derived keys differ.
     """
     exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
-    alice, bob = map(PartyState, exponents, powers(params.op, params.base_pair, exponents))
+    alice, bob = map(PartyState, exponents, party_powers(params, exponents))
     key = derive_shared_key(params, alice, bob.public_message)
     if key != derive_shared_key(params, bob, alice.public_message):
         raise KeyAgreementError(

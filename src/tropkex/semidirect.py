@@ -26,12 +26,18 @@ base * (base * (... )) yields the monotone first-component chain, so
 chain-related code uses that order for star.  Everything is consistent
 for k == 1, where transposition is trivial and star is associative.
 
-Powering is one least-bit-first pass: ``powers`` squares the base once
-per bit and folds each square into the accumulator of every exponent
-with that bit set, so several powers of one base share their squarings
-(both parties of an exchange power the same public pair).  There is no
-identity pair (the semiring has no multiplicative identity matrix), so
-exponents start at 1.
+There are two ways to power.  ``powers`` is one least-bit-first pass
+for either law: it squares the base once per bit and folds each square
+into the accumulator of every exponent with that bit set, so several
+powers of one base share their squarings (both parties of an exchange
+power the same public pair).  ``periodic_powers`` is circ only: it walks
+the chain base, base^2, ... one application per step until the chain
+repeats itself up to a scalar shift, proves the repeat exactly, and then
+reads every exponent off one period, so its cost depends on the chain's
+transient and period, not on the exponents' bit length.  It gives up,
+returning None, when that would cost more than a caller's budget.  There
+is no identity pair (the semiring has no multiplicative identity
+matrix), so exponents start at 1.
 
 Every counted application goes through ``apply``, which picks the law and
 increments an optional ``OpCounter`` by exactly one.  The attack's cost
@@ -44,8 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
-from typing import Sequence
+from itertools import repeat
+from operator import add, sub
+from typing import Iterator, Sequence
 
 from .tropical import DimensionMismatchError, FormatError, TropicalMatrix, _flatten, _wrap_flat
 from .tropical import matrix_from_json, matrix_to_json
@@ -225,6 +232,110 @@ def power(
     """base^e: ``powers`` with one exponent, so (bit_length(e) - 1) +
     (popcount(e) - 1) applications."""
     return powers(op, base, (e,), counter)[0]
+
+
+def _chain(base: SemigroupPair, counter: OpCounter | None) -> Iterator[SemigroupPair]:
+    # base, base^2, base^3, ... under circ, new factor on the right; each
+    # step after the first is one counted application, made only when the
+    # consumer asks for the next power.
+    pair = base
+    while True:
+        yield pair
+        pair = apply(_CIRC, pair, base, counter)
+
+
+def _shift_key(p: SemigroupPair) -> int:
+    # Hash of p with each component shifted so that its (0, 0) entry is 0:
+    # pairs that differ by one scalar per component share it.
+    x, g = p.first.rows, p.second.rows
+    return hash((
+        tuple(map(sub, _flatten(x), repeat(x[0][0]))),
+        tuple(map(sub, _flatten(g), repeat(g[0][0]))),
+    ))
+
+
+def _shifted(p: SemigroupPair, c_first: int, c_second: int) -> SemigroupPair:
+    # c_first added to every entry of the first component, c_second to the
+    # second: the scalar multiples c (x) X of min-plus algebra.
+    return _new_pair(
+        _wrap_flat(map(add, _flatten(p.first.rows), repeat(c_first)), p.k),
+        _wrap_flat(map(add, _flatten(p.second.rows), repeat(c_second)), p.k),
+    )
+
+
+def periodic_powers(
+    base: SemigroupPair,
+    exponents: Sequence[int],
+    budget: int,
+    counter: OpCounter | None = None,
+) -> tuple[SemigroupPair, ...] | None:
+    """base^e under circ for every e in ``exponents``, read off the chain's
+    period; None if that would take more than ``budget`` applications.
+
+    Write P_m = (X_m, G_m) = base^m and base = (M, H).  The walk computes
+    P_m = P_{m-1} circ base, one ``apply`` per step, and from m = 2 on
+    looks each P_m up by its shift key, the hash of (X_m - X_m[0][0],
+    G_m - G_m[0][0]).  When P_m's key was first seen at P_n, n < m, it
+    walks again from the base to P_n and checks P_m == P_n + (c_X, c_G)
+    exactly, with c_X = X_m[0][0] - X_n[0][0] and likewise c_G; a hash
+    collision fails the check and the function returns None.  Once the
+    check holds, with p = m - n, every e >= n is served as P_{n+r} shifted
+    by q * (c_X, c_G), where (q, r) = divmod(e - n, p).  Exponents up to
+    m are taken from the walk as it passes them, and an exponent reached
+    before any repeat ends the walk there.
+
+    Why one checked equality is a proof for every later index: circ gives
+    X_{m+1} = X_m oplus M oplus H oplus (X_m otimes H) and G_{m+1} = G_m
+    oplus H oplus (G_m otimes H).  For m >= 2, X_m already holds M oplus H
+    as a term, so X_m <= M oplus H entrywise, and G_m <= H holds from
+    m = 1.  So from m = 2 on the step is F: X -> X oplus (X otimes H) on
+    each component, and adding one integer c to every entry commutes with
+    it: F(X + c) = F(X) + c.  Then P_m = P_n + c gives, by induction on j,
+    P_{m+j} = F^j(P_n + c) = P_{n+j} + c, hence P_{n+qp+r} = P_{n+r} + q c.
+    A repeat always comes: F multiplies by B = I oplus H (I the min-plus
+    identity), which is irreducible because H is finite, and by the
+    cyclicity theorem of min-plus algebra the powers of such a matrix are
+    ultimately periodic up to such a shift.  The transient can still be
+    long, hence the budget.
+
+    The walk costs m - 1 applications and the second walk n - 1 + max r,
+    taken only if it fits in ``budget``; an exponent reached first costs
+    e - 1.  Only the base, P_m, the current step, one result per exponent
+    and one dict entry per step are kept, never the walked matrices.
+    """
+    if any(e < 1 for e in exponents):
+        raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
+    results: list[SemigroupPair | None] = [None] * len(exponents)
+    top = max(exponents, default=1)
+    first_seen: dict[int, int] = {}
+    for m, end in enumerate(_chain(base, counter), 1):
+        for j, e in enumerate(exponents):
+            if e == m:
+                results[j] = end
+        if m == top:
+            return tuple(results)
+        if m > 1:
+            n = first_seen.setdefault(_shift_key(end), m)
+            if n < m:
+                break
+        if m > budget:  # the next step would be application number m
+            return None
+    period = m - n
+    pending = [(j, *divmod(e - n, period)) for j, e in enumerate(exponents) if e > m]
+    reach = n + max(r for _, _, r in pending)
+    if (m - 1) + (reach - 1) > budget:
+        return None
+    for i, pair in enumerate(_chain(base, counter), 1):
+        if i == n:
+            c_first = end.first.rows[0][0] - pair.first.rows[0][0]
+            c_second = end.second.rows[0][0] - pair.second.rows[0][0]
+            if _shifted(pair, c_first, c_second) != end:
+                return None
+        for j, q, r in pending:
+            if i == n + r:
+                results[j] = _shifted(pair, q * c_first, q * c_second)
+        if i == reach:
+            return tuple(results)
 
 
 def pair_to_json(p: SemigroupPair) -> dict:

@@ -113,3 +113,46 @@ def chain_fold(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPai
     if op is SemigroupOpKind.CIRC:
         return fold_right(op, base, e)
     return fold_left(op, base, e)
+
+
+def chain_period(base: SemigroupPair) -> tuple[int, int]:
+    """(n, p) of the first repeat up to a scalar shift on the circ chain.
+
+    Walks the states base^m of ``fold_right``, m = 2, 3, ..., each
+    component written relative to its own (0, 0) entry, and stops at the
+    first m whose state already occurred at some n >= 2; p = m - n.
+    """
+    def relative(mat):
+        return tuple(tuple(x - mat.rows[0][0] for x in row) for row in mat.rows)
+
+    first_index = {}
+    acc, m = base, 1
+    while True:
+        acc, m = naive_apply(SemigroupOpKind.CIRC, acc, base), m + 1
+        state = (relative(acc.first), relative(acc.second))
+        if state in first_index:
+            return first_index[state], m - first_index[state]
+        first_index[state] = m
+
+
+def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, bool]:
+    """Applications ``periodic_powers`` spends on ``exponents`` with this
+    budget, and whether it returns the powers (True) or gives up (False).
+
+    The walk reaches index i after i - 1 applications and never makes
+    more than ``budget``.  It stops at the largest exponent if that comes
+    no later than the first repeat at m = n + p; otherwise it walks again
+    to n + the largest (e - n) mod p over the exponents past m, but only
+    if both walks together fit in the budget.
+    """
+    top = max(exponents)
+    n, p = chain_period(base)
+    m = n + p
+    if min(top, m) - 1 > budget:
+        return budget, False
+    if top <= m:
+        return top - 1, True
+    reach = n + max((e - n) % p for e in exponents if e > m)
+    if (m - 1) + (reach - 1) > budget:
+        return m - 1, False
+    return (m - 1) + (reach - 1), True

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -17,10 +18,13 @@ from tropkex import (
     params_from_json,
     params_to_json,
     powers,
+    semidirect,
     setup,
     transcript_from_json,
 )
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
+from tropkex.protocol import MAX_EXPONENT_BITS
+from tropkex.semidirect import product_first
 
 
 def run_cli(*argv):
@@ -103,6 +107,73 @@ def test_exchange_from_gen_params(tmp_path):
     transcript = transcript_from_json(json.loads(transcript_path.read_text()))
     saved = params_from_json(json.loads(params_path.read_text()))
     assert transcript.params == saved
+
+
+# sha256 of the transcript and keys files ``tropkex exchange --k 10 --N 1000
+# --K 200 --op circ --seed S`` wrote when both parties powered with the
+# least-bit-first pass alone; the period walk must reproduce them byte for
+# byte.
+PINNED_EXCHANGES = {
+    1: ("877caa6c807624e72894ad1db86ce87008854705ad90d84038d7a7fd75ba4fd6",
+        "72cbc6cea7f3ec30103f93065303468bea5c1c8e8a93cc4a922e3e19463a1096"),
+    2: ("0067b8a16d5bd9430c9e47c052c9fa75d359a3c850f73c0087e935c80ffb33cc",
+        "58611b4fd71ff01940909997b4be41b71da09624f3cfc950a26217eb98e094de"),
+    3: ("f6fdb60097e57ba340d3ab7a6a590391278818559433f7045c8fcbd1e22ce5a2",
+        "a6e76f5d67501914657a8e1a10f40ea5d02082cd448e6c39fc078a560f08a6ac"),
+    4: ("928771abae9c3ee05a06f2a7d1b65797d84d7871b99aef4599faf67ad72b20f9",
+        "59563247c71191dc935e9daf29eada344506745215ee118b2266d1f7929e9be1"),
+    5: ("dc68ddbb9ed526963a5ab6d177cb6f23ee0ecd6f9d96eeed84e5c34a0fc64175",
+        "9d5b06a33dd801f8158a499f2d3d70ba41e4529dd92bd3f697d3a287dae95275"),
+}
+
+
+def test_exchange_files_are_pinned(tmp_path):
+    for seed, expected in PINNED_EXCHANGES.items():
+        transcript_path, keys_path = tmp_path / f"tr{seed}.json", tmp_path / f"keys{seed}.json"
+        assert run_cli(
+            "exchange", "--k", "10", "--N", "1000", "--K", "200", "--op", "circ",
+            "--seed", str(seed), "--out", str(transcript_path), "--keys-out", str(keys_path),
+        ) == EXIT_OK
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in (transcript_path, keys_path)
+        )
+        assert digests == expected, seed
+
+
+def test_exchange_long_transient_params(tmp_path, monkeypatch):
+    """Params whose circ chain first repeats only after 1 038 steps, at the
+    largest K a params file may ask for: the exchange still succeeds, gives
+    what the least-bit-first pass gives, and makes at most twice the pass's
+    applications."""
+    params = setup(2, 10**6, MAX_EXPONENT_BITS, SemigroupOpKind.CIRC, Random(1997))
+    params_path = tmp_path / "params.json"
+    params_path.write_text(json.dumps(params_to_json(params)))
+    calls = 0
+    op_circ = semidirect.op_circ
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return op_circ(p, q)
+
+    monkeypatch.setattr(semidirect, "op_circ", counted)
+    transcript_path, keys_path = tmp_path / "tr.json", tmp_path / "keys.json"
+    assert run_cli(
+        "exchange", "--params", str(params_path), "--seed", "3",
+        "--out", str(transcript_path), "--keys-out", str(keys_path),
+    ) == EXIT_OK
+    monkeypatch.setattr(semidirect, "op_circ", op_circ)
+
+    rng = Random(3)
+    exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
+    alice, bob = powers(SemigroupOpKind.CIRC, params.base_pair, exponents)
+    formula = (max(exponents).bit_length() - 1) + sum(bin(e).count("1") - 1 for e in exponents)
+    assert calls <= 2 * formula
+    transcript = transcript_from_json(json.loads(transcript_path.read_text()))
+    assert (transcript.alice_message, transcript.bob_message) == (alice.first, bob.first)
+    keys = json.loads(keys_path.read_text())
+    key = product_first(SemigroupOpKind.CIRC, bob.first, alice)
+    assert matrix_from_json(keys["alice_key"]) == matrix_from_json(keys["bob_key"]) == key
 
 
 def test_bench_csv(tmp_path):

@@ -26,7 +26,7 @@ from tropkex import (
 )
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 
-from _oracles import chain_fold, naive_apply, random_mat, random_pair
+from _oracles import chain_fold, naive_apply, periodic_cost, random_mat, random_pair
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -204,10 +204,13 @@ def test_run_exchange_pinned_key():
 
 
 def test_run_exchange_shares_the_squarings(monkeypatch):
-    """One powering pass serves both parties: the messages and the key are
-    the chain's first components at a, b and a + b, and the exchange costs
-    (L - 1) + (popcount(a) - 1) + (popcount(b) - 1) applications, L the
-    larger exponent's bit length."""
+    """One ``party_powers`` call serves both parties: the messages and the
+    key are the chain's first components at a, b and a + b.  Under circ
+    the call walks to the chain's period with the pass's count as budget,
+    (L - 1) + (popcount(a) - 1) + (popcount(b) - 1), L the larger
+    exponent's bit length; it costs what the naive period oracle predicts
+    when the walk fits that budget, and that budget's share of the walk
+    plus the pass when it does not."""
     calls = 0
     op_circ = semidirect.op_circ
 
@@ -218,20 +221,24 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
 
     monkeypatch.setattr(semidirect, "op_circ", counted)
     rng = Random(131)
+    trials = []
     for trial in range(24):
-        k = 1 + trial % 4
-        exp_bits = rng.randint(1, 10)
-        params = setup(k, 100, exp_bits, CIRC, rng)
-        a, b = rng.randint(1, (1 << exp_bits) - 1), rng.randint(1, (1 << exp_bits) - 1)
+        params = setup(1 + trial % 4, 100, rng.randint(1, 10), CIRC, rng)
+        a, b = rng.randint(1, (1 << params.K) - 1), rng.randint(1, (1 << params.K) - 1)
+        trials.append((params, a, b))
+    paths = set()
+    for params, a, b in trials:
         calls = 0
         transcript, alice_key, bob_key = run_exchange(params, FixedExponents(a, b))
-        assert calls == (
-            (max(a, b).bit_length() - 1) + (bin(a).count("1") - 1) + (bin(b).count("1") - 1)
-        )
+        formula = (max(a, b).bit_length() - 1) + (bin(a).count("1") - 1) + (bin(b).count("1") - 1)
+        walked, certified = periodic_cost(params.base_pair, (a, b), formula)
+        assert calls == (walked if certified else walked + formula)
+        paths.add(certified)
         base = params.base_pair
         assert transcript.alice_message == chain_fold(CIRC, base, a).first
         assert transcript.bob_message == chain_fold(CIRC, base, b).first
         assert alice_key == bob_key == chain_fold(CIRC, base, a + b).first
+    assert paths == {True, False}
 
 
 def test_transcript_round_trip_and_privacy():

@@ -13,11 +13,25 @@ from tropkex import (
     op_star,
     pair_from_json,
     pair_to_json,
+    periodic_powers,
     power,
+    powers,
+    semidirect,
+    setup,
 )
+from tropkex import protocol
 from tropkex.semidirect import apply
 
-from _oracles import fold_left, fold_right, ladder_power, naive_apply, random_pair
+from _oracles import (
+    chain_fold,
+    chain_period,
+    fold_left,
+    fold_right,
+    ladder_power,
+    naive_apply,
+    periodic_cost,
+    random_pair,
+)
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -253,6 +267,114 @@ def test_power_matches_ladder_oracle():
                 assert counter.count == (e.bit_length() - 1) + (bin(e).count("1") - 1)
                 if op is CIRC:
                     assert result == fold_right(CIRC, base, e)
+
+
+def _pass_cost(exponents):
+    # what ``powers`` spends on these exponents: the budget party_powers gives
+    return max(exponents).bit_length() - 1 + sum(bin(e).count("1") - 1 for e in exponents)
+
+
+def test_periodic_powers_match_powers_and_fold():
+    """Read off the period, every power equals the pass's and the fold's,
+    at the cost the naive period oracle predicts; pairs of exponents far
+    past the period come out as the pass gives them."""
+    rng = Random(61)
+    for k in range(1, 5):
+        for _ in range(4):
+            base = random_pair(rng, k, 40)
+            everything = range(1, 1 << 7)
+            counter = OpCounter()
+            result = periodic_powers(base, everything, 10**6, counter)
+            assert result == powers(CIRC, base, everything)
+            n, p = chain_period(base)
+            assert n + p + 1 < 128  # exponents past the first repeat are read off the period
+            for e in {1, 2, n, n + p - 1, n + p, n + p + 1, 127}:
+                assert result[e - 1] == chain_fold(CIRC, base, e)
+            assert counter.count == periodic_cost(base, everything, 10**6)[0]
+            for _ in range(8):
+                two = (rng.randint(1, 1 << 64), rng.randint(1, 1 << 200))
+                counter = OpCounter()
+                result = periodic_powers(base, two, _pass_cost(two), counter)
+                assert (counter.count, result is not None) == periodic_cost(
+                    base, two, _pass_cost(two)
+                )
+                if result is not None:
+                    assert result == powers(CIRC, base, two)
+
+
+def test_periodic_powers_stationary_chain():
+    # M in [0, N] and H all N: (M, H) squares to itself, so the first
+    # repeat is at n = 2 with period 1 and shift c = 0, and every power is
+    # the base.  Two steps find it and one more re-walks to P_2.
+    rng = Random(67)
+    big = 1000
+    m = TropicalMatrix([[rng.randint(0, big) for _ in range(4)] for _ in range(4)])
+    base = SemigroupPair(m, TropicalMatrix([[big] * 4] * 4))
+    assert chain_period(base) == (2, 1)
+    exponents = (1, 2, 3, 1 << 200, (1 << 4096) - 1)
+    counter = OpCounter()
+    assert periodic_powers(base, exponents, 3, counter) == (base,) * 5
+    assert counter.count == 3
+    assert periodic_powers(base, exponents, 2) is None
+
+
+def test_periodic_powers_before_the_certificate():
+    """Exponent 1 costs nothing, and exponents below the first repeat are
+    read off the walk without any second walk."""
+    rng = Random(71)
+    base = random_pair(rng, 3)
+    counter = OpCounter()
+    assert periodic_powers(base, (1,), 0, counter) == (base,)
+    assert counter.count == 0
+    # the long transient pinned below: the first repeat is at index 1 039
+    base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
+    exponents = (1, 5, 500, 1038)
+    counter = OpCounter()
+    assert periodic_powers(base, exponents, 1037, counter) == powers(CIRC, base, exponents)
+    assert counter.count == 1037
+    assert periodic_powers(base, exponents, 1036) is None
+    assert periodic_powers(base, (), 0) == ()
+    with pytest.raises(ValueError):
+        periodic_powers(base, (3, 0), 10)
+
+
+def test_periodic_powers_long_transient_gives_up_within_budget():
+    """A k = 2 instance with N = 10^6 whose chain first repeats after
+    1 038 steps: past 200-bit exponents' budget, so the walk stops at the
+    budget; a budget that covers both walks certifies it."""
+    params = setup(2, 10**6, 200, CIRC, Random(1997))
+    base = params.base_pair
+    assert chain_period(base) == (1038, 1)
+    exponents = ((1 << 200) - 1, 1 << 199)
+    counter = OpCounter()
+    assert periodic_powers(base, exponents, _pass_cost(exponents), counter) is None
+    assert counter.count == _pass_cost(exponents) == 398
+    counter = OpCounter()
+    result = periodic_powers(base, exponents, 1038 + 1037, counter)
+    assert result == powers(CIRC, base, exponents)
+    assert counter.count == 1038 + 1037
+    assert periodic_powers(base, exponents, 1038 + 1036) is None
+
+
+def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
+    # With every shift key equal, the walk sees a "repeat" at its second
+    # state; the exact comparison rejects it and the caller gets None.
+    base = random_pair(Random(73), 3)
+    assert chain_period(base) != (2, 1)
+    monkeypatch.setattr(semidirect, "_shift_key", lambda pair: 0)
+    counter = OpCounter()
+    assert periodic_powers(base, (100,), 10, counter) is None
+    assert counter.count == 2 + 1
+
+
+def test_star_never_reaches_the_walk(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("periodic_powers called under star")
+
+    monkeypatch.setattr(protocol, "periodic_powers", forbidden)
+    params = setup(3, 50, 16, STAR, Random(79))
+    exponents = (40_000, 123)
+    assert protocol.party_powers(params, exponents) == powers(STAR, params.base_pair, exponents)
 
 
 def test_pair_serialization_round_trip():
