@@ -27,8 +27,9 @@ print("exponent bound : 2^8")
 print()
 
 # both private exponents, drawn uniformly from [1, 2^8 - 1], and both
-# parties' powers from one call: a walk to the circ chain's period, or one
-# least-bit-first pass when the walk would cost more (as here, at K = 8)
+# parties' powers from one call: a walk to the circ chain's period (here 9
+# pair operations, under the 13 of the least-bit-first pass it replaces),
+# or that pass when the walk would cost more
 alice, bob, shared_key = run_parties(params, rng)
 print(f"Alice draws private m = {alice.exponent}, sends A = {alice.public_message.rows}")
 print(f"Bob   draws private n = {bob.exponent}, sends B = {bob.public_message.rows}")

@@ -23,6 +23,7 @@ for more is malformed input and exits 4 before any matrix is parsed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,7 +104,10 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser unchanged, and
+    # building its four subparsers costs several times a parse.
     parser = argparse.ArgumentParser(
         prog="tropkex",
         description="Min-plus matrix key exchange and the attack that breaks it.",

@@ -13,10 +13,10 @@ serialized.
 
 Every honest powering goes through ``party_powers``.  Under circ it reads
 the powers off the chain's checked period (``semidirect.periodic_powers``)
-in at most 2(T + p) applications, T the transient and p the period,
+in at most T + p applications, T the transient and p the period,
 however large K is.  Under star, or when that would cost more than the
-least-bit-first pass ``powers`` (about 2K applications), it runs the pass
-instead; under circ both give the same pairs.
+least-bit-first pass ``powers`` (about 2K applications) or the period
+exceeds k, it runs the pass instead; under circ both give the same pairs.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two
@@ -131,8 +131,9 @@ def party_powers(params: ProtocolParams, exponents: Sequence[int]) -> tuple[Semi
     Under circ the powers come from ``periodic_powers``, given as budget
     the exact count ``powers`` would spend, (L - 1) + sum(popcount(e) - 1)
     with L the largest bit length; under star, or when the certificate
-    does not fit that budget, from ``powers``.  So the periodic path never
-    costs more applications than the pass, and a fallback at most twice.
+    does not fit that budget or its period exceeds k, from ``powers``.  So
+    the periodic path never costs more applications than the pass, and a
+    fallback at most twice.
     """
     base = params.base_pair
     if params.op is SemigroupOpKind.CIRC:

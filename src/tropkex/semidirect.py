@@ -33,9 +33,10 @@ powers of one base share their squarings (both parties of an exchange
 power the same public pair).  ``periodic_powers`` is circ only: it walks
 the chain base, base^2, ... one application per step until the chain
 repeats itself up to a scalar shift, proves the repeat exactly, and then
-reads every exponent off one period, so its cost depends on the chain's
-transient and period, not on the exponents' bit length.  It gives up,
-returning None, when that would cost more than a caller's budget.  There
+reads every exponent off the period held in its window of the last k + 1
+pairs, so its cost depends on the chain's transient and period, not on
+the exponents' bit length.  It gives up, returning None, when that would
+cost more than a caller's budget or the period outgrows the window.  There
 is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
@@ -48,6 +49,7 @@ product, which is all a party needs to derive the shared key.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -270,19 +272,22 @@ def periodic_powers(
     counter: OpCounter | None = None,
 ) -> tuple[SemigroupPair, ...] | None:
     """base^e under circ for every e in ``exponents``, read off the chain's
-    period; None if that would take more than ``budget`` applications.
+    period; None if that would take more than ``budget`` applications or
+    the period exceeds k.
 
     Write P_m = (X_m, G_m) = base^m and base = (M, H).  The walk computes
-    P_m = P_{m-1} circ base, one ``apply`` per step, and from m = 2 on
-    looks each P_m up by its shift key, the hash of (X_m - X_m[0][0],
-    G_m - G_m[0][0]).  When P_m's key was first seen at P_n, n < m, it
-    walks again from the base to P_n and checks P_m == P_n + (c_X, c_G)
+    P_m = P_{m-1} circ base, one ``apply`` per step, keeps the last k + 1
+    pairs it walked, and from m = 2 on looks each P_m up by its shift key,
+    the hash of (X_m - X_m[0][0], G_m - G_m[0][0]).  When P_m's key was
+    first seen at P_n, n < m, and the period p = m - n is at most k, P_n is
+    still in the window, and the function checks P_m == P_n + (c_X, c_G)
     exactly, with c_X = X_m[0][0] - X_n[0][0] and likewise c_G; a hash
-    collision fails the check and the function returns None.  Once the
-    check holds, with p = m - n, every e >= n is served as P_{n+r} shifted
-    by q * (c_X, c_G), where (q, r) = divmod(e - n, p).  Exponents up to
-    m are taken from the walk as it passes them, and an exponent reached
-    before any repeat ends the walk there.
+    collision fails the check and the function returns None, as it does
+    for a longer period (when that happens is argued below).  Once the
+    check holds, every e > m is served as P_{n+r}, also in the window,
+    shifted by q * (c_X, c_G), where (q, r) = divmod(e - n, p).  Exponents
+    up to m are taken from the walk as it passes them, and an exponent
+    reached before any repeat ends the walk there.
 
     Why one checked equality is a proof for every later index: circ gives
     X_{m+1} = X_m oplus M oplus H oplus (X_m otimes H) and G_{m+1} = G_m
@@ -294,21 +299,31 @@ def periodic_powers(
     P_{m+j} = F^j(P_n + c) = P_{n+j} + c, hence P_{n+qp+r} = P_{n+r} + q c.
     A repeat always comes: F multiplies by B = I oplus H (I the min-plus
     identity), which is irreducible because H is finite, and by the
-    cyclicity theorem of min-plus algebra the powers of such a matrix are
-    ultimately periodic up to such a shift.  The transient can still be
-    long, hence the budget.
+    cyclicity theorem of min-plus algebra the powers of B are ultimately
+    periodic up to such a shift, with period the cyclicity of B: the lcm,
+    over the strongly connected components of B's critical graph, of the
+    gcd of each component's cycle lengths.  The shifted states are an
+    iteration of one map, so p, the length of their first cycle, divides
+    that cyclicity.  When the critical graph is strongly connected, the
+    cyclicity divides the length of one of its cycles without repeated
+    nodes, so p <= k and k + 1 pairs hold P_n, ..., P_m.  Otherwise the
+    cyclicity can exceed k (critical cycles of lengths 2 and 3 at k = 5
+    give p = 6); the window has then lost P_n and the function returns
+    None, as it does for a long transient.
 
-    The walk costs m - 1 applications and the second walk n - 1 + max r,
-    taken only if it fits in ``budget``; an exponent reached first costs
-    e - 1.  Only the base, P_m, the current step, one result per exponent
-    and one dict entry per step are kept, never the walked matrices.
+    The walk costs min(m, max e) - 1 applications and stops before the
+    application that would exceed ``budget``.  Only the base, the last
+    k + 1 pairs, one result per exponent and one dict entry per step are
+    kept, never the whole walk.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
     results: list[SemigroupPair | None] = [None] * len(exponents)
     top = max(exponents, default=1)
     first_seen: dict[int, int] = {}
+    window: deque[SemigroupPair] = deque(maxlen=base.k + 1)
     for m, end in enumerate(_chain(base, counter), 1):
+        window.append(end)
         for j, e in enumerate(exponents):
             if e == m:
                 results[j] = end
@@ -321,21 +336,18 @@ def periodic_powers(
         if m > budget:  # the next step would be application number m
             return None
     period = m - n
-    pending = [(j, *divmod(e - n, period)) for j, e in enumerate(exponents) if e > m]
-    reach = n + max(r for _, _, r in pending)
-    if (m - 1) + (reach - 1) > budget:
+    if period >= len(window):
         return None
-    for i, pair in enumerate(_chain(base, counter), 1):
-        if i == n:
-            c_first = end.first.rows[0][0] - pair.first.rows[0][0]
-            c_second = end.second.rows[0][0] - pair.second.rows[0][0]
-            if _shifted(pair, c_first, c_second) != end:
-                return None
-        for j, q, r in pending:
-            if i == n + r:
-                results[j] = _shifted(pair, q * c_first, q * c_second)
-        if i == reach:
-            return tuple(results)
+    start = window[-1 - period]
+    c_first = end.first.rows[0][0] - start.first.rows[0][0]
+    c_second = end.second.rows[0][0] - start.second.rows[0][0]
+    if _shifted(start, c_first, c_second) != end:
+        return None
+    for j, e in enumerate(exponents):
+        if e > m:
+            q, r = divmod(e - n, period)
+            results[j] = _shifted(window[r - 1 - period], q * c_first, q * c_second)
+    return tuple(results)
 
 
 def pair_to_json(p: SemigroupPair) -> dict:

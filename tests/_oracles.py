@@ -139,20 +139,15 @@ def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, boo
     """Applications ``periodic_powers`` spends on ``exponents`` with this
     budget, and whether it returns the powers (True) or gives up (False).
 
-    The walk reaches index i after i - 1 applications and never makes
+    The one walk reaches index i after i - 1 applications and never makes
     more than ``budget``.  It stops at the largest exponent if that comes
-    no later than the first repeat at m = n + p; otherwise it walks again
-    to n + the largest (e - n) mod p over the exponents past m, but only
-    if both walks together fit in the budget.
+    no later than the first repeat at m = n + p, and otherwise at m, where
+    it gives up if p >= k + 1: the period no longer fits in its window of
+    the last k + 1 pairs.
     """
     top = max(exponents)
     n, p = chain_period(base)
-    m = n + p
-    if min(top, m) - 1 > budget:
+    walked = min(top, n + p) - 1
+    if walked > budget:
         return budget, False
-    if top <= m:
-        return top - 1, True
-    reach = n + max((e - n) % p for e in exponents if e > m)
-    if (m - 1) + (reach - 1) > budget:
-        return m - 1, False
-    return (m - 1) + (reach - 1), True
+    return walked, top <= n + p or p < base.k + 1

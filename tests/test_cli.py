@@ -22,6 +22,7 @@ from tropkex import (
     setup,
     transcript_from_json,
 )
+from tropkex import cli
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 from tropkex.protocol import MAX_EXPONENT_BITS
 from tropkex.semidirect import product_first
@@ -143,8 +144,8 @@ def test_exchange_files_are_pinned(tmp_path):
 def test_exchange_long_transient_params(tmp_path, monkeypatch):
     """Params whose circ chain first repeats only after 1 038 steps, at the
     largest K a params file may ask for: the exchange still succeeds, gives
-    what the least-bit-first pass gives, and makes at most twice the pass's
-    applications."""
+    what the least-bit-first pass gives, and makes exactly the 1 038
+    applications of the walk to that repeat."""
     params = setup(2, 10**6, MAX_EXPONENT_BITS, SemigroupOpKind.CIRC, Random(1997))
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params_to_json(params)))
@@ -167,8 +168,7 @@ def test_exchange_long_transient_params(tmp_path, monkeypatch):
     rng = Random(3)
     exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
     alice, bob = powers(SemigroupOpKind.CIRC, params.base_pair, exponents)
-    formula = (max(exponents).bit_length() - 1) + sum(bin(e).count("1") - 1 for e in exponents)
-    assert calls <= 2 * formula
+    assert calls == 1038
     transcript = transcript_from_json(json.loads(transcript_path.read_text()))
     assert (transcript.alice_message, transcript.bob_message) == (alice.first, bob.first)
     keys = json.loads(keys_path.read_text())
@@ -259,6 +259,28 @@ def test_error_exit_codes(tmp_path, capsys):
     assert run_cli("bench", "--k", "2,x", "--out", "t.csv") == EXIT_USAGE
     assert run_cli("bench") == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_back_to_back_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    """``cli_main`` builds its parser once per process and reuses it: a
+    usage error leaves nothing behind, so the next call sees the flag
+    defaults, and an attack after it recovers the exchanged key."""
+    monkeypatch.delenv("TROPKEX_SEED", raising=False)
+    parser = cli._build_parser()
+    assert run_cli("exchange", "--k", "3", "--N", "7", "--K", "x", "--seed", "8") == EXIT_USAGE
+    capsys.readouterr()
+    transcript_path, keys_path = tmp_path / "tr.json", tmp_path / "keys.json"
+    assert run_cli(
+        "exchange", "--K", "10", "--out", str(transcript_path), "--keys-out", str(keys_path),
+    ) == EXIT_OK
+    transcript = transcript_from_json(json.loads(transcript_path.read_text()))
+    assert transcript.params == setup(10, 1000, 10, SemigroupOpKind.CIRC, Random(0))
+    result_path = tmp_path / "res.json"
+    assert run_cli("attack", "--transcript", str(transcript_path), "--out", str(result_path)) == EXIT_OK
+    key = json.loads(keys_path.read_text())["alice_key"]
+    assert json.loads(result_path.read_text())["recovered_key"] == key
+    assert cli._build_parser() is parser
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_star_exchange_failure_maps_to_attack_exit(tmp_path, capsys):

@@ -305,7 +305,7 @@ def test_periodic_powers_match_powers_and_fold():
 def test_periodic_powers_stationary_chain():
     # M in [0, N] and H all N: (M, H) squares to itself, so the first
     # repeat is at n = 2 with period 1 and shift c = 0, and every power is
-    # the base.  Two steps find it and one more re-walks to P_2.
+    # the base.  Two steps find it, and P_2 is still in the window.
     rng = Random(67)
     big = 1000
     m = TropicalMatrix([[rng.randint(0, big) for _ in range(4)] for _ in range(4)])
@@ -313,14 +313,14 @@ def test_periodic_powers_stationary_chain():
     assert chain_period(base) == (2, 1)
     exponents = (1, 2, 3, 1 << 200, (1 << 4096) - 1)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 3, counter) == (base,) * 5
-    assert counter.count == 3
-    assert periodic_powers(base, exponents, 2) is None
+    assert periodic_powers(base, exponents, 2, counter) == (base,) * 5
+    assert counter.count == 2
+    assert periodic_powers(base, exponents, 1) is None
 
 
 def test_periodic_powers_before_the_certificate():
     """Exponent 1 costs nothing, and exponents below the first repeat are
-    read off the walk without any second walk."""
+    read off the walk, which stops at the largest of them."""
     rng = Random(71)
     base = random_pair(rng, 3)
     counter = OpCounter()
@@ -341,7 +341,7 @@ def test_periodic_powers_before_the_certificate():
 def test_periodic_powers_long_transient_gives_up_within_budget():
     """A k = 2 instance with N = 10^6 whose chain first repeats after
     1 038 steps: past 200-bit exponents' budget, so the walk stops at the
-    budget; a budget that covers both walks certifies it."""
+    budget; a budget that covers the walk to the repeat certifies it."""
     params = setup(2, 10**6, 200, CIRC, Random(1997))
     base = params.base_pair
     assert chain_period(base) == (1038, 1)
@@ -350,10 +350,12 @@ def test_periodic_powers_long_transient_gives_up_within_budget():
     assert periodic_powers(base, exponents, _pass_cost(exponents), counter) is None
     assert counter.count == _pass_cost(exponents) == 398
     counter = OpCounter()
-    result = periodic_powers(base, exponents, 1038 + 1037, counter)
+    result = periodic_powers(base, exponents, 1038, counter)
     assert result == powers(CIRC, base, exponents)
-    assert counter.count == 1038 + 1037
-    assert periodic_powers(base, exponents, 1038 + 1036) is None
+    assert counter.count == 1038
+    counter = OpCounter()
+    assert periodic_powers(base, exponents, 1037, counter) is None
+    assert counter.count == 1037
 
 
 def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
@@ -364,7 +366,31 @@ def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
     monkeypatch.setattr(semidirect, "_shift_key", lambda pair: 0)
     counter = OpCounter()
     assert periodic_powers(base, (100,), 10, counter) is None
-    assert counter.count == 2 + 1
+    assert counter.count == 2
+
+
+def test_periodic_powers_window_overflow():
+    """A k = 5 chain whose period, 6, exceeds k: H has two disjoint
+    critical cycles, of lengths 2 and 3, so the critical graph is not
+    strongly connected and the period is their lcm.  The walk finds the
+    repeat at m = 9 after 8 applications, but P_3 has left the window of
+    the last six pairs, so it gives up and ``party_powers`` runs the pass."""
+    k = 5
+    m = TropicalMatrix([[0 if i == j else 100 for j in range(k)] for i in range(k)])
+    h = [[100] * k for _ in range(k)]
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)):
+        h[i][j] = -1
+    base = SemigroupPair(m, TropicalMatrix(h))
+    assert chain_period(base) == (3, 6)
+    exponents = (1 << 40, (1 << 40) + 5)
+    counter = OpCounter()
+    assert periodic_powers(base, exponents, 10**6, counter) is None
+    assert counter.count == 8
+    assert periodic_cost(base, exponents, 10**6) == (8, False)
+    params = protocol.ProtocolParams(k, 100, 41, CIRC, m, TropicalMatrix(h))
+    pairs = protocol.party_powers(params, (23, 40))
+    assert pairs == powers(CIRC, base, (23, 40))
+    assert pairs == (chain_fold(CIRC, base, 23), chain_fold(CIRC, base, 40))
 
 
 def test_star_never_reaches_the_walk(monkeypatch):
