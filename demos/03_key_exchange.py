@@ -35,8 +35,9 @@ print(f"Alice draws private m = {alice.exponent}, sends A = {alice.public_messag
 print(f"Bob   draws private n = {bob.exponent}, sends B = {bob.public_message.rows}")
 print()
 
-alice_key = derive_shared_key(params, alice, bob.public_message)
-bob_key = derive_shared_key(params, bob, alice.public_message)
+# each side needs only the partner's public matrix and its own pair
+alice_key = derive_shared_key(params, alice.pair, bob.public_message)
+bob_key = derive_shared_key(params, bob.pair, alice.public_message)
 print("Alice derives:", alice_key.rows)
 print("Bob   derives:", bob_key.rows)
 assert alice_key == bob_key == shared_key
@@ -44,7 +45,7 @@ print("keys agree:", alice_key == bob_key)
 print()
 
 print("=== what the eavesdropper actually sees ===")
-transcript, _, _ = run_exchange(params, Random(99))
+transcript, _ = run_exchange(params, Random(99))
 print(json.dumps(transcript_to_json(transcript), indent=2)[:600], "...")
 print()
 print("No private exponent and no second component ever appears on the wire.")

@@ -17,14 +17,14 @@ from tropkex import SemigroupOpKind, recover_key_targeting, run_exchange, setup
 print("=== a small instance, step by step ===")
 rng = Random(5)
 params = setup(k=3, N=50, K=10, op=SemigroupOpKind.CIRC, rng=rng)
-transcript, alice_key, bob_key = run_exchange(params, rng)
-print("shared key (known to the parties):", alice_key.rows)
+transcript, shared_key = run_exchange(params, rng)
+print("shared key (known to the parties):", shared_key.rows)
 
 result = recover_key_targeting(transcript, "alice")
 print("eavesdropper recovers           :", result.recovered_key.rows)
 print(f"found exponent m' = {result.m_prime}, doubling bound t = {result.t}, "
       f"{result.op_count} pair operations (bound 2K = {2 * 10})")
-assert result.recovered_key == alice_key
+assert result.recovered_key == shared_key
 print()
 
 print("=== a plateau: the recovered exponent differs, the key does not ===")
@@ -43,7 +43,7 @@ flat = ProtocolParams(
     k=1, N=1000, K=8, op=SemigroupOpKind.CIRC,
     M=TropicalMatrix([[5]]), H=TropicalMatrix([[0]]),
 )
-transcript, key, _ = run_exchange(flat, Queue(7, 5))
+transcript, key = run_exchange(flat, Queue(7, 5))
 result = recover_key_targeting(transcript, "alice")
 print(f"true m = 7, recovered m' = {result.m_prime}, "
       f"recovered key {result.recovered_key.rows} == shared key {key.rows}")
@@ -54,11 +54,11 @@ print("=== the suggested full-size parameters fall in seconds ===")
 rng = Random(12345)
 params = setup(k=10, N=1000, K=200, op=SemigroupOpKind.CIRC, rng=rng)
 start = time.perf_counter()
-transcript, alice_key, _ = run_exchange(params, rng)
+transcript, shared_key = run_exchange(params, rng)
 exchanged = time.perf_counter()
 result = recover_key_targeting(transcript, "alice")
 done = time.perf_counter()
-assert result.recovered_key == alice_key
+assert result.recovered_key == shared_key
 print(f"k=10, entries in [-1000, 1000], 200-bit exponents:")
 print(f"  exchange took {exchanged - start:.2f}s, "
       f"attack took {done - exchanged:.2f}s, "

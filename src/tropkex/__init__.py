@@ -18,8 +18,6 @@ from .semidirect import (
     apply,
     op_circ,
     op_star,
-    pair_from_json,
-    pair_to_json,
     periodic_powers,
     power,
     powers,

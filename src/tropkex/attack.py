@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .protocol import PartyState, Transcript, derive_shared_key
+from .protocol import Transcript, derive_shared_key
 from .semidirect import (
     OpCounter,
     SemigroupOpKind,
@@ -223,14 +223,12 @@ def recover_key_targeting(
     m_prime, t, eve_pair = find_chain_exponent(
         params.op, params.M, params.H, searched, params.K, counter, cached
     )
-    eve = PartyState(exponent=m_prime, pair=eve_pair)
-    key = derive_shared_key(params, eve, other)
     return AttackResult(
         m_prime=m_prime,
         t=t,
         op_count=counter.count,
         eve_pair=eve_pair,
-        recovered_key=key,
+        recovered_key=derive_shared_key(params, eve_pair, other),
     )
 
 

@@ -32,7 +32,6 @@ from typing import Sequence
 from .attack import AttackError, find_chain_exponent
 from .protocol import (
     KeyAgreementError,
-    PartyState,
     derive_shared_key,
     draw_exponent,
     party_powers,
@@ -116,9 +115,7 @@ def _run_trial(k: int, config: RunConfig, trial: int):
             params.op, params.M, params.H, alice.public_message, params.K
         )
         found = time.perf_counter()
-        recovered = derive_shared_key(
-            params, PartyState(exponent=m_prime, pair=eve_pair), bob.public_message
-        )
+        recovered = derive_shared_key(params, eve_pair, bob.public_message)
         done = time.perf_counter()
     finally:
         if gc_was_enabled:

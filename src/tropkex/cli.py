@@ -3,7 +3,7 @@
 Subcommands:
 
   gen       draw public parameters and write them as JSON
-  exchange  run a key exchange, write the transcript and both keys
+  exchange  run a key exchange, write the transcript and the shared key
   attack    read a transcript, recover the key, write the result as JSON
   bench     run the timing/key-size experiment grid, write CSV
 
@@ -15,9 +15,10 @@ the digit limit or nest too deeply to parse), 5 for attack failures;
 the matching category is printed to stderr as
 ``error:<category>: <message>``.
 
-Params and transcript files are capped at k <= 30 and K <= 4096
-(``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``); a file asking
-for more is malformed input and exits 4 before any matrix is parsed.
+Every set of params is capped at k <= 30 and K <= 4096
+(``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``), checked before
+any pair operation: a params or transcript file asking for more is
+malformed input and exits 4, flags asking for more exit 2.
 """
 
 from __future__ import annotations
@@ -170,19 +171,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_exchange(args) -> int:
+    rng = Random(_resolve_seed(args.seed))
     if args.params is not None:
         params = params_from_json(_load_json(args.params))
-        rng = Random(_resolve_seed(args.seed))
     else:
-        rng = Random(_resolve_seed(args.seed))
         params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
-    transcript, alice_key, bob_key = run_exchange(params, rng)
+    transcript, key = run_exchange(params, rng)
     _emit(json.dumps(transcript_to_json(transcript), indent=2), args.out)
-    keys = {
-        "alice_key": matrix_to_json(alice_key),
-        "bob_key": matrix_to_json(bob_key),
-    }
-    _emit(json.dumps(keys, indent=2), args.keys_out)
+    # Both parties derived this key; the file names it once per party.
+    key_json = matrix_to_json(key)
+    _emit(json.dumps({"alice_key": key_json, "bob_key": key_json}, indent=2), args.keys_out)
     return EXIT_OK
 
 

@@ -43,12 +43,20 @@ from .tropical import (
 )
 
 
-# Caps on what a params file may ask for, checked by ``params_from_json``
-# before any matrix is parsed: a k-by-k operation costs ~k^3 and a
-# recovery up to ~2K of them, so a hostile file cannot request unbounded
-# work.  The suggested sizes (k up to 30, K = 200) are within both.
+# Caps on every ``ProtocolParams``, however made (``setup``, a params or
+# transcript file, CLI flags), checked when it is made and so before any
+# pair operation (``setup`` checks before it draws the matrices): a k-by-k
+# operation costs ~k^3 and a recovery up to ~2K of them, so no input can
+# request unbounded work.  The suggested sizes (k up to 30, K = 200) are
+# within both.
 MAX_K = 30
 MAX_EXPONENT_BITS = 4096
+
+
+def _check_caps(k: int, K: int) -> None:
+    for name, value, cap in (("k", k, MAX_K), ("K", K, MAX_EXPONENT_BITS)):
+        if value > cap:
+            raise ValueError(f"{name} is {value}, above the cap of {cap}")
 
 
 class KeyAgreementError(RuntimeError):
@@ -74,6 +82,7 @@ class ProtocolParams:
             raise ValueError("N must be >= 0")
         if self.K < 1:
             raise ValueError("K must be >= 1")
+        _check_caps(self.k, self.K)
         if self.M.k != self.k or self.H.k != self.k:
             raise DimensionMismatchError("M and H must be k-by-k")
         for mat in (self.M, self.H):
@@ -115,6 +124,7 @@ class Transcript:
 
 def setup(k: int, N: int, K: int, op: SemigroupOpKind, rng: Random) -> ProtocolParams:
     """Draw public matrices M then H uniformly with entries in [-N, N]."""
+    _check_caps(k, K)
     m = random_matrix(k, N, rng)
     h = random_matrix(k, N, rng)
     return ProtocolParams(k=k, N=N, K=K, op=op, M=m, H=h)
@@ -148,10 +158,10 @@ def party_powers(params: ProtocolParams, exponents: Sequence[int]) -> tuple[Semi
 
 def derive_shared_key(
     params: ProtocolParams,
-    own: PartyState,
+    own_pair: SemigroupPair,
     other_message: TropicalMatrix,
 ) -> TropicalMatrix:
-    """First component of (partner_pair combined with own pair).
+    """First component of (partner_pair combined with ``own_pair``).
 
     The partner enters as the left factor, so only its public first
     component is needed (see ``semidirect``).  Powers of the shared base
@@ -161,7 +171,7 @@ def derive_shared_key(
         raise DimensionMismatchError(
             f"partner message is {other_message.k}x{other_message.k}, expected {params.k}"
         )
-    return product_first(params.op, other_message, own.pair)
+    return product_first(params.op, other_message, own_pair)
 
 
 def run_parties(
@@ -176,22 +186,20 @@ def run_parties(
     """
     exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
     alice, bob = map(PartyState, exponents, party_powers(params, exponents))
-    key = derive_shared_key(params, alice, bob.public_message)
-    if key != derive_shared_key(params, bob, alice.public_message):
+    key = derive_shared_key(params, alice.pair, bob.public_message)
+    if key != derive_shared_key(params, bob.pair, alice.public_message):
         raise KeyAgreementError(
             f"parties disagree on the shared key (k={params.k}, K={params.K})"
         )
     return alice, bob, key
 
 
-def run_exchange(
-    params: ProtocolParams, rng: Random
-) -> tuple[Transcript, TropicalMatrix, TropicalMatrix]:
+def run_exchange(params: ProtocolParams, rng: Random) -> tuple[Transcript, TropicalMatrix]:
     """Run a full exchange (see ``run_parties``).
 
-    Returns the eavesdropper-visible transcript plus both derived keys.
-    Raises KeyAgreementError if the keys disagree, which would mean the
-    scheme itself is broken in a way this package does not expect.
+    Returns the eavesdropper-visible transcript and the shared key, which
+    both parties derived.  Raises KeyAgreementError if their derivations
+    differ, which under circ would mean the scheme itself is broken.
     """
     alice, bob, key = run_parties(params, rng)
     transcript = Transcript(
@@ -199,7 +207,7 @@ def run_exchange(
         alice_message=alice.public_message,
         bob_message=bob.public_message,
     )
-    return transcript, key, key
+    return transcript, key
 
 
 def params_to_json(params: ProtocolParams) -> dict:
@@ -223,9 +231,6 @@ def params_from_json(obj) -> ProtocolParams:
     for name, value in (("k", k), ("N", n_bound), ("K", exp_bits)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise FormatError(f"'{name}' must be an integer")
-    for name, value, cap in (("k", k, MAX_K), ("K", exp_bits, MAX_EXPONENT_BITS)):
-        if value > cap:
-            raise FormatError(f"'{name}' is {value}, above the cap of {cap}")
     try:
         return ProtocolParams(
             k=k,

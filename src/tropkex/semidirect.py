@@ -22,9 +22,12 @@ depend on the multiplication order, so ``power`` (which combines the
 squares in ascending bit order) and the two step-by-step folds can
 disagree for k >= 2; the key exchange over star can fail to agree; and
 the chain search over star can step off the chain.  Only the left fold
-base * (base * (... )) yields the monotone first-component chain, so
-chain-related code uses that order for star.  Everything is consistent
-for k == 1, where transposition is trivial and star is associative.
+base * (base * (... )) yields the monotone first-component chain, and no
+code in this package folds that way: ``powers`` and the attack's
+doubling and descent all multiply the new factor on the right, and only
+the tests' oracle ``chain_fold`` builds the left fold for star.
+Everything is consistent for k == 1, where transposition is trivial and
+star is associative.
 
 There are two ways to power.  ``powers`` is one least-bit-first pass
 for either law: it squares the base once per bit and folds each square
@@ -56,8 +59,7 @@ from itertools import repeat
 from operator import add, sub
 from typing import Iterator, Sequence
 
-from .tropical import DimensionMismatchError, FormatError, TropicalMatrix, _flatten, _wrap_flat
-from .tropical import matrix_from_json, matrix_to_json
+from .tropical import DimensionMismatchError, TropicalMatrix, _flatten, _wrap_flat
 
 
 class SemigroupOpKind(Enum):
@@ -349,12 +351,3 @@ def periodic_powers(
             results[j] = _shifted(window[r - 1 - period], q * c_first, q * c_second)
     return tuple(results)
 
-
-def pair_to_json(p: SemigroupPair) -> dict:
-    return {"first": matrix_to_json(p.first), "second": matrix_to_json(p.second)}
-
-
-def pair_from_json(obj) -> SemigroupPair:
-    if not isinstance(obj, dict) or "first" not in obj or "second" not in obj:
-        raise FormatError("pair must be a JSON object with 'first' and 'second'")
-    return SemigroupPair(matrix_from_json(obj["first"]), matrix_from_json(obj["second"]))

@@ -23,6 +23,7 @@ from tropkex import (
     setup,
 )
 from tropkex.attack import _bisect_chain
+from tropkex.protocol import MAX_EXPONENT_BITS
 
 from _oracles import chain_fold, naive_apply
 
@@ -155,6 +156,23 @@ def test_binary_search_no_match():
         _bisect(squares, m1(-7), t)
 
 
+def test_worst_case_at_the_exponent_cap():
+    """The most a recovery can cost at K = MAX_EXPONENT_BITS.  On the 1x1
+    chain 10, -3, -6, ..., X_m = -3(m - 1) for m >= 2, so X_(2^l) =
+    -3(2^l - 1): a target just below X_(2^4095), off the chain, needs all
+    t = 4096 squarings and then all 4096 descent steps before it is
+    rejected; a target below X_(2^4096) exhausts the doubling alone."""
+    cases = {
+        -3 * 2**4095 - 1: 2 * MAX_EXPONENT_BITS,
+        -3 * 2**4096 - 10**6: MAX_EXPONENT_BITS,
+    }
+    for target, applications in cases.items():
+        counter = OpCounter()
+        with pytest.raises(ExponentNotFoundError):
+            find_chain_exponent(CIRC, m1(10), m1(-3), m1(target), MAX_EXPONENT_BITS, counter)
+        assert counter.count == applications
+
+
 def test_binary_search_incomparable_probe():
     # doubling passes (the target sits below the whole chain is false here);
     # force incomparability against a probe by handing the search a target
@@ -183,8 +201,8 @@ def test_recover_key_pinned_instance():
         def randint(self, lo, hi):
             return self.v.pop(0)
 
-    transcript, alice_key, bob_key = run_exchange(params, Queue(2, 3))
-    assert alice_key == m1(-12)
+    transcript, key = run_exchange(params, Queue(2, 3))
+    assert key == m1(-12)
     result = recover_key_targeting(transcript, "alice")
     assert result.recovered_key == m1(-12)
     assert result.m_prime == 2  # chain is strictly decreasing here
@@ -203,12 +221,10 @@ def test_recover_key_random_circ_transcripts():
         bob_exp = rng.randint(1, 2**exp_bits - 1)
         alice_pair = power(CIRC, params.base_pair, alice_exp)
         bob_pair = power(CIRC, params.base_pair, bob_exp)
-        from tropkex import PartyState, Transcript, derive_shared_key
+        from tropkex import Transcript, derive_shared_key
 
         transcript = Transcript(params, alice_pair.first, bob_pair.first)
-        shared = derive_shared_key(
-            params, PartyState(alice_exp, alice_pair), bob_pair.first
-        )
+        shared = derive_shared_key(params, alice_pair, bob_pair.first)
 
         result = recover_key_targeting(transcript, "alice")
         assert result.recovered_key == shared
@@ -230,7 +246,7 @@ def test_reference_variant_counts():
     rng = Random(15)
     for exp_bits in (8, 16, 32):
         params = setup(3, 100, exp_bits, CIRC, rng)
-        transcript, alice_key, _ = run_exchange(params, rng)
+        transcript, alice_key = run_exchange(params, rng)
 
         cached = recover_key_targeting(transcript, "alice", cached=True)
         uncached = recover_key_targeting(transcript, "alice", cached=False)
@@ -244,7 +260,7 @@ def test_reference_variant_counts():
 def test_attack_determinism():
     rng = Random(21)
     params = setup(4, 100, 12, CIRC, rng)
-    transcript, _, _ = run_exchange(params, rng)
+    transcript, _ = run_exchange(params, rng)
     first = recover_key_targeting(transcript, "alice")
     second = recover_key_targeting(transcript, "alice")
     assert first == second  # includes m_prime, t, op_count, keys
@@ -254,7 +270,7 @@ def test_recover_key_targeting_bob():
     rng = Random(27)
     for trial in range(40):
         params = setup(1 + trial % 4, 100, 10, CIRC, rng)
-        transcript, alice_key, _ = run_exchange(params, rng)
+        transcript, alice_key = run_exchange(params, rng)
         via_alice = recover_key_targeting(transcript, "alice")
         via_bob = recover_key_targeting(transcript, "bob")
         assert via_alice.recovered_key == via_bob.recovered_key == alice_key
@@ -277,20 +293,20 @@ def test_plateau_instance_both_targets():
         def randint(self, lo, hi):
             return self.v.pop(0)
 
-    transcript, alice_key, bob_key = run_exchange(params, Queue(7, 5))
-    assert alice_key == bob_key == m1(0)
+    transcript, key = run_exchange(params, Queue(7, 5))
+    assert key == m1(0)
     res_a = recover_key_targeting(transcript, "alice")
     res_b = recover_key_targeting(transcript, "bob")
     assert res_a.m_prime == 2 != 7  # found a smaller index with the same first
     assert res_b.m_prime == 2 != 5
-    assert res_a.recovered_key == res_b.recovered_key == alice_key
+    assert res_a.recovered_key == res_b.recovered_key == key
 
 
 def test_star_attack_on_1x1_works():
     rng = Random(33)
     for _ in range(40):
         params = setup(1, 100, 10, STAR, rng)
-        transcript, alice_key, _ = run_exchange(params, rng)
+        transcript, alice_key = run_exchange(params, rng)
         assert recover_key_targeting(transcript, "alice").recovered_key == alice_key
 
 
@@ -300,7 +316,7 @@ def test_star_attack_can_fail_off_chain_for_k_at_least_2():
     transcript; with this frozen seed it raises instead of recovering."""
     rng = Random(4)
     params = setup(3, 30, 8, STAR, rng)
-    transcript, _, _ = run_exchange(params, rng)
+    transcript, _ = run_exchange(params, rng)
     with pytest.raises(AttackError):
         recover_key_targeting(transcript, "alice")
 
@@ -308,7 +324,7 @@ def test_star_attack_can_fail_off_chain_for_k_at_least_2():
 def test_find_chain_exponent_counter_totals():
     rng = Random(39)
     params = setup(3, 50, 16, CIRC, rng)
-    transcript, _, _ = run_exchange(params, rng)
+    transcript, _ = run_exchange(params, rng)
     counter = OpCounter()
     m_prime, t, pair = find_chain_exponent(
         CIRC, params.M, params.H, transcript.alice_message, params.K, counter
@@ -322,7 +338,7 @@ def test_find_chain_exponent_counter_totals():
 def test_attack_result_json():
     rng = Random(45)
     params = setup(2, 50, 80, CIRC, rng)  # m' will not fit in 64 bits
-    transcript, alice_key, _ = run_exchange(params, rng)
+    transcript, alice_key = run_exchange(params, rng)
     result = recover_key_targeting(transcript, "alice")
     obj = attack_result_to_json(result)
     assert set(obj) == {"m_prime", "t", "op_count", "recovered_key"}

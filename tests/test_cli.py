@@ -8,6 +8,7 @@ from contextlib import redirect_stderr
 from pathlib import Path
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tropkex import (
@@ -22,9 +23,9 @@ from tropkex import (
     setup,
     transcript_from_json,
 )
-from tropkex import cli
+from tropkex import cli, protocol
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
-from tropkex.protocol import MAX_EXPONENT_BITS
+from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 from tropkex.semidirect import product_first
 
 
@@ -209,7 +210,7 @@ def test_seed_env_var(tmp_path, monkeypatch):
     assert run_cli("gen", "--k", "2", "--N", "5", "--K", "4") == EXIT_FORMAT
 
 
-def test_error_exit_codes(tmp_path, capsys):
+def test_error_exit_codes(tmp_path, capsys, monkeypatch):
     # missing transcript file
     assert run_cli("attack", "--transcript", str(tmp_path / "nope.json")) == EXIT_IO
     assert capsys.readouterr().err.startswith("error:io:")
@@ -253,6 +254,34 @@ def test_error_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:format:"), name
         assert run_cli("exchange", "--params", str(path)) == EXIT_FORMAT, name
         assert capsys.readouterr().err.startswith("error:format:"), name
+
+    # a cap read from a file is malformed input
+    over_cap = params_to_json(setup(2, 5, 4, SemigroupOpKind.CIRC, Random(0)))
+    over_cap["K"] = MAX_EXPONENT_BITS + 1
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps(over_cap))
+    assert run_cli("exchange", "--params", str(capped)) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith("error:format:")
+
+    # params above a cap are a usage error on every path that makes them,
+    # refused before any matrix is drawn, and nothing is written
+    def no_draw(*args):
+        raise AssertionError("matrix drawn for params above a cap")
+
+    monkeypatch.setattr(protocol, "random_matrix", no_draw)
+    for argv in (
+        ("gen", "--k", str(MAX_K + 1)),
+        ("gen", "--K", str(MAX_EXPONENT_BITS + 1)),
+        ("exchange", "--K", str(MAX_EXPONENT_BITS + 1), "--keys-out", str(tmp_path / "k.json")),
+        ("bench", "--k", str(MAX_K + 1), "--trials", "1"),
+    ):
+        out = tmp_path / "capped.out"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error:usage:"), argv
+        assert not out.exists() and not (tmp_path / "k.json").exists(), argv
+    with pytest.raises(ValueError):
+        setup(MAX_K + 1, 10, 4, SemigroupOpKind.CIRC, Random(0))
+    monkeypatch.undo()
 
     # usage errors from argparse
     assert run_cli("no-such-command") == EXIT_USAGE

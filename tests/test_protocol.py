@@ -7,7 +7,6 @@ from tropkex import (
     DimensionMismatchError,
     FormatError,
     KeyAgreementError,
-    PartyState,
     ProtocolParams,
     SemigroupOpKind,
     SemigroupPair,
@@ -111,15 +110,13 @@ def test_derive_shared_key_1x1_circ():
     # own pair (X, P) = (1, 3), partner message Y = 0:
     # key = min(Y, X, P, Y + P) = min(0, 1, 3, 3) = 0
     params = params_1x1(1, 3)
-    own = PartyState(exponent=1, pair=params.base_pair)
-    assert derive_shared_key(params, own, TropicalMatrix([[0]])) == TropicalMatrix([[0]])
+    assert derive_shared_key(params, params.base_pair, TropicalMatrix([[0]])) == TropicalMatrix([[0]])
 
 
 def test_derive_shared_key_1x1_star():
     # star: key = min(P + Y, Y + P, X) with scalars
     params = params_1x1(1, 3, op=STAR)
-    own = PartyState(exponent=1, pair=params.base_pair)
-    assert derive_shared_key(params, own, TropicalMatrix([[0]])) == TropicalMatrix([[1]])
+    assert derive_shared_key(params, params.base_pair, TropicalMatrix([[0]])) == TropicalMatrix([[1]])
 
 
 def test_derive_shared_key_matches_oracle():
@@ -130,17 +127,16 @@ def test_derive_shared_key_matches_oracle():
         for k in range(1, 6):
             params = setup(k, 50, 4, op, rng)
             for _ in range(10):
-                own = PartyState(exponent=1, pair=random_pair(rng, k))
+                own = random_pair(rng, k)
                 y, x = random_mat(rng, k), random_mat(rng, k)
-                oracle = naive_apply(op, SemigroupPair(y, x), own.pair).first
+                oracle = naive_apply(op, SemigroupPair(y, x), own).first
                 assert derive_shared_key(params, own, y) == oracle
 
 
 def test_derive_dimension_check():
     params = params_1x1(1, 3)
-    own = PartyState(exponent=1, pair=params.base_pair)
     with pytest.raises(DimensionMismatchError):
-        derive_shared_key(params, own, TropicalMatrix([[0, 1], [2, 3]]))
+        derive_shared_key(params, params.base_pair, TropicalMatrix([[0, 1], [2, 3]]))
 
 
 def test_exchange_agreement_and_oracle_circ():
@@ -149,8 +145,8 @@ def test_exchange_agreement_and_oracle_circ():
         k = 1 + trial % 4
         params = setup(k, 100, 10, CIRC, rng)
         alice, bob, key = run_parties(params, rng)
-        alice_key = derive_shared_key(params, alice, bob.public_message)
-        bob_key = derive_shared_key(params, bob, alice.public_message)
+        alice_key = derive_shared_key(params, alice.pair, bob.public_message)
+        bob_key = derive_shared_key(params, bob.pair, alice.public_message)
         assert alice_key == bob_key == key
         # independent oracle: first component of base^(m+n), folded naively
         oracle = chain_fold(CIRC, params.base_pair, alice.exponent + bob.exponent)
@@ -161,8 +157,8 @@ def test_exchange_agreement_star_1x1():
     rng = Random(73)
     for _ in range(80):
         params = setup(1, 100, 10, STAR, rng)
-        transcript, alice_key, bob_key = run_exchange(params, rng)
-        assert alice_key == bob_key
+        # run_exchange raises KeyAgreementError if the parties disagree
+        transcript, _ = run_exchange(params, rng)
         assert transcript.params is params
 
 
@@ -185,20 +181,20 @@ def test_key_ignores_partner_second_component():
         # drawn and powered one by one: over star the keys may disagree,
         # which run_parties would raise on
         a, b = draw_exponent(params, rng), draw_exponent(params, rng)
-        alice = PartyState(exponent=a, pair=power(op, params.base_pair, a))
+        alice_pair = power(op, params.base_pair, a)
         bob_message = power(op, params.base_pair, b).first
-        key = derive_shared_key(params, alice, bob_message)
+        key = derive_shared_key(params, alice_pair, bob_message)
         for _ in range(5):
             fake_second = random_pair(rng, 3).second
-            forged = PartyState(exponent=b, pair=SemigroupPair(bob_message, fake_second))
-            assert derive_shared_key(params, alice, forged.public_message) == key
+            forged = SemigroupPair(bob_message, fake_second)
+            assert derive_shared_key(params, alice_pair, forged.first) == key
 
 
 def test_run_exchange_pinned_key():
     # circ, 1x1, M=10, H=-3, m=2, n=3: chain firsts 10, -3, -6, -9, -12
     params = params_1x1(10, -3)
-    transcript, alice_key, bob_key = run_exchange(params, FixedExponents(2, 3))
-    assert alice_key == bob_key == TropicalMatrix([[-12]])
+    transcript, key = run_exchange(params, FixedExponents(2, 3))
+    assert key == TropicalMatrix([[-12]])
     assert transcript.alice_message == TropicalMatrix([[-3]])
     assert transcript.bob_message == TropicalMatrix([[-6]])
 
@@ -229,7 +225,7 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
     paths = set()
     for params, a, b in trials:
         calls = 0
-        transcript, alice_key, bob_key = run_exchange(params, FixedExponents(a, b))
+        transcript, key = run_exchange(params, FixedExponents(a, b))
         formula = (max(a, b).bit_length() - 1) + (bin(a).count("1") - 1) + (bin(b).count("1") - 1)
         walked, certified = periodic_cost(params.base_pair, (a, b), formula)
         assert calls == (walked if certified else walked + formula)
@@ -237,14 +233,14 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
         base = params.base_pair
         assert transcript.alice_message == chain_fold(CIRC, base, a).first
         assert transcript.bob_message == chain_fold(CIRC, base, b).first
-        assert alice_key == bob_key == chain_fold(CIRC, base, a + b).first
+        assert key == chain_fold(CIRC, base, a + b).first
     assert paths == {True, False}
 
 
 def test_transcript_round_trip_and_privacy():
     rng = Random(83)
     params = setup(3, 1000, 16, CIRC, rng)
-    transcript, _, _ = run_exchange(params, rng)
+    transcript, _ = run_exchange(params, rng)
     obj = transcript_to_json(transcript)
     # bit-exact round trip through real JSON text
     again = transcript_from_json(json.loads(json.dumps(obj)))
@@ -289,7 +285,7 @@ def _resize(obj, k):
 def test_transcript_from_json_rejects_bad_input(mutate):
     rng = Random(89)
     params = setup(2, 5, 4, CIRC, rng)
-    transcript, _, _ = run_exchange(params, rng)
+    transcript, _ = run_exchange(params, rng)
     obj = transcript_to_json(transcript)
     mutate(obj)
     with pytest.raises(FormatError):

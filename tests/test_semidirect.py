@@ -11,8 +11,6 @@ from tropkex import (
     TropicalMatrix,
     op_circ,
     op_star,
-    pair_from_json,
-    pair_to_json,
     periodic_powers,
     power,
     powers,
@@ -402,13 +400,3 @@ def test_star_never_reaches_the_walk(monkeypatch):
     exponents = (40_000, 123)
     assert protocol.party_powers(params, exponents) == powers(STAR, params.base_pair, exponents)
 
-
-def test_pair_serialization_round_trip():
-    rng = Random(53)
-    p = random_pair(rng, 3, 10**40)
-    obj = pair_to_json(p)
-    assert pair_from_json(obj) == p
-    from tropkex import FormatError
-
-    with pytest.raises(FormatError):
-        pair_from_json({"first": obj["first"]})

@@ -1,4 +1,4 @@
-"""Every name a module or test imports is referenced in that file.
+"""Every name a module, test or demo imports is referenced in that file.
 
 The sources are parsed with ``ast``, never imported.  ``tropkex/__init__.py``
 is exempt: its import list is the package's API.
@@ -12,7 +12,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     path
-    for path in [*(ROOT / "src" / "tropkex").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for path in [
+        *(ROOT / "src" / "tropkex").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "demos").glob("*.py"),
+    ]
     if path.name != "__init__.py"
 )
 
