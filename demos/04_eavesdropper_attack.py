@@ -63,5 +63,6 @@ print(f"k=10, entries in [-1000, 1000], 200-bit exponents:")
 print(f"  exchange took {exchanged - start:.2f}s, "
       f"attack took {done - exchanged:.2f}s, "
       f"op_count {result.op_count} <= {2 * 200}")
-print("  growing K does not help the parties: they pay O(K) operations,")
-print("  and so does the eavesdropper.")
+print("  growing K does not help the parties: a circ exchange pays T + p")
+print("  operations (transient plus period) whatever K is, and the")
+print("  eavesdropper's at most 2K grow only linearly in K.")

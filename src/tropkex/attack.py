@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .protocol import Transcript, derive_shared_key
+from .protocol import ProtocolParams, Transcript, derive_shared_key
 from .semidirect import (
     OpCounter,
     SemigroupOpKind,
@@ -41,13 +41,7 @@ from .semidirect import (
     apply,
     power,
 )
-from .tropical import (
-    ChainOrdering,
-    DimensionMismatchError,
-    TropicalMatrix,
-    chain_compare,
-    matrix_to_json,
-)
+from .tropical import ChainOrdering, TropicalMatrix, chain_compare, matrix_to_json
 
 
 class AttackError(Exception):
@@ -76,57 +70,50 @@ class AttackResult:
 
 
 def doubling_phase(
-    op: SemigroupOpKind,
-    m: TropicalMatrix,
-    h: TropicalMatrix,
+    params: ProtocolParams,
     target: TropicalMatrix,
-    max_levels: int,
     counter: OpCounter | None = None,
-) -> tuple[int, tuple[SemigroupPair, ...]]:
+) -> tuple[SemigroupPair, ...]:
     """Square (M, H) until the chain reaches the target or goes below it.
 
-    Returns the least t with M_{2^t} <= target together with the ladder of
-    squares up to level t: ``squares[i]`` is (M, H)^(2^i), so
-    ``squares[0]`` is the base.  Honest targets satisfy t <= K because the
-    hidden exponent is below 2^K.  Costs at most ``max_levels``
-    applications.
+    Returns the ladder of squares up to the least t with M_{2^t} <= target:
+    ``squares[i]`` is (M, H)^(2^i), so ``squares[0]`` is the base and t is
+    ``len(squares) - 1``.  Honest targets satisfy t <= K because the
+    hidden exponent is below 2^K, so the phase costs at most K
+    applications.  A target of the wrong size fails in ``chain_compare``
+    at level 0, before any application.
 
     Under circ, M_{j+1} = M_j + M + H + (M_j * H) depends on M_j alone,
     so two equal consecutive squares M_{2^l} == M_{2^(l+1)} mean the
     chain is constant from index 2^l on.  Still above the target, it
     never reaches it, and the phase stops at once.
     """
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
-    if target.k != m.k:
-        raise DimensionMismatchError(
-            f"target is {target.k}x{target.k}, expected {m.k}"
-        )
-    square = base = SemigroupPair(m, h)
-    squares = [base]
+    op, K = params.op, params.K
+    square = params.base_pair
+    squares = [square]
     stationary_exit = op is SemigroupOpKind.CIRC
-    for level in range(max_levels + 1):
+    for level in range(K + 1):
         relation = chain_compare(square.first, target)
         if relation is ChainOrdering.GREATER:
-            if level == max_levels:
+            if level == K:
                 raise ExponentNotFoundError(
-                    f"chain never descended to the target within 2^{max_levels}; "
+                    f"chain never descended to the target within 2^{K}; "
                     "the transcript is malformed or the bound is wrong"
                 )
-            previous, square = square, apply(op, square, square, counter)
-            squares.append(square)
-            if stationary_exit and square.first == previous.first:
+            square = apply(op, square, square, counter)
+            if stationary_exit and square.first == squares[-1].first:
                 raise ExponentNotFoundError(
                     f"chain is constant from index 2^{level} on and still above "
                     "the target; the transcript is malformed"
                 )
+            squares.append(square)
         elif relation is ChainOrdering.INCOMPARABLE:
             raise ChainViolationError(
                 f"chain element at level {level} is incomparable with the target; "
                 "the intercepted matrix was not generated from these parameters"
             )
         else:
-            return level, tuple(squares)
+            return tuple(squares)
     raise AssertionError("unreachable")
 
 
@@ -134,19 +121,19 @@ def _bisect_chain(
     op: SemigroupOpKind,
     squares: tuple[SemigroupPair, ...],
     target: TropicalMatrix,
-    t: int,
     counter: OpCounter | None,
     cached: bool,
 ) -> tuple[int, SemigroupPair]:
     """Find the least exponent whose first component equals the target.
 
-    Precondition, established by ``doubling_phase``: the first component
-    of ``squares[t]`` lies at or below the target and, when t >= 1, that
-    of ``squares[t - 1]`` lies strictly above it.  On the monotone chain
-    the exponents strictly above the target form a prefix [1, m' - 1], so
-    binary lifting finds its end e from the top bit down: start at
-    e = 2^(t-1), and for i = t-2 ... 0 keep e + 2^i if its first component
-    is still above the target.  The answer is m' = e + 1.
+    Precondition, established by ``doubling_phase``, with t the top level
+    of ``squares``: the first component of ``squares[t]`` lies at or below
+    the target and, when t >= 1, that of ``squares[t - 1]`` lies strictly
+    above it.  On the monotone chain the exponents strictly above the
+    target form a prefix [1, m' - 1], so binary lifting finds its end e
+    from the top bit down: start at e = 2^(t-1), and for i = t-2 ... 0
+    keep e + 2^i if its first component is still above the target.  The
+    answer is m' = e + 1.
 
     With ``cached`` each candidate is the kept power times ``squares[i]``
     (powers of one element commute under circ), one application per bit:
@@ -155,7 +142,7 @@ def _bisect_chain(
     and returns the same m'.  Returns m' with its pair, so callers get
     (A, P_E) without re-running the powering.
     """
-    base = squares[0]
+    base, t = squares[0], len(squares) - 1
     e = 1 << t >> 1  # 2^(t-1), or 0 when t == 0
     acc = squares[t - 1] if t else None
     for i in range(t - 2, -1, -1):
@@ -187,18 +174,15 @@ def _bisect_chain(
 
 
 def find_chain_exponent(
-    op: SemigroupOpKind,
-    m: TropicalMatrix,
-    h: TropicalMatrix,
+    params: ProtocolParams,
     target: TropicalMatrix,
-    max_levels: int,
     counter: OpCounter | None = None,
     cached: bool = True,
 ) -> tuple[int, int, SemigroupPair]:
     """Both attack phases in sequence: returns (m', t, (M, H)^{m'})."""
-    t, squares = doubling_phase(op, m, h, target, max_levels, counter)
-    m_prime, pair = _bisect_chain(op, squares, target, t, counter, cached)
-    return m_prime, t, pair
+    squares = doubling_phase(params, target, counter)
+    m_prime, pair = _bisect_chain(params.op, squares, target, counter, cached)
+    return m_prime, len(squares) - 1, pair
 
 
 def recover_key_targeting(
@@ -220,9 +204,7 @@ def recover_key_targeting(
     else:
         raise ValueError(f"target must be 'alice' or 'bob', got {target!r}")
     counter = OpCounter()
-    m_prime, t, eve_pair = find_chain_exponent(
-        params.op, params.M, params.H, searched, params.K, counter, cached
-    )
+    m_prime, t, eve_pair = find_chain_exponent(params, searched, counter, cached)
     return AttackResult(
         m_prime=m_prime,
         t=t,

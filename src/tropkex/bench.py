@@ -25,13 +25,14 @@ import csv
 import gc
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
 from typing import Sequence
 
 from .attack import AttackError, find_chain_exponent
 from .protocol import (
     KeyAgreementError,
+    _check_caps,
     derive_shared_key,
     draw_exponent,
     party_powers,
@@ -40,18 +41,6 @@ from .protocol import (
 )
 from .semidirect import SemigroupOpKind
 from .tropical import TropicalMatrix
-
-CSV_HEADER = (
-    "k",
-    "alpha_bits",
-    "time_mprime_s",
-    "time_full_s",
-    "t_over_k3",
-    "t_over_alpha15",
-    "trials",
-    "plateau_fraction",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class ExperimentRow:
@@ -65,6 +54,9 @@ class ExperimentRow:
     t_over_alpha15: float
     trials: int
     plateau_fraction: float
+
+
+CSV_HEADER = tuple(field.name for field in fields(ExperimentRow))
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +76,9 @@ class RunConfig:
             raise ValueError("k_list must not be empty")
         if any(k < 1 for k in self.k_list):
             raise ValueError("every k must be >= 1")
+        # here rather than in each trial's setup, so a k above the cap fails
+        # before the trials of the smaller k run
+        _check_caps(max(self.k_list), self.K)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -111,9 +106,7 @@ def _run_trial(k: int, config: RunConfig, trial: int):
     gc.disable()
     try:
         start = time.perf_counter()
-        m_prime, _, eve_pair = find_chain_exponent(
-            params.op, params.M, params.H, alice.public_message, params.K
-        )
+        m_prime, _, eve_pair = find_chain_exponent(params, alice.public_message)
         found = time.perf_counter()
         recovered = derive_shared_key(params, eve_pair, bob.public_message)
         done = time.perf_counter()

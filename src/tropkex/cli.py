@@ -7,13 +7,13 @@ Subcommands:
   attack    read a transcript, recover the key, write the result as JSON
   bench     run the timing/key-size experiment grid, write CSV
 
-Every command takes --seed; when absent, the TROPKEX_SEED environment
-variable is used, and failing that, seed 0.  Exit codes are 0 on
-success, 2 for usage errors, 3 for I/O errors, 4 for malformed input
-files (including files that are not UTF-8, hold an int literal past
-the digit limit or nest too deeply to parse), 5 for attack failures;
-the matching category is printed to stderr as
-``error:<category>: <message>``.
+gen, exchange and bench take --seed (attack draws nothing); when
+absent, the TROPKEX_SEED environment variable is used, and failing
+that, seed 0.  Exit codes are 0 on success, 2 for usage errors, 3 for
+I/O errors, 4 for malformed input files (including files that are not
+UTF-8, hold an int literal past the digit limit or nest too deeply to
+parse), 5 for attack failures; the matching category is printed to
+stderr as ``error:<category>: <message>``.
 
 Every set of params is capped at k <= 30 and K <= 4096
 (``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``), checked before
@@ -97,7 +97,6 @@ def _load_json(path: str):
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, default=10, help="matrix dimension")
     parser.add_argument("--N", type=int, default=1000, help="entry bound for M and H")
     parser.add_argument("--K", type=int, default=200, help="private exponent bit bound")
     parser.add_argument(
@@ -116,12 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate public protocol parameters")
-    _add_param_flags(p_gen)
+    p_ex = sub.add_parser("exchange", help="run one key exchange")
+    for p in (p_gen, p_ex):
+        p.add_argument("--k", type=int, default=10, help="matrix dimension")
+        _add_param_flags(p)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", default=None, help="params JSON path (default stdout)")
 
-    p_ex = sub.add_parser("exchange", help="run one key exchange")
-    _add_param_flags(p_ex)
     p_ex.add_argument("--params", default=None, help="reuse params from a 'gen' file")
     p_ex.add_argument("--seed", type=int, default=None)
     p_ex.add_argument("--out", default=None, help="transcript JSON path (default stdout)")
@@ -153,9 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_k_list_arg,
         help="comma-separated matrix dimensions, e.g. 5,10",
     )
-    p_bench.add_argument("--N", type=int, default=1000)
-    p_bench.add_argument("--K", type=int, default=200)
-    p_bench.add_argument("--op", choices=["circ", "star"], default="circ")
+    _add_param_flags(p_bench)
     p_bench.add_argument("--trials", type=int, default=40)
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")

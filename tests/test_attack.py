@@ -9,6 +9,7 @@ from tropkex import (
     DimensionMismatchError,
     ExponentNotFoundError,
     OpCounter,
+    ProtocolParams,
     SemigroupOpKind,
     SemigroupPair,
     TropicalMatrix,
@@ -35,29 +36,36 @@ def m1(x):
     return TropicalMatrix([[x]])
 
 
-def _bisect(squares, target, t):
-    m_prime, _ = _bisect_chain(CIRC, squares, target, t, None, True)
+def params_of(m, h, K=8):
+    # circ params over (m, h), with N the largest entry magnitude
+    n_bound = max(abs(e) for mat in (m, h) for row in mat.rows for e in row)
+    return ProtocolParams(k=m.k, N=n_bound, K=K, op=CIRC, M=m, H=h)
+
+
+def params_1x1(m, h, K=8):
+    return params_of(m1(m), m1(h), K)
+
+
+def _bisect(squares, target):
+    m_prime, _ = _bisect_chain(CIRC, squares, target, None, True)
     return m_prime
 
 
 def test_doubling_phase_examples():
     # chain firsts at powers of two: 10, -3, -9; stop once at or below -9
     counter = OpCounter()
-    t, squares = doubling_phase(CIRC, m1(10), m1(-3), m1(-9), 8, counter)
-    assert t == 2
+    squares = doubling_phase(params_1x1(10, -3), m1(-9), counter)
     assert counter.count == 2
     assert [s.first.rows[0][0] for s in squares] == [10, -3, -9]
     assert squares[0] == SemigroupPair(m1(10), m1(-3))
-    assert all(squares[i + 1] == apply(CIRC, squares[i], squares[i]) for i in range(t))
+    assert all(squares[i + 1] == apply(CIRC, squares[i], squares[i]) for i in range(len(squares) - 1))
 
     # a plateau instance: chain is 5, 0, 0, ... so level 1 already matches
-    t, squares = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
-    assert t == 1
+    assert len(doubling_phase(params_1x1(5, 0), m1(0))) == 2  # t == 1
 
     # the target equal to M itself stops immediately
     counter = OpCounter()
-    t, squares = doubling_phase(CIRC, m1(10), m1(-3), m1(10), 8, counter)
-    assert t == 0
+    squares = doubling_phase(params_1x1(10, -3), m1(10), counter)
     assert counter.count == 0
     assert squares == (SemigroupPair(m1(10), m1(-3)),)
 
@@ -67,23 +75,23 @@ def test_doubling_phase_unreachable_target():
     # square equals the first, so doubling stops there
     counter = OpCounter()
     with pytest.raises(ExponentNotFoundError):
-        doubling_phase(CIRC, m1(5), m1(0), m1(-(10**9)), 6, counter)
+        doubling_phase(params_1x1(5, 0, K=6), m1(-(10**9)), counter)
     assert counter.count == 2
 
     # strictly descending chain 10, -3, -6, ...: never stationary, so
     # the budget is consumed, never exceeded
     counter = OpCounter()
     with pytest.raises(ExponentNotFoundError):
-        doubling_phase(CIRC, m1(10), m1(-3), m1(-(10**9)), 6, counter)
+        doubling_phase(params_1x1(10, -3, K=6), m1(-(10**9)), counter)
     assert counter.count == 6
 
 
 def test_doubling_phase_stationary_chain_exits_early():
     # chain 1, 0, 0, ...: without the stationary exit doubling would run
-    # all 10**7 levels before giving up
+    # all MAX_EXPONENT_BITS levels before giving up
     counter = OpCounter()
     with pytest.raises(ExponentNotFoundError):
-        doubling_phase(CIRC, m1(1), m1(0), m1(-1), 10**7, counter)
+        doubling_phase(params_1x1(1, 0, K=MAX_EXPONENT_BITS), m1(-1), counter)
     assert counter.count <= 3
 
 
@@ -92,45 +100,44 @@ def test_doubling_phase_incomparable_target():
     h = TropicalMatrix([[1, 1], [1, 1]])
     off_chain = TropicalMatrix([[-1, 1], [0, 0]])
     with pytest.raises(ChainViolationError):
-        doubling_phase(CIRC, m, h, off_chain, 8)
+        doubling_phase(params_of(m, h), off_chain)
 
 
 def test_doubling_phase_input_checks():
+    # a wrong-size target is refused before any application
+    counter = OpCounter()
     with pytest.raises(DimensionMismatchError):
-        doubling_phase(CIRC, m1(0), m1(0), TropicalMatrix([[0, 0], [0, 0]]), 4)
-    with pytest.raises(ValueError):
-        doubling_phase(CIRC, m1(0), m1(0), m1(0), 0)
+        doubling_phase(params_1x1(0, 0, K=4), TropicalMatrix([[0, 0], [0, 0]]), counter)
+    assert counter.count == 0
 
 
 def test_binary_search_examples():
-    base_m, base_h = m1(10), m1(-3)
-    t, squares = doubling_phase(CIRC, base_m, base_h, m1(-9), 8)
-    assert _bisect(squares, m1(-9), t) == 4
+    params = params_1x1(10, -3)
+    assert _bisect(doubling_phase(params, m1(-9)), m1(-9)) == 4
 
     # plateau: any index whose first equals the target is acceptable
-    t, squares = doubling_phase(CIRC, m1(5), m1(0), m1(0), 8)
-    assert _bisect(squares, m1(0), t) == 2
+    assert _bisect(doubling_phase(params_1x1(5, 0), m1(0)), m1(0)) == 2
 
-    t, squares = doubling_phase(CIRC, base_m, base_h, m1(10), 8)
-    assert _bisect(squares, m1(10), t) == 1
+    assert _bisect(doubling_phase(params, m1(10)), m1(10)) == 1
 
 
-def _search_oracle_bases():
+def _search_oracle_params():
     # N = 0 draws plateau from the first element on
     rng = Random(11)
     for k in range(1, 5):
         for n_bound in (0, 10):
-            yield setup(k, n_bound, 8, CIRC, rng).base_pair
+            yield setup(k, n_bound, 8, CIRC, rng)
     # paths along the superdiagonal of H shorten the chain by one per step
     # until index 5, where it plateaus; a bisection over [1, 8] probes 4,
     # then 6, and would return 6
     h = TropicalMatrix([[-1 if j == i + 1 else 10 for j in range(5)] for i in range(5)])
-    yield SemigroupPair(TropicalMatrix([[0] * 5 for _ in range(5)]), h)
+    yield params_of(TropicalMatrix([[0] * 5 for _ in range(5)]), h)
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "reference"])
 def test_search_finds_least_matching_exponent(cached):
-    for base in _search_oracle_bases():
+    for params in _search_oracle_params():
+        base = params.base_pair
         # chain_fold's recursion, one step per exponent
         chain, pair = [], base
         for _ in range(1, 1 << 8):
@@ -139,9 +146,7 @@ def test_search_finds_least_matching_exponent(cached):
         assert chain[-1] == chain_fold(CIRC, base, len(chain)).first
         for target in set(chain):
             counter = OpCounter()
-            m_prime, t, found = find_chain_exponent(
-                CIRC, base.first, base.second, target, 8, counter, cached
-            )
+            m_prime, t, found = find_chain_exponent(params, target, counter, cached)
             assert m_prime == chain.index(target) + 1
             assert found.first == target
             if cached:
@@ -150,10 +155,10 @@ def test_search_finds_least_matching_exponent(cached):
 
 def test_binary_search_no_match():
     # -7 sits strictly between chain elements -6 and -9: never matched
-    t, squares = doubling_phase(CIRC, m1(10), m1(-3), m1(-7), 8)
-    assert t == 2
+    squares = doubling_phase(params_1x1(10, -3), m1(-7))
+    assert len(squares) == 3  # t == 2
     with pytest.raises(ExponentNotFoundError):
-        _bisect(squares, m1(-7), t)
+        _bisect(squares, m1(-7))
 
 
 def test_worst_case_at_the_exponent_cap():
@@ -166,10 +171,11 @@ def test_worst_case_at_the_exponent_cap():
         -3 * 2**4095 - 1: 2 * MAX_EXPONENT_BITS,
         -3 * 2**4096 - 10**6: MAX_EXPONENT_BITS,
     }
+    params = params_1x1(10, -3, K=MAX_EXPONENT_BITS)
     for target, applications in cases.items():
         counter = OpCounter()
         with pytest.raises(ExponentNotFoundError):
-            find_chain_exponent(CIRC, m1(10), m1(-3), m1(target), MAX_EXPONENT_BITS, counter)
+            find_chain_exponent(params, m1(target), counter)
         assert counter.count == applications
 
 
@@ -186,12 +192,10 @@ def test_binary_search_incomparable_probe():
         squares.append(apply(CIRC, squares[-1], squares[-1]))
     target = TropicalMatrix([[-100, 100], [0, 0]])
     with pytest.raises((ChainViolationError, ExponentNotFoundError)):
-        _bisect(tuple(squares), target, 3)
+        _bisect(tuple(squares), target)
 
 
 def test_recover_key_pinned_instance():
-    from tropkex import ProtocolParams
-
     params = ProtocolParams(k=1, N=1000, K=8, op=CIRC, M=m1(10), H=m1(-3))
 
     class Queue:
@@ -282,8 +286,6 @@ def test_recover_key_targeting_bob():
 
 def test_plateau_instance_both_targets():
     # 1x1 M=5, H=0 plateaus at 0 from the second chain element on
-    from tropkex import ProtocolParams
-
     params = ProtocolParams(k=1, N=1000, K=8, op=CIRC, M=m1(5), H=m1(0))
 
     class Queue:
@@ -326,9 +328,7 @@ def test_find_chain_exponent_counter_totals():
     params = setup(3, 50, 16, CIRC, rng)
     transcript, _ = run_exchange(params, rng)
     counter = OpCounter()
-    m_prime, t, pair = find_chain_exponent(
-        CIRC, params.M, params.H, transcript.alice_message, params.K, counter
-    )
+    m_prime, t, pair = find_chain_exponent(params, transcript.alice_message, counter)
     assert pair.first == transcript.alice_message
     result = recover_key_targeting(transcript, "alice")
     assert result.op_count == counter.count

@@ -13,6 +13,7 @@ from tropkex import (
     rows_to_csv,
     run_experiment,
 )
+from tropkex.protocol import MAX_K
 
 CIRC = SemigroupOpKind.CIRC
 
@@ -35,6 +36,8 @@ def test_run_config_validation():
         RunConfig(k_list=(0,))
     with pytest.raises(ValueError):
         RunConfig(k_list=(2,), trials=0)
+    with pytest.raises(ValueError):
+        RunConfig(k_list=(5, MAX_K + 1))
 
 
 def test_run_experiment_degenerate_all_zero():

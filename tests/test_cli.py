@@ -274,6 +274,7 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
         ("gen", "--K", str(MAX_EXPONENT_BITS + 1)),
         ("exchange", "--K", str(MAX_EXPONENT_BITS + 1), "--keys-out", str(tmp_path / "k.json")),
         ("bench", "--k", str(MAX_K + 1), "--trials", "1"),
+        ("bench", "--k", f"5,{MAX_K + 1}", "--trials", "1"),
     ):
         out = tmp_path / "capped.out"
         assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv
