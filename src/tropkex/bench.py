@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError("k_list must not be empty")
         if any(k < 1 for k in self.k_list):
             raise ValueError("every k must be >= 1")
+        if len(set(self.k_list)) != len(self.k_list):
+            raise ValueError(f"k_list repeats a dimension: {self.k_list}")
         # here rather than in each trial's setup, so a k above the cap fails
         # before the trials of the smaller k run
         _check_caps(max(self.k_list), self.K)
@@ -88,15 +90,16 @@ def measure_alpha(a: TropicalMatrix) -> int:
     return sum(abs(e).bit_length() + 1 for row in a.rows for e in row)
 
 
-def _run_trial(k: int, config: RunConfig, trial: int):
+def _draw(k: int, config: RunConfig, trial: int):
     # Per-trial seed = seed + trial, so a single trial can be replayed in
     # isolation and the same exponent stream recurs at every k.
     rng = Random(config.seed + trial)
-    params = setup(k, config.N, config.K, config.op, rng)
-    try:
-        alice, bob, shared = run_parties(params, rng)
-    except KeyAgreementError as exc:
-        raise KeyAgreementError(f"{exc} at trial={trial}, seed={config.seed + trial}") from exc
+    return setup(k, config.N, config.K, config.op, rng), rng
+
+
+def _run_trial(k: int, config: RunConfig, trial: int):
+    params, rng = _draw(k, config, trial)
+    alice, bob, shared = run_parties(params, rng)
 
     # The recovery allocates pure object trees (no reference cycles), so the
     # cycle collector only adds ambient-heap jitter to the timed region;
@@ -116,8 +119,7 @@ def _run_trial(k: int, config: RunConfig, trial: int):
 
     if recovered != shared:
         raise AttackError(
-            f"attack produced a wrong key at k={k}, trial={trial}, "
-            f"seed={config.seed + trial}, m={alice.exponent}, m_prime={m_prime}"
+            f"attack produced a wrong key, m={alice.exponent}, m_prime={m_prime}"
         )
     alpha = measure_alpha(alice.public_message)
     return alpha, found - start, done - start, m_prime != alice.exponent
@@ -130,18 +132,22 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
     Trials run in trial-major order (trial 0 at every k, then trial 1,
     and so on): each dimension then samples the same stretch of machine
     load, which keeps the cross-k timing ratios stable under background
-    drift.  The per-trial work itself is identical either way.
+    drift.  The per-trial work itself is identical either way.  A failed
+    trial re-raises its exception with its k, trial and seed appended.
     """
     results = {k: [] for k in config.k_list}
     for trial in range(config.trials):
         for k in config.k_list:
-            results[k].append(_run_trial(k, config, trial))
+            try:
+                results[k].append(_run_trial(k, config, trial))
+            except (AttackError, KeyAgreementError) as exc:
+                where = f"(k={k}, trial={trial}, seed={config.seed + trial})"
+                raise type(exc)(f"{exc} {where}") from exc
     rows = []
     for k in config.k_list:
-        alpha_avg = sum(alpha for alpha, _, _, _ in results[k]) / config.trials
-        mprime_avg = sum(t for _, t, _, _ in results[k]) / config.trials
-        full_avg = sum(t for _, _, t, _ in results[k]) / config.trials
-        plateaus = sum(p for _, _, _, p in results[k])
+        alpha_avg, mprime_avg, full_avg, plateau_avg = (
+            sum(column) / config.trials for column in zip(*results[k])
+        )
         rows.append(
             ExperimentRow(
                 k=k,
@@ -151,32 +157,26 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
                 t_over_k3=mprime_avg / k**3,
                 t_over_alpha15=mprime_avg / alpha_avg**1.5,
                 trials=config.trials,
-                plateau_fraction=plateaus / config.trials,
+                plateau_fraction=plateau_avg,
             )
         )
     return rows
 
 
-def average_key_size_bits(
-    k: int,
-    N: int,
-    K: int,
-    op: SemigroupOpKind,
-    trials: int,
-    seed: int = 0,
-) -> float:
-    """Average alpha of a party's public message, without running the attack.
-
-    Useful when only the key-size column is wanted: the message alone
-    costs one ``party_powers`` call instead of a full recovery.
+def average_key_size_bits(config: RunConfig) -> dict[int, float]:
+    """Average alpha of Alice's public message at each k of the config, in
+    order: the ``alpha_bits`` column of ``run_experiment`` on the same
+    config, without the exchange or the attack (Alice's message alone costs
+    one ``party_powers`` call and is not checked for agreement).
     """
-    total = 0
-    for trial in range(trials):
-        rng = Random(seed + trial)
-        params = setup(k, N, K, op, rng)
-        message = party_powers(params, (draw_exponent(params, rng),))[0].first
-        total += measure_alpha(message)
-    return total / trials
+    averages = {}
+    for k in config.k_list:
+        total = 0
+        for trial in range(config.trials):
+            params, rng = _draw(k, config, trial)
+            total += measure_alpha(party_powers(params, (draw_exponent(params, rng),))[0].first)
+        averages[k] = total / config.trials
+    return averages
 
 
 def _format_cell(value) -> str:

@@ -10,10 +10,10 @@ Subcommands:
 gen, exchange and bench take --seed (attack draws nothing); when
 absent, the TROPKEX_SEED environment variable is used, and failing
 that, seed 0.  Exit codes are 0 on success, 2 for usage errors, 3 for
-I/O errors, 4 for malformed input files (including files that are not
-UTF-8, hold an int literal past the digit limit or nest too deeply to
-parse), 5 for attack failures; the matching category is printed to
-stderr as ``error:<category>: <message>``.
+I/O errors, 4 for malformed input (a TROPKEX_SEED that is not an
+integer, or a file that breaks the format, is not UTF-8, holds an int
+literal past the digit limit or nests too deeply to parse), 5 for attack
+failures; the category is printed to stderr as ``error:<category>: <message>``.
 
 Every set of params is capped at k <= 30 and K <= 4096
 (``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``), checked before

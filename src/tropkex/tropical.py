@@ -197,7 +197,7 @@ def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
 # Wire format: {"k": int, "entries": [[str, ...], ...]}, row-major, every
 # entry a decimal string so arbitrary-precision values survive JSON intact.
 
-_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def matrix_to_json(m: TropicalMatrix) -> dict:

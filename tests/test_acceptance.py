@@ -123,16 +123,15 @@ def test_ac2_operation_count_bounds():
 
 @pytest.mark.slow
 def test_ac3_key_size_reproduction():
-    checks = []
-    for k, target, tolerance in ((5, 5222, 0.05), (10, 20885, 0.05), (30, 180_000, 0.10)):
-        alpha = average_key_size_bits(k, 1000, 200, CIRC, trials=10, seed=2024)
-        checks.append((k, alpha, target, tolerance))
-        assert abs(alpha - target) <= tolerance * target, (
-            f"k={k}: measured alpha {alpha:.0f} outside {tolerance:.0%} of {target}"
+    targets = {5: (5222, 0.05), 10: (20885, 0.05), 30: (180_000, 0.10)}
+    alphas = average_key_size_bits(RunConfig(k_list=tuple(targets), trials=10, seed=2024))
+    for k, (target, tolerance) in targets.items():
+        assert abs(alphas[k] - target) <= tolerance * target, (
+            f"k={k}: measured alpha {alphas[k]:.0f} outside {tolerance:.0%} of {target}"
         )
     detail = "; ".join(
-        f"k={k}: {alpha:.0f} bits vs {target} (within {tol:.0%})"
-        for k, alpha, target, tol in checks
+        f"k={k}: {alphas[k]:.0f} bits vs {target} (within {tol:.0%})"
+        for k, (target, tol) in targets.items()
     )
     report("AC3", True, detail)
 
@@ -315,7 +314,6 @@ def test_ac8_plateau_robustness():
 
 # --- 9. full-parameter smoke -------------------------------------------------
 
-@pytest.mark.slow
 def test_ac9_full_parameter_smoke():
     start = time.perf_counter()
     rng = Random(424242)

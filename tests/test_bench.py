@@ -4,7 +4,11 @@ import pytest
 
 from tropkex import (
     CSV_HEADER,
+    AttackError,
+    ChainViolationError,
     ExperimentRow,
+    ExponentNotFoundError,
+    KeyAgreementError,
     RunConfig,
     SemigroupOpKind,
     TropicalMatrix,
@@ -15,7 +19,7 @@ from tropkex import (
 )
 from tropkex.protocol import MAX_K
 
-CIRC = SemigroupOpKind.CIRC
+STAR = SemigroupOpKind.STAR
 
 
 def test_measure_alpha_counting_rule():
@@ -38,6 +42,8 @@ def test_run_config_validation():
         RunConfig(k_list=(2,), trials=0)
     with pytest.raises(ValueError):
         RunConfig(k_list=(5, MAX_K + 1))
+    with pytest.raises(ValueError):
+        RunConfig(k_list=(3, 3))
 
 
 def test_run_experiment_degenerate_all_zero():
@@ -97,10 +103,40 @@ def test_csv_format():
     assert cells[7] == "0"
 
 
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (3, ExponentNotFoundError, "no exponent up to the doubling bound"),
+        (38, ChainViolationError, "is incomparable with the target"),
+        (0, KeyAgreementError, "parties disagree on the shared key"),
+        (70, AttackError, "attack produced a wrong key, m=210, m_prime=209"),
+    ],
+)
+def test_failed_trial_names_k_trial_and_seed(seed, error, message):
+    # frozen star runs that fail in the search, in agreement and in the key
+    config = RunConfig(k_list=(2,), N=10, K=8, op=STAR, trials=1, seed=seed)
+    with pytest.raises(error) as excinfo:
+        run_experiment(config)
+    assert type(excinfo.value) is error
+    text = str(excinfo.value)
+    assert message in text
+    assert text.endswith(f" (k=2, trial=0, seed={seed})")
+    assert text.count("seed=") == 1
+
+
 def test_average_key_size_deterministic():
-    a = average_key_size_bits(2, 50, 12, CIRC, trials=4, seed=9)
-    b = average_key_size_bits(2, 50, 12, CIRC, trials=4, seed=9)
-    assert a == b > 0
+    config = RunConfig(k_list=(2,), N=50, K=12, trials=4, seed=9)
+    a = average_key_size_bits(config)
+    assert a == average_key_size_bits(config)
+    assert a[2] > 0
+
+
+def test_average_key_size_is_the_alpha_column():
+    # the same seeded draws as the grid, in the config's order of k
+    config = RunConfig(k_list=(3, 1, 2), N=50, K=12, trials=3, seed=4)
+    averages = average_key_size_bits(config)
+    assert list(averages) == [3, 1, 2]
+    assert averages == {row.k: row.alpha_bits for row in run_experiment(config)}
 
 
 def test_key_size_scales_linearly_in_exponent_bits():
@@ -108,6 +144,6 @@ def test_key_size_scales_linearly_in_exponent_bits():
     # near-constant for fixed k; allow 10 percent spread
     ratios = []
     for exp_bits in (50, 100, 200):
-        alpha = average_key_size_bits(3, 1000, exp_bits, CIRC, trials=5, seed=2)
+        alpha = average_key_size_bits(RunConfig(k_list=(3,), K=exp_bits, trials=5, seed=2))[3]
         ratios.append(alpha / exp_bits)
     assert max(ratios) <= 1.10 * min(ratios)

@@ -263,10 +263,10 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli("exchange", "--params", str(capped)) == EXIT_FORMAT
     assert capsys.readouterr().err.startswith("error:format:")
 
-    # params above a cap are a usage error on every path that makes them,
-    # refused before any matrix is drawn, and nothing is written
+    # params above a cap are a usage error on every path that makes them, as
+    # is a repeated k, refused before any matrix is drawn; nothing is written
     def no_draw(*args):
-        raise AssertionError("matrix drawn for params above a cap")
+        raise AssertionError("matrix drawn for refused params")
 
     monkeypatch.setattr(protocol, "random_matrix", no_draw)
     for argv in (
@@ -275,6 +275,7 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
         ("exchange", "--K", str(MAX_EXPONENT_BITS + 1), "--keys-out", str(tmp_path / "k.json")),
         ("bench", "--k", str(MAX_K + 1), "--trials", "1"),
         ("bench", "--k", f"5,{MAX_K + 1}", "--trials", "1"),
+        ("bench", "--k", "5,5", "--trials", "1"),
     ):
         out = tmp_path / "capped.out"
         assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE, argv

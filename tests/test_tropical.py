@@ -217,6 +217,7 @@ def test_matrix_json_round_trip():
         {"k": 1, "entries": [[1]]},
         {"k": 1, "entries": [["07"]]},
         {"k": 1, "entries": [["+7"]]},
+        {"k": 1, "entries": [["-0"]]},
         {"k": 1, "entries": [["1_0"]]},
         {"k": 1, "entries": [[" 1"]]},
         {"k": 1, "entries": [["-"]]},
