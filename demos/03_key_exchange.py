@@ -27,9 +27,10 @@ print("exponent bound : 2^8")
 print()
 
 # both private exponents, drawn uniformly from [1, 2^8 - 1], and both
-# parties' powers from one call: a walk to the circ chain's period (here 9
-# pair operations, under the 13 of the least-bit-first pass it replaces),
-# or that pass when the walk would cost more
+# parties' powers from one call: a walk over the powers of B = H (+) I to
+# their period (here 15 k^3 products, under the 26 of the 13 pair operations
+# of the least-bit-first pass it replaces), or that pass when the walk
+# would cost more
 alice, bob, shared_key = run_parties(params, rng)
 print(f"Alice draws private m = {alice.exponent}, sends A = {alice.public_message.rows}")
 print(f"Bob   draws private n = {bob.exponent}, sends B = {bob.public_message.rows}")

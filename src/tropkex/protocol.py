@@ -11,12 +11,13 @@ A ``Transcript`` is exactly what a passive eavesdropper sees: the public
 parameters plus the two exchanged matrices.  Private exponents are never
 serialized.
 
-Every honest powering goes through ``party_powers``.  Under circ it reads
-the powers off the chain's checked period (``semidirect.periodic_powers``)
-in at most T + p applications, T the transient and p the period,
-however large K is.  Under star, or when that would cost more than the
-least-bit-first pass ``powers`` (about 2K applications) or the period
-exceeds k, it runs the pass instead; under circ both give the same pairs.
+Every honest powering goes through ``party_powers``.  Under circ it walks
+the powers of B = H oplus I to their checked period, one k^3 product per
+step (``semidirect.periodic_powers``): about T + p products, T the
+transient and p the period of B, however large K is.  Under star, or when
+that would cost more than the least-bit-first pass ``powers`` (about 2K
+applications of two products each) or the period exceeds k, it runs the
+pass instead; under circ both give the same pairs.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two
@@ -139,17 +140,16 @@ def party_powers(params: ProtocolParams, exponents: Sequence[int]) -> tuple[Semi
     """(M, H)^e for every e in ``exponents``.
 
     Under circ the powers come from ``periodic_powers``, given as budget
-    the exact count ``powers`` would spend, (L - 1) + sum(popcount(e) - 1)
-    with L the largest bit length; under star, or when the certificate
-    does not fit that budget or its period exceeds k, from ``powers``.  So
-    the periodic path never costs more applications than the pass, and a
-    fallback at most twice.
+    the k^3 products ``powers`` would spend, two per application of its
+    (L - 1) + sum(popcount(e) - 1), L the largest bit length; under star,
+    or when the walk does not fit that budget or its period exceeds k,
+    from ``powers``.  So the walk never costs more products than the
+    pass, and a fallback at most twice.
     """
     base = params.base_pair
     if params.op is SemigroupOpKind.CIRC:
-        budget = max(exponents, default=1).bit_length() - 1 + sum(
-            e.bit_count() - 1 for e in exponents
-        )
+        bits = max(exponents, default=1).bit_length() - 1
+        budget = 2 * (bits + sum(e.bit_count() - 1 for e in exponents))
         pairs = periodic_powers(base, exponents, budget)
         if pairs is not None:
             return pairs

@@ -33,18 +33,19 @@ There are two ways to power.  ``powers`` is one least-bit-first pass
 for either law: it squares the base once per bit and folds each square
 into the accumulator of every exponent with that bit set, so several
 powers of one base share their squarings (both parties of an exchange
-power the same public pair).  ``periodic_powers`` is circ only: it walks
-the chain base, base^2, ... one application per step until the chain
-repeats itself up to a scalar shift, proves the repeat exactly, and then
-reads every exponent off the period held in its window of the last k + 1
-pairs, so its cost depends on the chain's transient and period, not on
-the exponents' bit length.  It gives up, returning None, when that would
-cost more than a caller's budget or the period outgrows the window.  There
-is no identity pair (the semiring has no multiplicative identity
+power the same public pair).  ``periodic_powers`` is circ only: past the
+square, a circ step multiplies both components by B = H oplus I, so it
+walks B, B^2, ... one k^3 product per step to their first repeat up to
+a scalar shift, proves it exactly, and serves each exponent as base^2
+times a power of B read off that period, at a cost set by B's transient
+and period, not by the exponents' bit length.  It gives up, returning
+None, past a caller's budget or when the period outgrows its window.
+There is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
 Every counted application goes through ``apply``, which picks the law and
-increments an optional ``OpCounter`` by exactly one.  The attack's cost
+increments an optional ``OpCounter`` by exactly one (``periodic_powers``
+counts k^3 products instead, two per application).  The attack's cost
 guarantees are stated in these counts, so they are measured, never
 estimated.  ``product_first`` computes only the first component of a
 product, which is all a party needs to derive the shared key.
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import add, sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .tropical import DimensionMismatchError, TropicalMatrix, _flatten, _wrap_flat
 
@@ -238,33 +239,28 @@ def power(
     return powers(op, base, (e,), counter)[0]
 
 
-def _chain(base: SemigroupPair, counter: OpCounter | None) -> Iterator[SemigroupPair]:
-    # base, base^2, base^3, ... under circ, new factor on the right; each
-    # step after the first is one counted application, made only when the
-    # consumer asks for the next power.
-    pair = base
-    while True:
-        yield pair
-        pair = apply(_CIRC, pair, base, counter)
+def _product(a: TropicalMatrix, b_cols: tuple[tuple[int, ...], ...]) -> TropicalMatrix:
+    # a otimes b, given the columns of b: one plain k^3 min-plus product.
+    _min, _map, _add = min, map, add
+    return _wrap_flat([_min(_map(_add, row, col)) for row in a.rows for col in b_cols], len(b_cols))
 
 
-def _shift_key(p: SemigroupPair) -> int:
-    # Hash of p with each component shifted so that its (0, 0) entry is 0:
-    # pairs that differ by one scalar per component share it.
-    x, g = p.first.rows, p.second.rows
-    return hash((
-        tuple(map(sub, _flatten(x), repeat(x[0][0]))),
-        tuple(map(sub, _flatten(g), repeat(g[0][0]))),
-    ))
+def _shift_key(w: TropicalMatrix) -> int:
+    # Hash of w shifted so that its (0, 0) entry is 0: matrices that differ
+    # by one scalar share it.
+    rows = w.rows
+    return hash(tuple(map(sub, _flatten(rows), repeat(rows[0][0]))))
 
 
-def _shifted(p: SemigroupPair, c_first: int, c_second: int) -> SemigroupPair:
-    # c_first added to every entry of the first component, c_second to the
-    # second: the scalar multiples c (x) X of min-plus algebra.
-    return _new_pair(
-        _wrap_flat(map(add, _flatten(p.first.rows), repeat(c_first)), p.k),
-        _wrap_flat(map(add, _flatten(p.second.rows), repeat(c_second)), p.k),
-    )
+def _shifted(w: TropicalMatrix, c: int) -> TropicalMatrix:
+    # c added to every entry: the scalar multiple c (x) w of min-plus algebra.
+    return _wrap_flat(map(add, _flatten(w.rows), repeat(c)), w.k)
+
+
+def _times(p: SemigroupPair, w: TropicalMatrix) -> SemigroupPair:
+    # (X otimes w, G otimes w): two plain products.
+    w_cols = w._columns()
+    return _new_pair(_product(p.first, w_cols), _product(p.second, w_cols))
 
 
 def periodic_powers(
@@ -273,81 +269,84 @@ def periodic_powers(
     budget: int,
     counter: OpCounter | None = None,
 ) -> tuple[SemigroupPair, ...] | None:
-    """base^e under circ for every e in ``exponents``, read off the chain's
-    period; None if that would take more than ``budget`` applications or
-    the period exceeds k.
+    """base^e under circ for every e in ``exponents``, read off the period
+    of one matrix's powers; None if that would take more than ``budget``
+    k^3 products (one ``apply`` is two) or the period exceeds k.
+    ``counter``, if given, is bumped once per product.
 
-    Write P_m = (X_m, G_m) = base^m and base = (M, H).  The walk computes
-    P_m = P_{m-1} circ base, one ``apply`` per step, keeps the last k + 1
-    pairs it walked, and from m = 2 on looks each P_m up by its shift key,
-    the hash of (X_m - X_m[0][0], G_m - G_m[0][0]).  When P_m's key was
-    first seen at P_n, n < m, and the period p = m - n is at most k, P_n is
-    still in the window, and the function checks P_m == P_n + (c_X, c_G)
-    exactly, with c_X = X_m[0][0] - X_n[0][0] and likewise c_G; a hash
-    collision fails the check and the function returns None, as it does
-    for a longer period (when that happens is argued below).  Once the
-    check holds, every e > m is served as P_{n+r}, also in the window,
-    shifted by q * (c_X, c_G), where (q, r) = divmod(e - n, p).  Exponents
-    up to m are taken from the walk as it passes them, and an exponent
-    reached before any repeat ends the walk there.
+    Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I, I the
+    min-plus identity (+inf off the diagonal): H with its diagonal clipped
+    at 0.  For m >= 2, X_m holds M oplus H as a term and G_m <= H, so the
+    circ step X_m oplus M oplus H oplus (X_m otimes H) is X_m otimes B,
+    likewise for G_m, and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2})
+    with W_j = B^j.
 
-    Why one checked equality is a proof for every later index: circ gives
-    X_{m+1} = X_m oplus M oplus H oplus (X_m otimes H) and G_{m+1} = G_m
-    oplus H oplus (G_m otimes H).  For m >= 2, X_m already holds M oplus H
-    as a term, so X_m <= M oplus H entrywise, and G_m <= H holds from
-    m = 1.  So from m = 2 on the step is F: X -> X oplus (X otimes H) on
-    each component, and adding one integer c to every entry commutes with
-    it: F(X + c) = F(X) + c.  Then P_m = P_n + c gives, by induction on j,
-    P_{m+j} = F^j(P_n + c) = P_{n+j} + c, hence P_{n+qp+r} = P_{n+r} + q c.
-    A repeat always comes: F multiplies by B = I oplus H (I the min-plus
-    identity), which is irreducible because H is finite, and by the
-    cyclicity theorem of min-plus algebra the powers of B are ultimately
-    periodic up to such a shift, with period the cyclicity of B: the lcm,
-    over the strongly connected components of B's critical graph, of the
-    gcd of each component's cycle lengths.  The shifted states are an
-    iteration of one map, so p, the length of their first cycle, divides
-    that cyclicity.  When the critical graph is strongly connected, the
-    cyclicity divides the length of one of its cycles without repeated
-    nodes, so p <= k and k + 1 pairs hold P_n, ..., P_m.  Otherwise the
-    cyclicity can exceed k (critical cycles of lengths 2 and 3 at k = 5
-    give p = 6); the window has then lost P_n and the function returns
-    None, as it does for a long transient.
+    The walk computes W_{j+1} = W_j otimes B from W_1 = B, keeps the last
+    k + 1 powers, and looks each W_j up by the hash of W_j - W_j[0][0].
+    At the first hit, W_n with p = j - n, it checks W_j == W_n + c
+    exactly, c = W_j[0][0] - W_n[0][0], and returns None if that fails (a
+    hash collision) or if p > k, when W_n has left the window.  The check
+    proves every later index, since otimes B commutes with adding a
+    scalar: W_{n+qp+r} = W_{n+r} + q c, served with (q, r) = divmod(e - 2
+    - n, p).  Powers the walk passes are taken as it passes them, and an
+    exponent reached before any repeat ends the walk there.
 
-    The walk costs min(m, max e) - 1 applications and stops before the
-    application that would exceed ``budget``.  Only the base, the last
-    k + 1 pairs, one result per exponent and one dict entry per step are
-    kept, never the whole walk.
+    A repeat always comes: B is irreducible because H is finite, so by the
+    cyclicity theorem of min-plus algebra its powers are ultimately
+    periodic up to such a shift, and p divides B's cyclicity, the lcm over
+    the strongly connected components of B's critical graph of the gcd of
+    each one's cycle lengths.  When that graph is strongly connected, the
+    cyclicity divides the length of one of its elementary cycles, so
+    p <= k.  Otherwise it can exceed k (critical cycles of lengths 2 and 3
+    at k = 5 give p = 6), and the function returns None, as it does for a
+    long transient.
+
+    Cost: min(j, max e - 2) - 1 products for the walk, two for P_2 (one
+    ``apply``) and two per exponent above 2; the walk stops before the
+    product that would overrun ``budget``.  Only B, the last k + 1
+    powers, one matrix per exponent and a dict entry per step are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
-    results: list[SemigroupPair | None] = [None] * len(exponents)
     top = max(exponents, default=1)
-    first_seen: dict[int, int] = {}
-    window: deque[SemigroupPair] = deque(maxlen=base.k + 1)
-    for m, end in enumerate(_chain(base, counter), 1):
-        window.append(end)
-        for j, e in enumerate(exponents):
-            if e == m:
-                results[j] = end
-        if m == top:
-            return tuple(results)
-        if m > 1:
-            n = first_seen.setdefault(_shift_key(end), m)
-            if n < m:
+    serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
+    if serving > budget:
+        return None
+    found = dict.fromkeys(e - 2 for e in exponents)  # W_j for each j = e - 2 > 0
+    if top > 2:
+        k = base.k
+        h = _flatten(base.second.rows)  # B = H oplus I: H with its diagonal clipped at 0
+        b = _wrap_flat((x if i % (k + 1) else min(x, 0) for i, x in enumerate(h)), k)
+        b_cols = b._columns()
+        first_seen: dict[int, int] = {}
+        window: deque[TropicalMatrix] = deque(maxlen=k + 1)
+        w, j = b, 1
+        while True:  # w = W_j, after j - 1 products
+            window.append(w)
+            if j in found:
+                found[j] = w
+            if j == top - 2 or (n := first_seen.setdefault(_shift_key(w), j)) < j:
                 break
-        if m > budget:  # the next step would be application number m
-            return None
-    period = m - n
-    if period >= len(window):
-        return None
-    start = window[-1 - period]
-    c_first = end.first.rows[0][0] - start.first.rows[0][0]
-    c_second = end.second.rows[0][0] - start.second.rows[0][0]
-    if _shifted(start, c_first, c_second) != end:
-        return None
-    for j, e in enumerate(exponents):
-        if e > m:
-            q, r = divmod(e - n, period)
-            results[j] = _shifted(window[r - 1 - period], q * c_first, q * c_second)
-    return tuple(results)
-
+            if j + serving > budget:  # product number j would overrun the budget
+                return None
+            w, j = _product(w, b_cols), j + 1
+            if counter is not None:
+                counter.count += 1
+        if j < top - 2:  # stopped at the first repeat, j = n + p
+            period = j - n
+            if period >= len(window):
+                return None
+            start = window[-1 - period]
+            c = w.rows[0][0] - start.rows[0][0]
+            if _shifted(start, c) != w:
+                return None
+            for i in found:
+                if i > j:
+                    q, r = divmod(i - n, period)
+                    found[i] = _shifted(window[r - 1 - period], q * c)
+    if counter is not None:
+        counter.count += serving
+    square = apply(_CIRC, base, base) if top > 1 else None
+    return tuple(
+        base if e == 1 else square if e == 2 else _times(square, found[e - 2]) for e in exponents
+    )

@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive (triple loops, step-by-step folds,
 direct formula transcription) and shares no arithmetic code with the
-implementation under test.
+implementation under test; ``count_products`` only wraps the library's
+kernels to count their calls.
 """
 
 from random import Random
 
-from tropkex import SemigroupOpKind, SemigroupPair, TropicalMatrix
+from tropkex import OpCounter, SemigroupOpKind, SemigroupPair, TropicalMatrix, semidirect
 
 
 def random_mat(rng: Random, k: int, bound: int = 50) -> TropicalMatrix:
@@ -115,39 +116,80 @@ def chain_fold(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPai
     return fold_left(op, base, e)
 
 
-def chain_period(base: SemigroupPair) -> tuple[int, int]:
-    """(n, p) of the first repeat up to a scalar shift on the circ chain.
+def identity_oplus(h: TropicalMatrix) -> TropicalMatrix:
+    """I oplus h, I the min-plus identity (0 on the diagonal, +inf off it):
+    h with its diagonal clipped at 0."""
+    return TropicalMatrix(
+        [[min(x, 0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(h.rows)]
+    )
 
-    Walks the states base^m of ``fold_right``, m = 2, 3, ..., each
-    component written relative to its own (0, 0) entry, and stops at the
-    first m whose state already occurred at some n >= 2; p = m - n.
+
+def matrix_period(b: TropicalMatrix) -> tuple[int, int]:
+    """(n, p) of the first repeat up to a scalar shift among b, b^2, ...
+
+    Multiplies by b with ``naive_otimes`` one step at a time, writes each
+    power relative to its own (0, 0) entry, and stops at the first j whose
+    power already occurred at some n; p = j - n.
     """
-    def relative(mat):
-        return tuple(tuple(x - mat.rows[0][0] for x in row) for row in mat.rows)
-
     first_index = {}
-    acc, m = base, 1
+    acc, j = b, 1
     while True:
-        acc, m = naive_apply(SemigroupOpKind.CIRC, acc, base), m + 1
-        state = (relative(acc.first), relative(acc.second))
+        state = tuple(tuple(x - acc.rows[0][0] for x in row) for row in acc.rows)
         if state in first_index:
-            return first_index[state], m - first_index[state]
-        first_index[state] = m
+            return first_index[state], j - first_index[state]
+        first_index[state] = j
+        acc, j = naive_otimes(acc, b), j + 1
+
+
+def pass_products(exponents) -> int:
+    """k^3 products the least-bit-first pass ``powers`` spends on
+    ``exponents``, two per application: the budget ``party_powers`` gives
+    the walk."""
+    return 2 * (max(exponents).bit_length() - 1 + sum(bin(e).count("1") - 1 for e in exponents))
 
 
 def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, bool]:
-    """Applications ``periodic_powers`` spends on ``exponents`` with this
+    """k^3 products ``periodic_powers`` spends on ``exponents`` with this
     budget, and whether it returns the powers (True) or gives up (False).
 
-    The one walk reaches index i after i - 1 applications and never makes
-    more than ``budget``.  It stops at the largest exponent if that comes
-    no later than the first repeat at m = n + p, and otherwise at m, where
-    it gives up if p >= k + 1: the period no longer fits in its window of
-    the last k + 1 pairs.
+    With B = I oplus H, the walk reaches B^j after j - 1 products; it stops
+    at B^(max e - 2) if that comes no later than B's first repeat at
+    j = n + p, and otherwise at j, where it gives up if p >= k + 1: the
+    period no longer fits in its window of the last k + 1 powers.  Serving
+    the exponents costs two products for base^2 and two per exponent above
+    2, and the walk never makes a product that would leave less than that
+    of the budget.
     """
     top = max(exponents)
-    n, p = chain_period(base)
-    walked = min(top, n + p) - 1
-    if walked > budget:
-        return budget, False
-    return walked, top <= n + p or p < base.k + 1
+    serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
+    if serving > budget:
+        return 0, False
+    if top <= 2:
+        return serving, True
+    n, p = matrix_period(identity_oplus(base.second))
+    walked = min(top - 2, n + p) - 1
+    if walked + serving > budget:
+        return budget - serving, False
+    if top - 2 > n + p and p >= base.k + 1:
+        return walked, False
+    return walked + serving, True
+
+
+def count_products(monkeypatch) -> OpCounter:
+    """Count k^3 products from here on, by wrapping the library's own
+    kernels: two per pair application (``op_circ``), one per plain product
+    of the walk over the powers of B (``_product``)."""
+    tally = OpCounter()
+    op_circ, product = semidirect.op_circ, semidirect._product
+
+    def counted_circ(p, q):
+        tally.count += 2
+        return op_circ(p, q)
+
+    def counted_product(a, b_cols):
+        tally.count += 1
+        return product(a, b_cols)
+
+    monkeypatch.setattr(semidirect, "op_circ", counted_circ)
+    monkeypatch.setattr(semidirect, "_product", counted_product)
+    return tally

@@ -19,7 +19,6 @@ from tropkex import (
     params_from_json,
     params_to_json,
     powers,
-    semidirect,
     setup,
     transcript_from_json,
 )
@@ -27,6 +26,8 @@ from tropkex import cli, protocol
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 from tropkex.semidirect import product_first
+
+from _oracles import count_products
 
 
 def run_cli(*argv):
@@ -111,65 +112,100 @@ def test_exchange_from_gen_params(tmp_path):
     assert transcript.params == saved
 
 
-# sha256 of the transcript and keys files ``tropkex exchange --k 10 --N 1000
-# --K 200 --op circ --seed S`` wrote when both parties powered with the
-# least-bit-first pass alone; the period walk must reproduce them byte for
-# byte.
+# sha256 of the transcript and keys files ``tropkex exchange --k k --N 1000
+# --K 200 --op circ --seed S`` writes, keyed by (k, S), and of the result
+# file of ``tropkex attack`` on that transcript, as they are when both
+# parties power with the least-bit-first pass alone; every faster powering
+# or search must reproduce them byte for byte.
 PINNED_EXCHANGES = {
-    1: ("877caa6c807624e72894ad1db86ce87008854705ad90d84038d7a7fd75ba4fd6",
-        "72cbc6cea7f3ec30103f93065303468bea5c1c8e8a93cc4a922e3e19463a1096"),
-    2: ("0067b8a16d5bd9430c9e47c052c9fa75d359a3c850f73c0087e935c80ffb33cc",
-        "58611b4fd71ff01940909997b4be41b71da09624f3cfc950a26217eb98e094de"),
-    3: ("f6fdb60097e57ba340d3ab7a6a590391278818559433f7045c8fcbd1e22ce5a2",
-        "a6e76f5d67501914657a8e1a10f40ea5d02082cd448e6c39fc078a560f08a6ac"),
-    4: ("928771abae9c3ee05a06f2a7d1b65797d84d7871b99aef4599faf67ad72b20f9",
-        "59563247c71191dc935e9daf29eada344506745215ee118b2266d1f7929e9be1"),
-    5: ("dc68ddbb9ed526963a5ab6d177cb6f23ee0ecd6f9d96eeed84e5c34a0fc64175",
-        "9d5b06a33dd801f8158a499f2d3d70ba41e4529dd92bd3f697d3a287dae95275"),
+    (3, 1): ("5f2c263fb70142c736eaae464cdc84b835c002294dc044dde60a14330a396e91",
+             "f522850c06b94dab1bf83794138c24485e21d4c0c00e550cb2045bbd07fe244e",
+             "c6315ddb7fd019d5d56dbee318e9f9d7808c7ad270aa6df98e0ebbe06c785009"),
+    (3, 2): ("70830639ab9d4af9947de1c1de25d50e0b5d11fb1354d7f8053ef9d4b8fe160d",
+             "abe3a8cc883cf433292ca6a7651f4a146453a6842692458bfd53f1204384b191",
+             "8818f2236a7875e2f0ccd8f34eb0c733ee4ea771eefcddeea1e4fed374a84e1d"),
+    (3, 3): ("177885a58d124484f867c2603f95be1871b1df83a80f8a3ced6e41bc24766e0b",
+             "cd3a5b1bf73b25fce7e4f3147a1226b02f5cdc63a9eb743d78c5471a7b4c8c73",
+             "eb0fef5c08fa7ffb402ce27b36fe1f2585f01a3e884e55414081489bf05b6683"),
+    (3, 4): ("566e62d40f603ae4fc28544059a144c560afccb205d9d45fa67a4ea8747707e8",
+             "7d994077a6353a3c19b034f0080400caf1e944d3e5c189c4869dd94e98138b4c",
+             "b1893c94c0269ddbeb111d0650608f871cbab7042d62f22ac4a23d6c30553720"),
+    (3, 5): ("8408d174daeb3e5d2c1c73e49c35b914a3f442b0d21ee1da63cfdeacc156dbd3",
+             "f656436e23c9ecd8c87f7bbc4f07abb69edc69f2382055d62073467a098ebaf8",
+             "697bea73e373a8f99f5e87ba6a2256507027b1d332de102845d38e7f13db25a3"),
+    (5, 1): ("c77483be7a1b7890961a1d27c866b576b231f93c65c71f031c4fd176d6f0eb8b",
+             "722bee406a5501de1811195499d43cdce782ae3810233f2ff2c7e7667f3442ef",
+             "a4f06eee8f236862a9381669bd6798342bbbefc195c6b3380c947cf7cd913ab5"),
+    (5, 2): ("8ad2ead93eceabb2ecea7a3d23f62a925635c615c0974b7788b1da3c230e2905",
+             "5f612e0bbfa4709715e2f833244ebedec5d2094dd13e4ba65bfb7f4dad26f762",
+             "e324a17b5a4384e6ebee74208ad4815dc88d044d149cc830e0024f4cd1f69507"),
+    (5, 3): ("87ec96e1b9fd608bec1c7a7ccb2605d077483f7969f7aabf8472952fef3a7799",
+             "15ab4438c8c619e14fad56dc54011f4c381ca4efd53099735e99afcd722ae9a1",
+             "a9f7fbd9c3166f722997a9fd8058d398402ec42a525341b660a51e719fc5cadc"),
+    (5, 4): ("23bea6a96cc451f20e04a2bbe6c89a094fd20c1847debfbfb4dffde33e85e965",
+             "addfdbe28ac30503d0b9fb141794948a02d9400684f69892beb09adc31b36bd4",
+             "eef8cf437ee6d855a5a5966ad6cdfa565245d6d5d5590d30317bdb92587a3819"),
+    (5, 5): ("c2447909b5db8f1c1e2e5994cf9016f6aa7e823a0840b9f50c41619a177a33ba",
+             "1203ad28637a6c9f32306028ce62b4cdc834a9694d17b273de9f2c678743175f",
+             "a1bda353118fcf7df6e55709d0e05595a9963c0caf0611b62155e3b8cc3721bd"),
+    (10, 1): ("877caa6c807624e72894ad1db86ce87008854705ad90d84038d7a7fd75ba4fd6",
+             "72cbc6cea7f3ec30103f93065303468bea5c1c8e8a93cc4a922e3e19463a1096",
+             "74aa85445e4a9f9adb077527ca6cf328655f503ce72c94b89e4cdec3f60d11c6"),
+    (10, 2): ("0067b8a16d5bd9430c9e47c052c9fa75d359a3c850f73c0087e935c80ffb33cc",
+             "58611b4fd71ff01940909997b4be41b71da09624f3cfc950a26217eb98e094de",
+             "d63767a235eadd0dce14a463edbaedee0e0bd8cd0a58987159de0bcc7f22f720"),
+    (10, 3): ("f6fdb60097e57ba340d3ab7a6a590391278818559433f7045c8fcbd1e22ce5a2",
+             "a6e76f5d67501914657a8e1a10f40ea5d02082cd448e6c39fc078a560f08a6ac",
+             "745cc45817c70130f146051e6eebc3eda5b660da4a928b707ff46c6cebc778b3"),
+    (10, 4): ("928771abae9c3ee05a06f2a7d1b65797d84d7871b99aef4599faf67ad72b20f9",
+             "59563247c71191dc935e9daf29eada344506745215ee118b2266d1f7929e9be1",
+             "7ddd81b36a75466018b3eb2e0be585e24e8f013296b8c966e54efc5ffd985c49"),
+    (10, 5): ("dc68ddbb9ed526963a5ab6d177cb6f23ee0ecd6f9d96eeed84e5c34a0fc64175",
+             "9d5b06a33dd801f8158a499f2d3d70ba41e4529dd92bd3f697d3a287dae95275",
+             "55b10c5b8a8071a779b96e6b6b4f26af55ba2b075cfe5a39c251cdebc48b9419"),
 }
 
 
 def test_exchange_files_are_pinned(tmp_path):
-    for seed, expected in PINNED_EXCHANGES.items():
-        transcript_path, keys_path = tmp_path / f"tr{seed}.json", tmp_path / f"keys{seed}.json"
+    for (k, seed), expected in PINNED_EXCHANGES.items():
+        transcript_path = tmp_path / f"tr{k}_{seed}.json"
+        keys_path = tmp_path / f"keys{k}_{seed}.json"
+        result_path = tmp_path / f"result{k}_{seed}.json"
         assert run_cli(
-            "exchange", "--k", "10", "--N", "1000", "--K", "200", "--op", "circ",
+            "exchange", "--k", str(k), "--N", "1000", "--K", "200", "--op", "circ",
             "--seed", str(seed), "--out", str(transcript_path), "--keys-out", str(keys_path),
         ) == EXIT_OK
+        assert run_cli(
+            "attack", "--transcript", str(transcript_path), "--out", str(result_path)
+        ) == EXIT_OK
         digests = tuple(
-            hashlib.sha256(path.read_bytes()).hexdigest() for path in (transcript_path, keys_path)
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (transcript_path, keys_path, result_path)
         )
-        assert digests == expected, seed
+        assert digests == expected, (k, seed)
 
 
 def test_exchange_long_transient_params(tmp_path, monkeypatch):
-    """Params whose circ chain first repeats only after 1 038 steps, at the
-    largest K a params file may ask for: the exchange still succeeds, gives
-    what the least-bit-first pass gives, and makes exactly the 1 038
-    applications of the walk to that repeat."""
+    """Params whose B = I oplus H first repeats only after 1 038 products, at
+    the largest K a params file may ask for: the exchange still succeeds,
+    gives what the least-bit-first pass gives, and makes exactly 1 044 k^3
+    products, 1 038 for the walk to that repeat, two for the square and two
+    per party to serve its power."""
     params = setup(2, 10**6, MAX_EXPONENT_BITS, SemigroupOpKind.CIRC, Random(1997))
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params_to_json(params)))
-    calls = 0
-    op_circ = semidirect.op_circ
-
-    def counted(p, q):
-        nonlocal calls
-        calls += 1
-        return op_circ(p, q)
-
-    monkeypatch.setattr(semidirect, "op_circ", counted)
+    products = count_products(monkeypatch)
     transcript_path, keys_path = tmp_path / "tr.json", tmp_path / "keys.json"
     assert run_cli(
         "exchange", "--params", str(params_path), "--seed", "3",
         "--out", str(transcript_path), "--keys-out", str(keys_path),
     ) == EXIT_OK
-    monkeypatch.setattr(semidirect, "op_circ", op_circ)
+    monkeypatch.undo()
 
     rng = Random(3)
     exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
     alice, bob = powers(SemigroupOpKind.CIRC, params.base_pair, exponents)
-    assert calls == 1038
+    assert products.count == 1044
     transcript = transcript_from_json(json.loads(transcript_path.read_text()))
     assert (transcript.alice_message, transcript.bob_message) == (alice.first, bob.first)
     keys = json.loads(keys_path.read_text())

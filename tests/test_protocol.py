@@ -17,14 +17,22 @@ from tropkex import (
     power,
     run_exchange,
     run_parties,
-    semidirect,
     setup,
     transcript_from_json,
     transcript_to_json,
 )
+from tropkex import protocol
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 
-from _oracles import chain_fold, naive_apply, periodic_cost, random_mat, random_pair
+from _oracles import (
+    chain_fold,
+    count_products,
+    naive_apply,
+    pass_products,
+    periodic_cost,
+    random_mat,
+    random_pair,
+)
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -183,20 +191,12 @@ def test_run_exchange_pinned_key():
 def test_run_exchange_shares_the_squarings(monkeypatch):
     """One ``party_powers`` call serves both parties: the messages and the
     key are the chain's first components at a, b and a + b.  Under circ
-    the call walks to the chain's period with the pass's count as budget,
-    (L - 1) + (popcount(a) - 1) + (popcount(b) - 1), L the larger
-    exponent's bit length; it costs what the naive period oracle predicts
-    when the walk fits that budget, and that budget's share of the walk
-    plus the pass when it does not."""
-    calls = 0
-    op_circ = semidirect.op_circ
-
-    def counted(p, q):
-        nonlocal calls
-        calls += 1
-        return op_circ(p, q)
-
-    monkeypatch.setattr(semidirect, "op_circ", counted)
+    the call walks the powers of B = I oplus H to their period with the
+    pass's k^3 products as budget, 2 ((L - 1) + (popcount(a) - 1) +
+    (popcount(b) - 1)), L the larger exponent's bit length; it costs what
+    the naive period oracle predicts when the walk fits that budget, and
+    that budget's share of the walk plus the pass when it does not."""
+    products = count_products(monkeypatch)
     rng = Random(131)
     trials = []
     for trial in range(24):
@@ -205,17 +205,51 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
         trials.append((params, a, b))
     paths = set()
     for params, a, b in trials:
-        calls = 0
+        products.count = 0
         transcript, key = run_exchange(params, FixedExponents(a, b))
-        formula = (max(a, b).bit_length() - 1) + (bin(a).count("1") - 1) + (bin(b).count("1") - 1)
-        walked, certified = periodic_cost(params.base_pair, (a, b), formula)
-        assert calls == (walked if certified else walked + formula)
+        budget = pass_products((a, b))
+        walked, certified = periodic_cost(params.base_pair, (a, b), budget)
+        assert products.count == (walked if certified else walked + budget)
         paths.add(certified)
         base = params.base_pair
         assert transcript.alice_message == chain_fold(CIRC, base, a).first
         assert transcript.bob_message == chain_fold(CIRC, base, b).first
         assert key == chain_fold(CIRC, base, a + b).first
     assert paths == {True, False}
+
+
+def test_party_powers_cost_bound(monkeypatch):
+    """Counted in k^3 products on both paths, a walk that serves the powers
+    spends at most what the least-bit-first pass would, and a walk given
+    up on plus the pass at most twice that; both give the pass's pairs."""
+    products = count_products(monkeypatch)
+    passes = []
+    pass_ = protocol.powers
+
+    def counted_pass(op, base, exponents):
+        passes.append(exponents)
+        return pass_(op, base, exponents)
+
+    monkeypatch.setattr(protocol, "powers", counted_pass)
+    rng = Random(137)
+    small = setup(3, 100, 8, CIRC, rng)
+    cases = [
+        # B first repeats after 1 038 products, past this budget of 796
+        (setup(2, 10**6, 200, CIRC, Random(1997)), ((1 << 200) - 1, 1 << 199)),
+        *((small, exponents) for exponents in ((1,), (2,), (3, 3, 3), (4, 4, 4), (5, 250))),
+    ]
+    for trial in range(40):
+        params = setup(1 + trial % 6, rng.choice((1, 100, 10**4)), rng.randint(1, 64), CIRC, rng)
+        exponents = tuple(rng.randint(1, (1 << params.K) - 1) for _ in range(1 + trial % 3))
+        cases.append((params, exponents))
+    fell_back = set()
+    for params, exponents in cases:
+        products.count, passes[:] = 0, []
+        pairs = protocol.party_powers(params, exponents)
+        assert products.count <= (2 if passes else 1) * pass_products(exponents)
+        fell_back.add(bool(passes))
+        assert pairs == pass_(CIRC, params.base_pair, exponents)
+    assert fell_back == {True, False}
 
 
 def test_transcript_round_trip_and_privacy():

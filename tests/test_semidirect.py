@@ -1,7 +1,7 @@
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tropkex import (
     DimensionMismatchError,
@@ -22,11 +22,14 @@ from tropkex.semidirect import apply
 
 from _oracles import (
     chain_fold,
-    chain_period,
     fold_left,
     fold_right,
+    identity_oplus,
     ladder_power,
+    matrix_period,
     naive_apply,
+    naive_otimes,
+    pass_products,
     periodic_cost,
     random_pair,
 )
@@ -267,15 +270,39 @@ def test_power_matches_ladder_oracle():
                     assert result == fold_right(CIRC, base, e)
 
 
-def _pass_cost(exponents):
-    # what ``powers`` spends on these exponents: the budget party_powers gives
-    return max(exponents).bit_length() - 1 + sum(bin(e).count("1") - 1 for e in exponents)
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), bound=st.integers(0, 1000), seed=st.integers(0, 2**32 - 1))
+def test_circ_powers_are_powers_of_b(k, bound, seed):
+    """The identity ``periodic_powers`` rests on, with B = I oplus H: for
+    2 < e <= 64, (M, H)^e == (X_2 otimes B^(e-2), G_2 otimes B^(e-2)),
+    and B^e == I oplus G_e for every e, along chain_fold's right fold."""
+    base = random_pair(Random(seed), k, bound)
+    b = identity_oplus(base.second)
+    b_powers = [None, b]  # B^j at index j; B^0 = I has no finite entries
+    pair = base
+    for e in range(1, 65):
+        if e > 1:
+            pair = naive_apply(CIRC, pair, base)  # one step of chain_fold's fold
+            b_powers.append(naive_otimes(b_powers[-1], b))
+        assert b_powers[e] == identity_oplus(pair.second)
+        if e == 2:
+            square = pair
+        elif e > 2:
+            w = b_powers[e - 2]
+            assert pair == SemigroupPair(
+                naive_otimes(square.first, w), naive_otimes(square.second, w)
+            )
+    assert pair == chain_fold(CIRC, base, 64)
+
+
+def _b_period(base):
+    return matrix_period(identity_oplus(base.second))
 
 
 def test_periodic_powers_match_powers_and_fold():
-    """Read off the period, every power equals the pass's and the fold's,
-    at the cost the naive period oracle predicts; pairs of exponents far
-    past the period come out as the pass gives them."""
+    """Read off the period of B's powers, every power equals the pass's and
+    the fold's, at the cost the naive period oracle predicts; pairs of
+    exponents far past the period come out as the pass gives them."""
     rng = Random(61)
     for k in range(1, 5):
         for _ in range(4):
@@ -284,36 +311,37 @@ def test_periodic_powers_match_powers_and_fold():
             counter = OpCounter()
             result = periodic_powers(base, everything, 10**6, counter)
             assert result == powers(CIRC, base, everything)
-            n, p = chain_period(base)
-            assert n + p + 1 < 128  # exponents past the first repeat are read off the period
-            for e in {1, 2, n, n + p - 1, n + p, n + p + 1, 127}:
+            n, p = _b_period(base)
+            assert n + p + 3 < 128  # exponents past B's first repeat are read off the period
+            for e in {1, 2, 3, n + 2, n + p + 1, n + p + 2, n + p + 3, 127}:
                 assert result[e - 1] == chain_fold(CIRC, base, e)
             assert counter.count == periodic_cost(base, everything, 10**6)[0]
             for _ in range(8):
                 two = (rng.randint(1, 1 << 64), rng.randint(1, 1 << 200))
                 counter = OpCounter()
-                result = periodic_powers(base, two, _pass_cost(two), counter)
+                result = periodic_powers(base, two, pass_products(two), counter)
                 assert (counter.count, result is not None) == periodic_cost(
-                    base, two, _pass_cost(two)
+                    base, two, pass_products(two)
                 )
                 if result is not None:
                     assert result == powers(CIRC, base, two)
 
 
 def test_periodic_powers_stationary_chain():
-    # M in [0, N] and H all N: (M, H) squares to itself, so the first
-    # repeat is at n = 2 with period 1 and shift c = 0, and every power is
-    # the base.  Two steps find it, and P_2 is still in the window.
+    # M in [0, N] and H all N: B = I oplus H squares to itself, so B's
+    # first repeat is at j = 2 with n = 1, period 1 and shift c = 0, and
+    # every power is the base.  One product finds it; serving the five
+    # exponents costs eight more (two for P_2, two per exponent above 2).
     rng = Random(67)
     big = 1000
     m = TropicalMatrix([[rng.randint(0, big) for _ in range(4)] for _ in range(4)])
     base = SemigroupPair(m, TropicalMatrix([[big] * 4] * 4))
-    assert chain_period(base) == (2, 1)
+    assert _b_period(base) == (1, 1)
     exponents = (1, 2, 3, 1 << 200, (1 << 4096) - 1)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 2, counter) == (base,) * 5
-    assert counter.count == 2
-    assert periodic_powers(base, exponents, 1) is None
+    assert periodic_powers(base, exponents, 9, counter) == (base,) * 5
+    assert counter.count == periodic_cost(base, exponents, 9)[0] == 9
+    assert periodic_powers(base, exponents, 8) is None
 
 
 def test_periodic_powers_before_the_certificate():
@@ -324,67 +352,75 @@ def test_periodic_powers_before_the_certificate():
     counter = OpCounter()
     assert periodic_powers(base, (1,), 0, counter) == (base,)
     assert counter.count == 0
-    # the long transient pinned below: the first repeat is at index 1 039
+    # exponent 3 needs B itself, no walk, but P_2 and P_2 times B: four products
+    assert periodic_powers(base, (1, 3), 4, counter) == powers(CIRC, base, (1, 3))
+    assert counter.count == periodic_cost(base, (1, 3), 4)[0] == 4
+    assert periodic_powers(base, (1, 3), 3) is None
+    # the long transient pinned below: B's first repeat is at j = 1 039,
+    # past the walk's last stop B^1036 for exponent 1 038
     base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
     exponents = (1, 5, 500, 1038)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 1037, counter) == powers(CIRC, base, exponents)
-    assert counter.count == 1037
-    assert periodic_powers(base, exponents, 1036) is None
+    assert periodic_powers(base, exponents, 1043, counter) == powers(CIRC, base, exponents)
+    assert counter.count == periodic_cost(base, exponents, 1043)[0] == 1043
+    assert periodic_powers(base, exponents, 1042) is None
     assert periodic_powers(base, (), 0) == ()
     with pytest.raises(ValueError):
         periodic_powers(base, (3, 0), 10)
 
 
 def test_periodic_powers_long_transient_gives_up_within_budget():
-    """A k = 2 instance with N = 10^6 whose chain first repeats after
-    1 038 steps: past 200-bit exponents' budget, so the walk stops at the
-    budget; a budget that covers the walk to the repeat certifies it."""
+    """A k = 2 instance with N = 10^6 whose B first repeats after 1 038
+    products: past 200-bit exponents' budget, so the walk stops where the
+    rest of the budget would just serve the exponents; a budget that
+    covers the walk to the repeat certifies it."""
     params = setup(2, 10**6, 200, CIRC, Random(1997))
     base = params.base_pair
-    assert chain_period(base) == (1038, 1)
+    assert _b_period(base) == (1038, 1)
     exponents = ((1 << 200) - 1, 1 << 199)
+    budget = pass_products(exponents)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, _pass_cost(exponents), counter) is None
-    assert counter.count == _pass_cost(exponents) == 398
+    assert periodic_powers(base, exponents, budget, counter) is None
+    assert budget == 796
+    assert counter.count == periodic_cost(base, exponents, budget)[0] == 790
     counter = OpCounter()
-    result = periodic_powers(base, exponents, 1038, counter)
+    result = periodic_powers(base, exponents, 1044, counter)
     assert result == powers(CIRC, base, exponents)
-    assert counter.count == 1038
+    assert counter.count == periodic_cost(base, exponents, 1044)[0] == 1044
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 1037, counter) is None
-    assert counter.count == 1037
+    assert periodic_powers(base, exponents, 1043, counter) is None
+    assert counter.count == periodic_cost(base, exponents, 1043)[0] == 1037
 
 
 def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
-    # With every shift key equal, the walk sees a "repeat" at its second
-    # state; the exact comparison rejects it and the caller gets None.
+    # With every shift key equal, the walk sees a "repeat" at B^2; the
+    # exact comparison rejects it and the caller gets None.
     base = random_pair(Random(73), 3)
-    assert chain_period(base) != (2, 1)
-    monkeypatch.setattr(semidirect, "_shift_key", lambda pair: 0)
+    assert _b_period(base) != (1, 1)
+    monkeypatch.setattr(semidirect, "_shift_key", lambda w: 0)
     counter = OpCounter()
     assert periodic_powers(base, (100,), 10, counter) is None
-    assert counter.count == 2
+    assert counter.count == 1
 
 
 def test_periodic_powers_window_overflow():
     """A k = 5 chain whose period, 6, exceeds k: H has two disjoint
     critical cycles, of lengths 2 and 3, so the critical graph is not
-    strongly connected and the period is their lcm.  The walk finds the
-    repeat at m = 9 after 8 applications, but P_3 has left the window of
-    the last six pairs, so it gives up and ``party_powers`` runs the pass."""
+    strongly connected and the period is their lcm.  The walk finds B's
+    repeat at j = 8 after 7 products, but B^2 has left the window of the
+    last six powers, so it gives up and ``party_powers`` runs the pass."""
     k = 5
     m = TropicalMatrix([[0 if i == j else 100 for j in range(k)] for i in range(k)])
     h = [[100] * k for _ in range(k)]
     for i, j in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)):
         h[i][j] = -1
     base = SemigroupPair(m, TropicalMatrix(h))
-    assert chain_period(base) == (3, 6)
+    assert _b_period(base) == (2, 6)
     exponents = (1 << 40, (1 << 40) + 5)
     counter = OpCounter()
     assert periodic_powers(base, exponents, 10**6, counter) is None
-    assert counter.count == 8
-    assert periodic_cost(base, exponents, 10**6) == (8, False)
+    assert counter.count == 7
+    assert periodic_cost(base, exponents, 10**6) == (7, False)
     params = protocol.ProtocolParams(k, 100, 41, CIRC, m, TropicalMatrix(h))
     pairs = protocol.party_powers(params, (23, 40))
     assert pairs == powers(CIRC, base, (23, 40))
