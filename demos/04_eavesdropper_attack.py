@@ -63,6 +63,6 @@ print(f"k=10, entries in [-1000, 1000], 200-bit exponents:")
 print(f"  exchange took {exchanged - start:.2f}s, "
       f"attack took {done - exchanged:.2f}s, "
       f"op_count {result.op_count} <= {2 * 200}")
-print("  growing K does not help the parties: a circ exchange pays about T + p")
-print("  k^3 products (the transient plus period of B = H (+) I) whatever K is,")
+print("  growing K does not help the parties: a circ exchange pays O(k log T) + p")
+print("  k^3 products (T the transient, p the period of B = H (+) I) whatever K is,")
 print("  and the eavesdropper's at most 2K operations grow only linearly in K.")

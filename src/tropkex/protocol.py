@@ -13,11 +13,12 @@ serialized.
 
 Every honest powering goes through ``party_powers``.  Under circ it walks
 the powers of B = H oplus I to their checked period, one k^3 product per
-step (``semidirect.periodic_powers``): about T + p products, T the
-transient and p the period of B, however large K is.  Under star, or when
-that would cost more than the least-bit-first pass ``powers`` (about 2K
-applications of two products each) or the period exceeds k, it runs the
-pass instead; under circ both give the same pairs.
+step and squaring past a long transient (``semidirect.periodic_powers``):
+O(k log T) + p products, T the transient and p the period of B, however
+large K is.  Under star, or when that would cost more than the
+least-bit-first pass ``powers`` (about 2K applications of two products
+each), as a period above k does, it runs the pass instead; under circ both
+give the same pairs.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two
@@ -142,7 +143,7 @@ def party_powers(params: ProtocolParams, exponents: Sequence[int]) -> tuple[Semi
     Under circ the powers come from ``periodic_powers``, given as budget
     the k^3 products ``powers`` would spend, two per application of its
     (L - 1) + sum(popcount(e) - 1), L the largest bit length; under star,
-    or when the walk does not fit that budget or its period exceeds k,
+    or when the walk does not fit that budget (as with a period above k),
     from ``powers``.  So the walk never costs more products than the
     pass, and a fallback at most twice.
     """

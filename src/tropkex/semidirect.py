@@ -35,11 +35,12 @@ into the accumulator of every exponent with that bit set, so several
 powers of one base share their squarings (both parties of an exchange
 power the same public pair).  ``periodic_powers`` is circ only: past the
 square, a circ step multiplies both components by B = H oplus I, so it
-walks B, B^2, ... one k^3 product per step to their first repeat up to
-a scalar shift, proves it exactly, and serves each exponent as base^2
-times a power of B read off that period, at a cost set by B's transient
-and period, not by the exponents' bit length.  It gives up, returning
-None, past a caller's budget or when the period outgrows its window.
+walks B's powers in segments of k + 1, one k^3 product per step and a
+squaring between segments, to a repeat up to a scalar shift inside a
+segment, proves it exactly, and serves each exponent as base^2 times a
+power of B read off that period: O(k log T) products for B's transient
+T, whatever the exponents' bit length.  It gives up, returning None,
+past a caller's budget, which a period above k always exhausts.
 There is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
@@ -53,7 +54,6 @@ product, which is all a party needs to derive the shared key.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -271,8 +271,8 @@ def periodic_powers(
 ) -> tuple[SemigroupPair, ...] | None:
     """base^e under circ for every e in ``exponents``, read off the period
     of one matrix's powers; None if that would take more than ``budget``
-    k^3 products (one ``apply`` is two) or the period exceeds k.
-    ``counter``, if given, is bumped once per product.
+    k^3 products (one ``apply`` is two).  ``counter``, if given, is bumped
+    once per product.
 
     Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I, I the
     min-plus identity (+inf off the diagonal): H with its diagonal clipped
@@ -281,15 +281,16 @@ def periodic_powers(
     likewise for G_m, and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2})
     with W_j = B^j.
 
-    The walk computes W_{j+1} = W_j otimes B from W_1 = B, keeps the last
-    k + 1 powers, and looks each W_j up by the hash of W_j - W_j[0][0].
-    At the first hit, W_n with p = j - n, it checks W_j == W_n + c
-    exactly, c = W_j[0][0] - W_n[0][0], and returns None if that fails (a
-    hash collision) or if p > k, when W_n has left the window.  The check
-    proves every later index, since otimes B commutes with adding a
-    scalar: W_{n+qp+r} = W_{n+r} + q c, served with (q, r) = divmod(e - 2
-    - n, p).  Powers the walk passes are taken as it passes them, and an
-    exponent reached before any repeat ends the walk there.
+    The walk steps W_{j+1} = W_j otimes B in segments W_s .. W_{s+k},
+    from W_1 = B, looking each W_j up by the hash of W_j - W_j[0][0]
+    among the segment's powers.  After a segment with no hit it starts the
+    next at W_{2j} = W_j otimes W_j (otimes is associative), or at W_{j+1}
+    if that would jump past a needed index e - 2, so it takes every power
+    below its stop as it passes.  At a hit, W_n with p = j - n, it checks
+    W_j == W_n + c exactly, c = W_j[0][0] - W_n[0][0], and returns None
+    if that fails (a hash collision).  The check proves every later index,
+    since otimes B commutes with adding a scalar: W_{n+qp+r} = W_{n+r} +
+    q c, served with (q, r) = divmod(e - 2 - n, p).
 
     A repeat always comes: B is irreducible because H is finite, so by the
     cyclicity theorem of min-plus algebra its powers are ultimately
@@ -297,14 +298,18 @@ def periodic_powers(
     the strongly connected components of B's critical graph of the gcd of
     each one's cycle lengths.  When that graph is strongly connected, the
     cyclicity divides the length of one of its elementary cycles, so
-    p <= k.  Otherwise it can exceed k (critical cycles of lengths 2 and 3
-    at k = 5 give p = 6), and the function returns None, as it does for a
-    long transient.
+    p <= k and the first segment to start at or past B's transient T shows
+    it.  Otherwise p can exceed k (critical cycles of lengths 2 and 3 at
+    k = 5 give p = 6): no segment holds two powers p apart, and the walk
+    spends its budget and returns None.
 
-    Cost: min(j, max e - 2) - 1 products for the walk, two for P_2 (one
-    ``apply``) and two per exponent above 2; the walk stops before the
-    product that would overrun ``budget``.  Only B, the last k + 1
-    powers, one matrix per exponent and a dict entry per step are kept.
+    Cost: a segment costs k + 1 products and doubles j, so unless needed
+    indices hold it to single steps the walk passes T after (k + 1)
+    ceil(log2((T + 2k) / (2k + 1))) products and shows the period within p
+    more; it stops at max e - 2 if that comes first.  Serving costs two
+    products for P_2 (one ``apply``) and two per exponent above 2, and the
+    walk stops before the product that would leave less than that of
+    ``budget``.  Only B, a segment, and one matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
@@ -319,23 +324,27 @@ def periodic_powers(
         b = _wrap_flat((x if i % (k + 1) else min(x, 0) for i, x in enumerate(h)), k)
         b_cols = b._columns()
         first_seen: dict[int, int] = {}
-        window: deque[TropicalMatrix] = deque(maxlen=k + 1)
-        w, j = b, 1
-        while True:  # w = W_j, after j - 1 products
+        window: list[TropicalMatrix] = []  # the segment's powers, W_s .. W_j
+        w, j, spent = b, 1, 0
+        while True:  # w = W_j, after ``spent`` products
             window.append(w)
             if j in found:
                 found[j] = w
             if j == top - 2 or (n := first_seen.setdefault(_shift_key(w), j)) < j:
                 break
-            if j + serving > budget:  # product number j would overrun the budget
+            if spent + serving >= budget:  # one more product would overrun the budget
                 return None
-            w, j = _product(w, b_cols), j + 1
+            step_cols, step = b_cols, 1
+            if len(window) > k:  # k + 1 powers and no repeat: start a new segment
+                window.clear()
+                first_seen.clear()
+                if 2 * j <= min(i for i in found if i > j):  # skips no needed power
+                    step_cols, step = w._columns(), j
+            w, j, spent = _product(w, step_cols), j + step, spent + 1
             if counter is not None:
                 counter.count += 1
-        if j < top - 2:  # stopped at the first repeat, j = n + p
+        if j < top - 2:  # stopped at a repeat inside the segment, j = n + p
             period = j - n
-            if period >= len(window):
-                return None
             start = window[-1 - period]
             c = w.rows[0][0] - start.rows[0][0]
             if _shifted(start, c) != w:

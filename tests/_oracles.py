@@ -124,6 +124,11 @@ def identity_oplus(h: TropicalMatrix) -> TropicalMatrix:
     )
 
 
+def _relative(w: TropicalMatrix) -> tuple:
+    # w written relative to its own (0, 0) entry: equal for scalar shifts of w
+    return tuple(tuple(x - w.rows[0][0] for x in row) for row in w.rows)
+
+
 def matrix_period(b: TropicalMatrix) -> tuple[int, int]:
     """(n, p) of the first repeat up to a scalar shift among b, b^2, ...
 
@@ -134,7 +139,7 @@ def matrix_period(b: TropicalMatrix) -> tuple[int, int]:
     first_index = {}
     acc, j = b, 1
     while True:
-        state = tuple(tuple(x - acc.rows[0][0] for x in row) for row in acc.rows)
+        state = _relative(acc)
         if state in first_index:
             return first_index[state], j - first_index[state]
         first_index[state] = j
@@ -152,13 +157,15 @@ def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, boo
     """k^3 products ``periodic_powers`` spends on ``exponents`` with this
     budget, and whether it returns the powers (True) or gives up (False).
 
-    With B = I oplus H, the walk reaches B^j after j - 1 products; it stops
-    at B^(max e - 2) if that comes no later than B's first repeat at
-    j = n + p, and otherwise at j, where it gives up if p >= k + 1: the
-    period no longer fits in its window of the last k + 1 powers.  Serving
-    the exponents costs two products for base^2 and two per exponent above
-    2, and the walk never makes a product that would leave less than that
-    of the budget.
+    Replays the walk's schedule over the powers W_j of B = I oplus H with
+    ``naive_otimes``: from W_1 = B it multiplies by B, one product per
+    step; once a segment holds k + 1 powers with no two equal up to a
+    scalar shift, it forgets them and starts a new segment at W_(2j) =
+    W_j W_j (one product) if no needed index e - 2 lies between j and 2j,
+    else at W_(j+1).  It stops at W_(max e - 2), or at a repeat inside the
+    segment, and never makes a product that would leave less of the budget
+    than serving the exponents costs: two products for base^2 and two per
+    exponent above 2.
     """
     top = max(exponents)
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
@@ -166,13 +173,36 @@ def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, boo
         return 0, False
     if top <= 2:
         return serving, True
-    n, p = matrix_period(identity_oplus(base.second))
-    walked = min(top - 2, n + p) - 1
-    if walked + serving > budget:
-        return budget - serving, False
-    if top - 2 > n + p and p >= base.k + 1:
-        return walked, False
-    return walked + serving, True
+    b = identity_oplus(base.second)
+    needed = [e - 2 for e in exponents if e > 2]
+    segment = set()
+    w, j, spent = b, 1, 0
+    while True:
+        state = _relative(w)
+        if j == top - 2 or state in segment:
+            return spent + serving, True
+        if spent + serving >= budget:
+            return spent, False
+        segment.add(state)
+        spent += 1
+        if len(segment) == base.k + 1:
+            segment = set()
+            if 2 * j <= min(i for i in needed if i > j):
+                w, j = naive_otimes(w, w), 2 * j
+                continue
+        w, j = naive_otimes(w, b), j + 1
+
+
+def period_six_pair() -> SemigroupPair:
+    """A k = 5 base whose B has period 6 > k: H's critical graph is two
+    disjoint cycles, of lengths 2 and 3, with B's first repeat at
+    j = 8, n = 2."""
+    k = 5
+    m = TropicalMatrix([[0 if i == j else 100 for j in range(k)] for i in range(k)])
+    h = [[100] * k for _ in range(k)]
+    for i, j in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)):
+        h[i][j] = -1
+    return SemigroupPair(m, TropicalMatrix(h))
 
 
 def count_products(monkeypatch) -> OpCounter:

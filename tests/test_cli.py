@@ -27,7 +27,7 @@ from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, 
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 from tropkex.semidirect import product_first
 
-from _oracles import count_products
+from _oracles import count_products, pass_products, periodic_cost
 
 
 def run_cli(*argv):
@@ -188,9 +188,10 @@ def test_exchange_files_are_pinned(tmp_path):
 def test_exchange_long_transient_params(tmp_path, monkeypatch):
     """Params whose B = I oplus H first repeats only after 1 038 products, at
     the largest K a params file may ask for: the exchange still succeeds,
-    gives what the least-bit-first pass gives, and makes exactly 1 044 k^3
-    products, 1 038 for the walk to that repeat, two for the square and two
-    per party to serve its power."""
+    gives what the least-bit-first pass gives, and makes exactly 31 k^3
+    products, 25 for the walk that squares its way past that transient
+    (``_oracles.periodic_cost``), two for the square and two per party to
+    serve its power."""
     params = setup(2, 10**6, MAX_EXPONENT_BITS, SemigroupOpKind.CIRC, Random(1997))
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params_to_json(params)))
@@ -205,7 +206,8 @@ def test_exchange_long_transient_params(tmp_path, monkeypatch):
     rng = Random(3)
     exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
     alice, bob = powers(SemigroupOpKind.CIRC, params.base_pair, exponents)
-    assert products.count == 1044
+    walked, certified = periodic_cost(params.base_pair, exponents, pass_products(exponents))
+    assert products.count == walked == 31 and certified
     transcript = transcript_from_json(json.loads(transcript_path.read_text()))
     assert (transcript.alice_message, transcript.bob_message) == (alice.first, bob.first)
     keys = json.loads(keys_path.read_text())

@@ -12,6 +12,7 @@ from tropkex import (
     SemigroupPair,
     TropicalMatrix,
     derive_shared_key,
+    draw_exponent,
     params_from_json,
     params_to_json,
     power,
@@ -29,6 +30,7 @@ from _oracles import (
     count_products,
     naive_apply,
     pass_products,
+    period_six_pair,
     periodic_cost,
     random_mat,
     random_pair,
@@ -194,11 +196,12 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
     the call walks the powers of B = I oplus H to their period with the
     pass's k^3 products as budget, 2 ((L - 1) + (popcount(a) - 1) +
     (popcount(b) - 1)), L the larger exponent's bit length; it costs what
-    the naive period oracle predicts when the walk fits that budget, and
+    the naive schedule oracle predicts when the walk fits that budget, and
     that budget's share of the walk plus the pass when it does not."""
     products = count_products(monkeypatch)
     rng = Random(131)
     trials = []
+    # small K gives small budgets: three of these exchanges fall back
     for trial in range(24):
         params = setup(1 + trial % 4, 100, rng.randint(1, 10), CIRC, rng)
         a, b = rng.randint(1, (1 << params.K) - 1), rng.randint(1, (1 << params.K) - 1)
@@ -233,9 +236,17 @@ def test_party_powers_cost_bound(monkeypatch):
     monkeypatch.setattr(protocol, "powers", counted_pass)
     rng = Random(137)
     small = setup(3, 100, 8, CIRC, rng)
+    six = period_six_pair()
     cases = [
-        # B first repeats after 1 038 products, past this budget of 796
+        # B first repeats after 1 038 products; squaring past that transient
+        # certifies within this budget of 796
         (setup(2, 10**6, 200, CIRC, Random(1997)), ((1 << 200) - 1, 1 << 199)),
+        # B's period 6 exceeds k = 5, so the walk spends its budget and falls back
+        *(
+            (ProtocolParams(5, 100, 41, CIRC, six.first, six.second), exponents)
+            for exponents in ((23, 40), (1 << 40, (1 << 40) + 5))
+        ),
+        # (4, 4, 4) falls back: its budget of 4 does not cover serving three powers
         *((small, exponents) for exponents in ((1,), (2,), (3, 3, 3), (4, 4, 4), (5, 250))),
     ]
     for trial in range(40):
@@ -250,6 +261,29 @@ def test_party_powers_cost_bound(monkeypatch):
         fell_back.add(bool(passes))
         assert pairs == pass_(CIRC, params.base_pair, exponents)
     assert fell_back == {True, False}
+
+
+def test_walk_tail_at_benchmark_size(monkeypatch):
+    """The exchange workload's size, k = 10, N = 1000, K = 200, over 100
+    seeds: no exchange falls back to the pass, and together they make
+    exactly the k^3 products the naive schedule oracle predicts, so a long
+    transient of B costs O(k log T) products, not T."""
+    products = count_products(monkeypatch)
+
+    def forbidden(*args):
+        raise AssertionError("an exchange fell back to the pass")
+
+    monkeypatch.setattr(protocol, "powers", forbidden)
+    expected = 0
+    for seed in range(100):
+        rng = Random(seed)
+        params = setup(10, 1000, 200, CIRC, rng)
+        exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
+        run_exchange(params, FixedExponents(*exponents))
+        walked, certified = periodic_cost(params.base_pair, exponents, pass_products(exponents))
+        assert certified
+        expected += walked
+    assert products.count == expected == 2123
 
 
 def test_transcript_round_trip_and_privacy():

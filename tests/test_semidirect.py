@@ -22,6 +22,7 @@ from tropkex.semidirect import apply
 
 from _oracles import (
     chain_fold,
+    count_products,
     fold_left,
     fold_right,
     identity_oplus,
@@ -30,6 +31,7 @@ from _oracles import (
     naive_apply,
     naive_otimes,
     pass_products,
+    period_six_pair,
     periodic_cost,
     random_pair,
 )
@@ -301,7 +303,7 @@ def _b_period(base):
 
 def test_periodic_powers_match_powers_and_fold():
     """Read off the period of B's powers, every power equals the pass's and
-    the fold's, at the cost the naive period oracle predicts; pairs of
+    the fold's, at the cost the naive schedule oracle predicts; pairs of
     exponents far past the period come out as the pass gives them."""
     rng = Random(61)
     for k in range(1, 5):
@@ -357,39 +359,55 @@ def test_periodic_powers_before_the_certificate():
     assert counter.count == periodic_cost(base, (1, 3), 4)[0] == 4
     assert periodic_powers(base, (1, 3), 3) is None
     # the long transient pinned below: B's first repeat is at j = 1 039,
-    # past the walk's last stop B^1036 for exponent 1 038
+    # past the walk's last stop B^1036 for exponent 1 038; squarings that
+    # would jump past B^498 or B^1036 are replaced by single steps
     base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
     exponents = (1, 5, 500, 1038)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 1043, counter) == powers(CIRC, base, exponents)
-    assert counter.count == periodic_cost(base, exponents, 1043)[0] == 1043
-    assert periodic_powers(base, exponents, 1042) is None
+    assert periodic_powers(base, exponents, 249, counter) == powers(CIRC, base, exponents)
+    assert counter.count == periodic_cost(base, exponents, 249)[0] == 249
+    assert periodic_powers(base, exponents, 248) is None
     assert periodic_powers(base, (), 0) == ()
     with pytest.raises(ValueError):
         periodic_powers(base, (3, 0), 10)
 
 
-def test_periodic_powers_long_transient_gives_up_within_budget():
+def test_periodic_powers_long_transient_certifies_within_budget():
     """A k = 2 instance with N = 10^6 whose B first repeats after 1 038
-    products: past 200-bit exponents' budget, so the walk stops where the
-    rest of the budget would just serve the exponents; a budget that
-    covers the walk to the repeat certifies it."""
+    products.  Squaring at the end of each segment of three powers reaches
+    B^1276 past the transient after 24 products, and one more step shows
+    the period: 31 products with serving, within the 796 the pass would
+    spend on 200-bit exponents.  One product less of budget gives up."""
     params = setup(2, 10**6, 200, CIRC, Random(1997))
     base = params.base_pair
     assert _b_period(base) == (1038, 1)
     exponents = ((1 << 200) - 1, 1 << 199)
     budget = pass_products(exponents)
-    counter = OpCounter()
-    assert periodic_powers(base, exponents, budget, counter) is None
     assert budget == 796
-    assert counter.count == periodic_cost(base, exponents, budget)[0] == 790
     counter = OpCounter()
-    result = periodic_powers(base, exponents, 1044, counter)
+    result = periodic_powers(base, exponents, budget, counter)
     assert result == powers(CIRC, base, exponents)
-    assert counter.count == periodic_cost(base, exponents, 1044)[0] == 1044
+    assert counter.count == periodic_cost(base, exponents, budget)[0] == 31
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 1043, counter) is None
-    assert counter.count == periodic_cost(base, exponents, 1043)[0] == 1037
+    assert periodic_powers(base, exponents, 30, counter) is None
+    assert (counter.count, False) == periodic_cost(base, exponents, 30) == (24, False)
+
+
+def test_periodic_powers_never_jumps_a_needed_power():
+    """Small and huge exponents together on the long transient: the walk
+    squares only where no needed index e - 2 lies in between, so each
+    small power is taken as the walk passes it and each huge one is read
+    off the period, all equal to the pass's and the small ones to the
+    fold's."""
+    base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
+    exponents = (1, 3, 40, 1038, 1 << 60, (1 << 200) - 1)
+    budget = pass_products(exponents)
+    counter = OpCounter()
+    result = periodic_powers(base, exponents, budget, counter)
+    assert result == powers(CIRC, base, exponents)
+    for e, pair in zip(exponents[:3], result):
+        assert pair == chain_fold(CIRC, base, e)
+    assert counter.count == periodic_cost(base, exponents, budget)[0] == 436
 
 
 def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
@@ -403,26 +421,27 @@ def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
     assert counter.count == 1
 
 
-def test_periodic_powers_window_overflow():
+def test_periodic_powers_window_overflow(monkeypatch):
     """A k = 5 chain whose period, 6, exceeds k: H has two disjoint
     critical cycles, of lengths 2 and 3, so the critical graph is not
-    strongly connected and the period is their lcm.  The walk finds B's
-    repeat at j = 8 after 7 products, but B^2 has left the window of the
-    last six powers, so it gives up and ``party_powers`` runs the pass."""
-    k = 5
-    m = TropicalMatrix([[0 if i == j else 100 for j in range(k)] for i in range(k)])
-    h = [[100] * k for _ in range(k)]
-    for i, j in ((0, 1), (1, 0), (2, 3), (3, 4), (4, 2)):
-        h[i][j] = -1
-    base = SemigroupPair(m, TropicalMatrix(h))
+    strongly connected and the period is their lcm.  No segment of k + 1
+    powers holds two powers six apart, so the walk never certifies: it
+    spends its budget less the serving cost, and ``party_powers`` then
+    runs the pass, at most twice the pass's products in all."""
+    base = period_six_pair()
     assert _b_period(base) == (2, 6)
     exponents = (1 << 40, (1 << 40) + 5)
+    budget = pass_products(exponents)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 10**6, counter) is None
-    assert counter.count == 7
-    assert periodic_cost(base, exponents, 10**6) == (7, False)
-    params = protocol.ProtocolParams(k, 100, 41, CIRC, m, TropicalMatrix(h))
+    assert periodic_powers(base, exponents, budget, counter) is None
+    assert counter.count <= budget
+    assert (counter.count, False) == periodic_cost(base, exponents, budget) == (78, False)
+    params = protocol.ProtocolParams(5, 100, 41, CIRC, base.first, base.second)
+    walked, certified = periodic_cost(base, (23, 40), pass_products((23, 40)))
+    assert not certified
+    products = count_products(monkeypatch)
     pairs = protocol.party_powers(params, (23, 40))
+    assert products.count == walked + pass_products((23, 40)) <= 2 * pass_products((23, 40))
     assert pairs == powers(CIRC, base, (23, 40))
     assert pairs == (chain_fold(CIRC, base, 23), chain_fold(CIRC, base, 40))
 
