@@ -28,7 +28,7 @@ print()
 
 # both private exponents, drawn uniformly from [1, 2^8 - 1], and both
 # parties' powers from one call: a walk over the powers of B = H (+) I to
-# their period (here 12 k^3 products, under the 26 of the 13 pair operations
+# their period (here 9 k^3 products, under the 26 of the 13 pair operations
 # of the least-bit-first pass it replaces), or that pass when the walk
 # would cost more
 alice, bob, shared_key = run_parties(params, rng)

@@ -12,13 +12,15 @@ parameters plus the two exchanged matrices.  Private exponents are never
 serialized.
 
 Every honest powering goes through ``party_powers``.  Under circ it walks
-the powers of B = H oplus I to their checked period, one k^3 product per
-step and squaring past a long transient (``semidirect.periodic_powers``):
-O(k log T) + p products, T the transient and p the period of B, however
-large K is.  Under star, or when that would cost more than the
-least-bit-first pass ``powers`` (about 2K applications of two products
-each), as a period above k does, it runs the pass instead; under circ both
-give the same pairs.
+the powers of B = H oplus I to their checked period
+(``semidirect.periodic_powers``): it squares B up to index 2k, then takes
+k + 1 powers at a time, one k^3 product each, squaring again between
+them: O(k log T) + p products, T the transient and p the period of B,
+however large K is, plus two for (M, H)^2 and two per distinct residue
+of the exponents modulo p.  Under star, or when that would cost more
+than the least-bit-first pass ``powers`` (about 2K applications of two
+products each), as a period above k does, it runs the pass instead;
+under circ both give the same pairs.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two

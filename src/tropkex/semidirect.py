@@ -35,12 +35,14 @@ into the accumulator of every exponent with that bit set, so several
 powers of one base share their squarings (both parties of an exchange
 power the same public pair).  ``periodic_powers`` is circ only: past the
 square, a circ step multiplies both components by B = H oplus I, so it
-walks B's powers in segments of k + 1, one k^3 product per step and a
-squaring between segments, to a repeat up to a scalar shift inside a
-segment, proves it exactly, and serves each exponent as base^2 times a
-power of B read off that period: O(k log T) products for B's transient
-T, whatever the exponents' bit length.  It gives up, returning None,
-past a caller's budget, which a period above k always exhausts.
+squares B up to index 2k, then walks B's powers in segments of k + 1,
+one k^3 product per step and a squaring between segments, to a repeat
+up to a scalar shift inside a segment, proves it exactly, and serves
+each exponent as base^2 times a power of B read off that period, one
+product pair per distinct residue: O(k log T) products for B's
+transient T, whatever the exponents' bit length.  It gives up,
+returning None, past a caller's budget, which a period above k always
+exhausts.
 There is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
@@ -270,9 +272,9 @@ def periodic_powers(
     counter: OpCounter | None = None,
 ) -> tuple[SemigroupPair, ...] | None:
     """base^e under circ for every e in ``exponents``, read off the period
-    of one matrix's powers; None if that would take more than ``budget``
+    of one matrix's powers; None if that could take more than ``budget``
     k^3 products (one ``apply`` is two).  ``counter``, if given, is bumped
-    once per product.
+    once per product made.
 
     Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I, I the
     min-plus identity (+inf off the diagonal): H with its diagonal clipped
@@ -281,16 +283,19 @@ def periodic_powers(
     likewise for G_m, and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2})
     with W_j = B^j.
 
-    The walk steps W_{j+1} = W_j otimes B in segments W_s .. W_{s+k},
-    from W_1 = B, looking each W_j up by the hash of W_j - W_j[0][0]
-    among the segment's powers.  After a segment with no hit it starts the
-    next at W_{2j} = W_j otimes W_j (otimes is associative), or at W_{j+1}
-    if that would jump past a needed index e - 2, so it takes every power
-    below its stop as it passes.  At a hit, W_n with p = j - n, it checks
-    W_j == W_n + c exactly, c = W_j[0][0] - W_n[0][0], and returns None
-    if that fails (a hash collision).  The check proves every later index,
-    since otimes B commutes with adding a scalar: W_{n+qp+r} = W_{n+r} +
-    q c, served with (q, r) = divmod(e - 2 - n, p).
+    The walk squares from W_1 = B (otimes is associative) until its index
+    j reaches 2k, then steps W_{j+1} = W_j otimes B in segments W_s ..
+    W_{s+k}, looking each W_j up by the hash of W_j - W_j[0][0] among the
+    segment's powers.  A segment with no hit ends in a jump W_{j+s} = W_j
+    otimes W_s that starts the next, as each squaring does: s = j, unless
+    that would pass the next needed index i = e - 2; then s is the
+    largest index up to i - j among the powers the walk holds (B, the
+    first power of every segment, and the current segment), so it takes
+    every needed power below its stop as it passes.  At a hit, W_n with
+    p = j - n, it checks W_j == W_n + c exactly, c = W_j[0][0] -
+    W_n[0][0], and returns None if that fails (a hash collision).  The
+    check proves every later index, since otimes B commutes with adding a
+    scalar: W_{n+qp+r} = W_{n+r} + q c for r < p.
 
     A repeat always comes: B is irreducible because H is finite, so by the
     cyclicity theorem of min-plus algebra its powers are ultimately
@@ -303,59 +308,80 @@ def periodic_powers(
     k = 5 give p = 6): no segment holds two powers p apart, and the walk
     spends its budget and returns None.
 
-    Cost: a segment costs k + 1 products and doubles j, so unless needed
-    indices hold it to single steps the walk passes T after (k + 1)
-    ceil(log2((T + 2k) / (2k + 1))) products and shows the period within p
-    more; it stops at max e - 2 if that comes first.  Serving costs two
-    products for P_2 (one ``apply``) and two per exponent above 2, and the
-    walk stops before the product that would leave less than that of
-    ``budget``.  Only B, a segment, and one matrix per exponent are kept.
+    Cost: the squarings cost one product each and a segment k + 1, so
+    unless needed indices hold the jumps short the walk passes T after
+    about log2(2k) + (k + 1) log2(T / 2k) products and shows the period
+    within p more; it stops at max e - 2 if that comes first.  Serving
+    costs two products for P_2 (one ``apply``), then, since adding a
+    scalar commutes with otimes, two per distinct W_{n+r} (or walked W_i)
+    the exponents need: P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) +
+    q c.  The walk stops before the product that would leave less of
+    ``budget`` than the worst case of serving, two per exponent above 2.
+    Only B, the first power of each segment, a segment, and one matrix per
+    exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
     top = max(exponents, default=1)
-    serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
+    serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
     if serving > budget:
         return None
-    found = dict.fromkeys(e - 2 for e in exponents)  # W_j for each j = e - 2 > 0
+    found = dict.fromkeys(e - 2 for e in exponents)  # W_i for each needed i = e - 2 > 0
+    period = 0
     if top > 2:
         k = base.k
         h = _flatten(base.second.rows)  # B = H oplus I: H with its diagonal clipped at 0
         b = _wrap_flat((x if i % (k + 1) else min(x, 0) for i, x in enumerate(h)), k)
         b_cols = b._columns()
+        starts = {1: b}  # the first power of every segment, by index
         first_seen: dict[int, int] = {}
-        window: list[TropicalMatrix] = []  # the segment's powers, W_s .. W_j
+        window: dict[int, TropicalMatrix] = {}  # the segment's powers, by index
         w, j, spent = b, 1, 0
         while True:  # w = W_j, after ``spent`` products
-            window.append(w)
+            window[j] = w
             if j in found:
                 found[j] = w
-            if j == top - 2 or (n := first_seen.setdefault(_shift_key(w), j)) < j:
+            if j == top - 2 or (
+                j >= 2 * k and (n := first_seen.setdefault(_shift_key(w), j)) < j
+            ):
                 break
-            if spent + serving >= budget:  # one more product would overrun the budget
+            if spent + serving >= budget:  # one more product could overrun the budget
                 return None
-            step_cols, step = b_cols, 1
-            if len(window) > k:  # k + 1 powers and no repeat: start a new segment
+            if j < 2 * k or len(window) > k:  # jump to W_{j+s}, starting a new segment
+                held = starts | window
+                s = max(i for i in held if i <= min(i for i in found if i > j) - j)
+                w, j = _product(w, held[s]._columns()), j + s
                 window.clear()
                 first_seen.clear()
-                if 2 * j <= min(i for i in found if i > j):  # skips no needed power
-                    step_cols, step = w._columns(), j
-            w, j, spent = _product(w, step_cols), j + step, spent + 1
+                starts[j] = w
+            else:
+                w, j = _product(w, b_cols), j + 1
+            spent += 1
             if counter is not None:
                 counter.count += 1
         if j < top - 2:  # stopped at a repeat inside the segment, j = n + p
             period = j - n
-            start = window[-1 - period]
-            c = w.rows[0][0] - start.rows[0][0]
-            if _shifted(start, c) != w:
+            c = w.rows[0][0] - window[n].rows[0][0]
+            if _shifted(window[n], c) != w:
                 return None
-            for i in found:
-                if i > j:
-                    q, r = divmod(i - n, period)
-                    found[i] = _shifted(window[r - 1 - period], q * c)
-    if counter is not None:
-        counter.count += serving
+            found.update(window)
     square = apply(_CIRC, base, base) if top > 1 else None
-    return tuple(
-        base if e == 1 else square if e == 2 else _times(square, found[e - 2]) for e in exponents
-    )
+    served: dict[int, SemigroupPair] = {}  # X_2 and G_2 times W_i, by i
+    result = []
+    for e in exponents:
+        if e < 3:
+            result.append(base if e == 1 else square)
+            continue
+        i, q = e - 2, 0
+        if period and i >= n:
+            q, r = divmod(i - n, period)
+            i = n + r
+        pair = served.get(i)
+        if pair is None:
+            pair = served[i] = _times(square, found[i])
+        result.append(
+            _new_pair(_shifted(pair.first, q * c), _shifted(pair.second, q * c)) if q else pair
+        )
+    if counter is not None:
+        counter.count += 2 * (top > 1) + 2 * len(served)
+    return tuple(result)

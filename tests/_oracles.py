@@ -154,43 +154,55 @@ def pass_products(exponents) -> int:
 
 
 def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, bool]:
-    """k^3 products ``periodic_powers`` spends on ``exponents`` with this
+    """k^3 products ``periodic_powers`` makes on ``exponents`` with this
     budget, and whether it returns the powers (True) or gives up (False).
 
     Replays the walk's schedule over the powers W_j of B = I oplus H with
-    ``naive_otimes``: from W_1 = B it multiplies by B, one product per
-    step; once a segment holds k + 1 powers with no two equal up to a
-    scalar shift, it forgets them and starts a new segment at W_(2j) =
-    W_j W_j (one product) if no needed index e - 2 lies between j and 2j,
-    else at W_(j+1).  It stops at W_(max e - 2), or at a repeat inside the
-    segment, and never makes a product that would leave less of the budget
-    than serving the exponents costs: two products for base^2 and two per
-    exponent above 2.
+    ``naive_otimes``, one product per step.  From W_1 = B it jumps to
+    W_(j+s) = W_j W_s while j < 2k, and whenever the segment of powers
+    made since the last jump holds k + 1 with no two equal up to a scalar
+    shift; otherwise it multiplies by B.  s is the largest index, up to
+    the next needed index e - 2 less j, among B, the results of all jumps
+    and the current segment: j itself, a squaring, whenever that fits.  It
+    stops at W_(max e - 2), or at a repeat W_j = W_n + c inside a segment,
+    and never makes a product that would leave less of the budget than the
+    most serving can cost: two products for base^2 and two per exponent
+    above 2.  Serving then makes two for base^2 and two per distinct W_i
+    it multiplies, where a needed index at or past n is read as
+    n + (index - n) mod (j - n).
     """
     top = max(exponents)
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
     if serving > budget:
         return 0, False
-    if top <= 2:
+    needed = {e - 2 for e in exponents if e > 2}
+    if not needed:
         return serving, True
     b = identity_oplus(base.second)
-    needed = [e - 2 for e in exponents if e > 2]
-    segment = set()
+    jumped_to = {1: b}  # B and the result of every jump, by index
+    segment = {}  # the powers made since the last jump, by index
     w, j, spent = b, 1, 0
     while True:
         state = _relative(w)
-        if j == top - 2 or state in segment:
-            return spent + serving, True
+        repeats = [n for n, seen in segment.items() if _relative(seen) == state]
+        if j == top - 2:
+            return spent + 2 + 2 * len(needed), True
+        if repeats:
+            n, p = repeats[0], j - repeats[0]
+            served = {i if i < n else n + (i - n) % p for i in needed}
+            return spent + 2 + 2 * len(served), True
         if spent + serving >= budget:
             return spent, False
-        segment.add(state)
+        segment[j] = w
         spent += 1
-        if len(segment) == base.k + 1:
-            segment = set()
-            if 2 * j <= min(i for i in needed if i > j):
-                w, j = naive_otimes(w, w), 2 * j
-                continue
-        w, j = naive_otimes(w, b), j + 1
+        if j < 2 * base.k or len(segment) == base.k + 1:
+            held = {**jumped_to, **segment}
+            s = max(i for i in held if i <= min(i for i in needed if i > j) - j)
+            w, j = naive_otimes(w, held[s]), j + s
+            segment = {}
+            jumped_to[j] = w
+        else:
+            w, j = naive_otimes(w, b), j + 1
 
 
 def period_six_pair() -> SemigroupPair:

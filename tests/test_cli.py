@@ -166,15 +166,36 @@ PINNED_EXCHANGES = {
 }
 
 
+# The same for the transcript and keys files alone at k = 20 and 30, where
+# the walk squares up to B^64 before its first segment: powers of B the
+# k <= 10 pins never reach.
+PINNED_LARGE_EXCHANGES = {
+    (20, 1): ("11778f477b67f58bc08f8b0b09c8f91816f6c06e6dd4a001b3b18638d71e7c80",
+              "96e5d8252f56fc9fe66cfea20aca02c0fc1e4c1af0473fae0cd6b6b3a77ea055"),
+    (20, 2): ("3556b2eadc827a96583e5bcd79c3b79682f19f8e992b0a68ebd47fc76bc47200",
+              "3cd64339143389578c88c8e9fd08183dcf0785106ce4acf398ee5c866210e358"),
+    (30, 1): ("78237eb75f884c9e0e4346e35401879794d13c2ef8606592c733ec8a9cb6365b",
+              "3a29c210870c8a5cad559b27176d152fb7858396a14c52b59eb28b86433c68e2"),
+    (30, 2): ("8932e760d67fbce89d8b9ee46e29f2aac7dce44ce4ffb22edfa0cfe71c9d6b9f",
+              "b5ccc6a643326fa44775b3d7888bbc9e063af9eb7bc8d43b8f7afdf02f3ae3af"),
+}
+
+
+def _pinned_exchange(tmp_path, k, seed):
+    # ``tropkex exchange`` at a pinned size; returns its transcript and keys paths
+    transcript_path = tmp_path / f"tr{k}_{seed}.json"
+    keys_path = tmp_path / f"keys{k}_{seed}.json"
+    assert run_cli(
+        "exchange", "--k", str(k), "--N", "1000", "--K", "200", "--op", "circ",
+        "--seed", str(seed), "--out", str(transcript_path), "--keys-out", str(keys_path),
+    ) == EXIT_OK
+    return transcript_path, keys_path
+
+
 def test_exchange_files_are_pinned(tmp_path):
     for (k, seed), expected in PINNED_EXCHANGES.items():
-        transcript_path = tmp_path / f"tr{k}_{seed}.json"
-        keys_path = tmp_path / f"keys{k}_{seed}.json"
+        transcript_path, keys_path = _pinned_exchange(tmp_path, k, seed)
         result_path = tmp_path / f"result{k}_{seed}.json"
-        assert run_cli(
-            "exchange", "--k", str(k), "--N", "1000", "--K", "200", "--op", "circ",
-            "--seed", str(seed), "--out", str(transcript_path), "--keys-out", str(keys_path),
-        ) == EXIT_OK
         assert run_cli(
             "attack", "--transcript", str(transcript_path), "--out", str(result_path)
         ) == EXIT_OK
@@ -185,13 +206,22 @@ def test_exchange_files_are_pinned(tmp_path):
         assert digests == expected, (k, seed)
 
 
+def test_large_exchange_files_are_pinned(tmp_path):
+    for (k, seed), expected in PINNED_LARGE_EXCHANGES.items():
+        digests = tuple(
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in _pinned_exchange(tmp_path, k, seed)
+        )
+        assert digests == expected, (k, seed)
+
+
 def test_exchange_long_transient_params(tmp_path, monkeypatch):
     """Params whose B = I oplus H first repeats only after 1 038 products, at
     the largest K a params file may ask for: the exchange still succeeds,
     gives what the least-bit-first pass gives, and makes exactly 31 k^3
-    products, 25 for the walk that squares its way past that transient
-    (``_oracles.periodic_cost``), two for the square and two per party to
-    serve its power."""
+    products, 27 for the walk that squares its way past that transient
+    (``_oracles.periodic_cost``), two for the square and two that serve
+    both parties: B's period is 1, so their powers of B share a residue."""
     params = setup(2, 10**6, MAX_EXPONENT_BITS, SemigroupOpKind.CIRC, Random(1997))
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params_to_json(params)))

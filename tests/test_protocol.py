@@ -201,7 +201,7 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
     products = count_products(monkeypatch)
     rng = Random(131)
     trials = []
-    # small K gives small budgets: three of these exchanges fall back
+    # small K gives small budgets: two of these exchanges fall back
     for trial in range(24):
         params = setup(1 + trial % 4, 100, rng.randint(1, 10), CIRC, rng)
         a, b = rng.randint(1, (1 << params.K) - 1), rng.randint(1, (1 << params.K) - 1)
@@ -244,7 +244,7 @@ def test_party_powers_cost_bound(monkeypatch):
         # B's period 6 exceeds k = 5, so the walk spends its budget and falls back
         *(
             (ProtocolParams(5, 100, 41, CIRC, six.first, six.second), exponents)
-            for exponents in ((23, 40), (1 << 40, (1 << 40) + 5))
+            for exponents in ((191, 255), (1 << 40, (1 << 40) + 5))
         ),
         # (4, 4, 4) falls back: its budget of 4 does not cover serving three powers
         *((small, exponents) for exponents in ((1,), (2,), (3, 3, 3), (4, 4, 4), (5, 250))),
@@ -283,7 +283,7 @@ def test_walk_tail_at_benchmark_size(monkeypatch):
         walked, certified = periodic_cost(params.base_pair, exponents, pass_products(exponents))
         assert certified
         expected += walked
-    assert products.count == expected == 2123
+    assert products.count == expected == 1411
 
 
 def test_transcript_round_trip_and_privacy():

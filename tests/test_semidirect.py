@@ -331,9 +331,11 @@ def test_periodic_powers_match_powers_and_fold():
 
 def test_periodic_powers_stationary_chain():
     # M in [0, N] and H all N: B = I oplus H squares to itself, so B's
-    # first repeat is at j = 2 with n = 1, period 1 and shift c = 0, and
-    # every power is the base.  One product finds it; serving the five
-    # exponents costs eight more (two for P_2, two per exponent above 2).
+    # powers repeat from j = 2 on, period 1 and shift c = 0, and every
+    # power is the base.  The walk squares to B^8 (k = 4) and one step
+    # shows the repeat: four products.  Serving makes six more, two for P_2
+    # and two each for W_1 (exponent 3) and W_8, which both huge exponents
+    # share; the walk needs room for the worst case, 2 + 2 * 3, so 12.
     rng = Random(67)
     big = 1000
     m = TropicalMatrix([[rng.randint(0, big) for _ in range(4)] for _ in range(4)])
@@ -341,9 +343,9 @@ def test_periodic_powers_stationary_chain():
     assert _b_period(base) == (1, 1)
     exponents = (1, 2, 3, 1 << 200, (1 << 4096) - 1)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 9, counter) == (base,) * 5
-    assert counter.count == periodic_cost(base, exponents, 9)[0] == 9
-    assert periodic_powers(base, exponents, 8) is None
+    assert periodic_powers(base, exponents, 12, counter) == (base,) * 5
+    assert counter.count == periodic_cost(base, exponents, 12)[0] == 10
+    assert periodic_powers(base, exponents, 11) is None
 
 
 def test_periodic_powers_before_the_certificate():
@@ -359,14 +361,15 @@ def test_periodic_powers_before_the_certificate():
     assert counter.count == periodic_cost(base, (1, 3), 4)[0] == 4
     assert periodic_powers(base, (1, 3), 3) is None
     # the long transient pinned below: B's first repeat is at j = 1 039,
-    # past the walk's last stop B^1036 for exponent 1 038; squarings that
-    # would jump past B^498 or B^1036 are replaced by single steps
+    # past the walk's last stop B^1036 for exponent 1 038; a squaring that
+    # would jump past B^3, B^498 or B^1036 is replaced by the longest jump
+    # to a power the walk holds that does not
     base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
     exponents = (1, 5, 500, 1038)
     counter = OpCounter()
-    assert periodic_powers(base, exponents, 249, counter) == powers(CIRC, base, exponents)
-    assert counter.count == periodic_cost(base, exponents, 249)[0] == 249
-    assert periodic_powers(base, exponents, 248) is None
+    assert periodic_powers(base, exponents, 41, counter) == powers(CIRC, base, exponents)
+    assert counter.count == periodic_cost(base, exponents, 41)[0] == 41
+    assert periodic_powers(base, exponents, 40) is None
     assert periodic_powers(base, (), 0) == ()
     with pytest.raises(ValueError):
         periodic_powers(base, (3, 0), 10)
@@ -374,10 +377,13 @@ def test_periodic_powers_before_the_certificate():
 
 def test_periodic_powers_long_transient_certifies_within_budget():
     """A k = 2 instance with N = 10^6 whose B first repeats after 1 038
-    products.  Squaring at the end of each segment of three powers reaches
-    B^1276 past the transient after 24 products, and one more step shows
-    the period: 31 products with serving, within the 796 the pass would
-    spend on 200-bit exponents.  One product less of budget gives up."""
+    products.  Squaring to B^4, then at the end of each segment of three
+    powers, reaches B^2044 past the transient after 26 products, and one
+    more step shows the period, 1: 31 products with serving (two for the
+    square, two for the one residue both exponents share), within the 796
+    the pass would spend on 200-bit exponents.  The walk needs room for the
+    worst case of serving, six products, so a budget of 30 gives up after
+    24."""
     params = setup(2, 10**6, 200, CIRC, Random(1997))
     base = params.base_pair
     assert _b_period(base) == (1038, 1)
@@ -394,11 +400,11 @@ def test_periodic_powers_long_transient_certifies_within_budget():
 
 
 def test_periodic_powers_never_jumps_a_needed_power():
-    """Small and huge exponents together on the long transient: the walk
-    squares only where no needed index e - 2 lies in between, so each
-    small power is taken as the walk passes it and each huge one is read
-    off the period, all equal to the pass's and the small ones to the
-    fold's."""
+    """Small and huge exponents together on the long transient: where a
+    squaring would jump past a needed index e - 2, the walk takes the
+    longest jump to a power it holds that does not, so each small power
+    is taken as the walk passes it and each huge one is read off the
+    period, all equal to the pass's and the small ones to the fold's."""
     base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
     exponents = (1, 3, 40, 1038, 1 << 60, (1 << 200) - 1)
     budget = pass_products(exponents)
@@ -407,27 +413,64 @@ def test_periodic_powers_never_jumps_a_needed_power():
     assert result == powers(CIRC, base, exponents)
     for e, pair in zip(exponents[:3], result):
         assert pair == chain_fold(CIRC, base, e)
-    assert counter.count == periodic_cost(base, exponents, budget)[0] == 436
+    assert counter.count == periodic_cost(base, exponents, budget)[0] == 49
+
+
+def test_periodic_powers_counts_the_products_it_makes(monkeypatch):
+    """``counter`` goes up by the k^3 products the call makes, as counted
+    on the kernels themselves: P_2, the walk, and two per distinct power
+    of B served, on exponents that repeat, that share a residue past the
+    period, or that lie below it; the powers are the pass's either way."""
+    rng = Random(97)
+    products = count_products(monkeypatch)
+    gave_up = 0
+    for trial in range(40):
+        base = random_pair(rng, 1 + trial % 4, rng.choice((5, 50, 1000)))
+        n, p = _b_period(base)
+        huge = rng.randint(1 << 60, 1 << 64)
+        small = rng.randint(1, n + 2 * p + 2)
+        exponents = (huge, small, huge, huge + p * rng.randint(1, 99), small, 3)
+        expected = powers(CIRC, base, exponents)
+        counter = OpCounter()
+        products.count = 0
+        assert periodic_powers(base, exponents, 10**6, counter) == expected
+        assert counter.count == products.count == periodic_cost(base, exponents, 10**6)[0]
+        # the repeats and the residue the huge exponents share cost no product
+        fewer = OpCounter()
+        periodic_powers(base, (huge, small, 3), 10**6, fewer)
+        assert fewer.count == counter.count
+        # a walk given up on has counted what it made
+        budget = 14 + trial % 8  # 14 is the most serving six exponents can cost
+        counter = OpCounter()
+        products.count = 0
+        result = periodic_powers(base, exponents, budget, counter)
+        assert counter.count == products.count
+        assert (counter.count, result is not None) == periodic_cost(base, exponents, budget)
+        assert result in (None, expected)
+        gave_up += result is None
+    assert 0 < gave_up < 40
 
 
 def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
-    # With every shift key equal, the walk sees a "repeat" at B^2; the
-    # exact comparison rejects it and the caller gets None.
+    # With every shift key equal, the walk squares to B^8 (k = 3) and sees
+    # a "repeat" at B^9, four products in; B's powers repeat only from
+    # B^15 on, so the exact comparison rejects it and the caller gets None.
     base = random_pair(Random(73), 3)
-    assert _b_period(base) != (1, 1)
+    assert _b_period(base) == (15, 1)
     monkeypatch.setattr(semidirect, "_shift_key", lambda w: 0)
     counter = OpCounter()
     assert periodic_powers(base, (100,), 10, counter) is None
-    assert counter.count == 1
+    assert counter.count == 4
 
 
 def test_periodic_powers_window_overflow(monkeypatch):
     """A k = 5 chain whose period, 6, exceeds k: H has two disjoint
     critical cycles, of lengths 2 and 3, so the critical graph is not
     strongly connected and the period is their lcm.  No segment of k + 1
-    powers holds two powers six apart, so the walk never certifies: it
-    spends its budget less the serving cost, and ``party_powers`` then
-    runs the pass, at most twice the pass's products in all."""
+    powers holds two powers six apart, so the walk never certifies: unless
+    it reaches the largest needed power first, it spends its budget less
+    the most serving can cost, and ``party_powers`` then runs the pass, at
+    most twice the pass's products in all."""
     base = period_six_pair()
     assert _b_period(base) == (2, 6)
     exponents = (1 << 40, (1 << 40) + 5)
@@ -437,13 +480,14 @@ def test_periodic_powers_window_overflow(monkeypatch):
     assert counter.count <= budget
     assert (counter.count, False) == periodic_cost(base, exponents, budget) == (78, False)
     params = protocol.ProtocolParams(5, 100, 41, CIRC, base.first, base.second)
-    walked, certified = periodic_cost(base, (23, 40), pass_products((23, 40)))
-    assert not certified
+    exponents = (191, 255)
+    walked, certified = periodic_cost(base, exponents, pass_products(exponents))
+    assert (walked, certified) == (34, False)
     products = count_products(monkeypatch)
-    pairs = protocol.party_powers(params, (23, 40))
-    assert products.count == walked + pass_products((23, 40)) <= 2 * pass_products((23, 40))
-    assert pairs == powers(CIRC, base, (23, 40))
-    assert pairs == (chain_fold(CIRC, base, 23), chain_fold(CIRC, base, 40))
+    pairs = protocol.party_powers(params, exponents)
+    assert products.count == walked + pass_products(exponents) <= 2 * pass_products(exponents)
+    assert pairs == powers(CIRC, base, exponents)
+    assert pairs == (chain_fold(CIRC, base, 191), chain_fold(CIRC, base, 255))
 
 
 def test_star_never_reaches_the_walk(monkeypatch):
