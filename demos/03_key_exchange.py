@@ -30,7 +30,7 @@ print()
 # parties' powers from one call: a walk over the powers of B = H (+) I to
 # their period (here 9 k^3 products, under the 26 of the 13 pair operations
 # of the least-bit-first pass it replaces), or that pass when the walk
-# would cost more
+# could cost more or an exponent lies below the segment that shows the period
 alice, bob, shared_key = run_parties(params, rng)
 print(f"Alice draws private m = {alice.exponent}, sends A = {alice.public_message.rows}")
 print(f"Bob   draws private n = {bob.exponent}, sends B = {bob.public_message.rows}")

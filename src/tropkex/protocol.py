@@ -17,10 +17,11 @@ the powers of B = H oplus I to their checked period
 k + 1 powers at a time, one k^3 product each, squaring again between
 them: O(k log T) + p products, T the transient and p the period of B,
 however large K is, plus two for (M, H)^2 and two per distinct residue
-of the exponents modulo p.  Under star, or when that would cost more
-than the least-bit-first pass ``powers`` (about 2K applications of two
-products each), as a period above k does, it runs the pass instead;
-under circ both give the same pairs.
+of the exponents modulo p.  When that could cost more than the
+least-bit-first pass ``powers`` (about 2K applications of two products
+each), as a period above k does, or an exponent lies below the segment
+where the period shows, the walk runs the pass itself; under star the
+pass is all there is.  Under circ both give the same pairs.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two
@@ -140,23 +141,12 @@ def draw_exponent(params: ProtocolParams, rng: Random) -> int:
 
 
 def party_powers(params: ProtocolParams, exponents: Sequence[int]) -> tuple[SemigroupPair, ...]:
-    """(M, H)^e for every e in ``exponents``.
-
-    Under circ the powers come from ``periodic_powers``, given as budget
-    the k^3 products ``powers`` would spend, two per application of its
-    (L - 1) + sum(popcount(e) - 1), L the largest bit length; under star,
-    or when the walk does not fit that budget (as with a period above k),
-    from ``powers``.  So the walk never costs more products than the
-    pass, and a fallback at most twice.
-    """
-    base = params.base_pair
+    """(M, H)^e for every e in ``exponents``: from ``periodic_powers`` under
+    circ, which never costs more k^3 products than the pass ``powers`` and
+    a fallback to it at most twice, and from ``powers`` under star."""
     if params.op is SemigroupOpKind.CIRC:
-        bits = max(exponents, default=1).bit_length() - 1
-        budget = 2 * (bits + sum(e.bit_count() - 1 for e in exponents))
-        pairs = periodic_powers(base, exponents, budget)
-        if pairs is not None:
-            return pairs
-    return powers(params.op, base, exponents)
+        return periodic_powers(params.base_pair, exponents)
+    return powers(params.op, params.base_pair, exponents)
 
 
 def derive_shared_key(

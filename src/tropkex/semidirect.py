@@ -36,19 +36,18 @@ powers of one base share their squarings (both parties of an exchange
 power the same public pair).  ``periodic_powers`` is circ only: past the
 square, a circ step multiplies both components by B = H oplus I, so it
 squares B up to index 2k, then walks B's powers in segments of k + 1,
-one k^3 product per step and a squaring between segments, to a repeat
-up to a scalar shift inside a segment, proves it exactly, and serves
-each exponent as base^2 times a power of B read off that period, one
-product pair per distinct residue: O(k log T) products for B's
-transient T, whatever the exponents' bit length.  It gives up,
-returning None, past a caller's budget, which a period above k always
-exhausts.
+one k^3 product per step and a squaring between segments, to an exact
+repeat up to a scalar shift inside a segment, and serves each exponent
+as base^2 times a power of B read off that period, one product pair per
+distinct residue: O(k log T) products for B's transient T, whatever the
+exponents' bit length.  Where that could cost more than ``powers`` (as a
+period above k does), or an exponent lies below the segment where the
+period shows, it runs ``powers`` instead.
 There is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
 Every counted application goes through ``apply``, which picks the law and
-increments an optional ``OpCounter`` by exactly one (``periodic_powers``
-counts k^3 products instead, two per application).  The attack's cost
+increments an optional ``OpCounter`` by exactly one.  The attack's cost
 guarantees are stated in these counts, so they are measured, never
 estimated.  ``product_first`` computes only the first component of a
 product, which is all a party needs to derive the shared key.
@@ -59,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import add, sub
+from operator import add
 from typing import Sequence
 
 from .tropical import DimensionMismatchError, TropicalMatrix, _flatten, _wrap_flat
@@ -247,34 +246,18 @@ def _product(a: TropicalMatrix, b_cols: tuple[tuple[int, ...], ...]) -> Tropical
     return _wrap_flat([_min(_map(_add, row, col)) for row in a.rows for col in b_cols], len(b_cols))
 
 
-def _shift_key(w: TropicalMatrix) -> int:
-    # Hash of w shifted so that its (0, 0) entry is 0: matrices that differ
-    # by one scalar share it.
-    rows = w.rows
-    return hash(tuple(map(sub, _flatten(rows), repeat(rows[0][0]))))
-
-
 def _shifted(w: TropicalMatrix, c: int) -> TropicalMatrix:
     # c added to every entry: the scalar multiple c (x) w of min-plus algebra.
     return _wrap_flat(map(add, _flatten(w.rows), repeat(c)), w.k)
 
 
-def _times(p: SemigroupPair, w: TropicalMatrix) -> SemigroupPair:
-    # (X otimes w, G otimes w): two plain products.
-    w_cols = w._columns()
-    return _new_pair(_product(p.first, w_cols), _product(p.second, w_cols))
-
-
 def periodic_powers(
-    base: SemigroupPair,
-    exponents: Sequence[int],
-    budget: int,
-    counter: OpCounter | None = None,
-) -> tuple[SemigroupPair, ...] | None:
+    base: SemigroupPair, exponents: Sequence[int]
+) -> tuple[SemigroupPair, ...]:
     """base^e under circ for every e in ``exponents``, read off the period
-    of one matrix's powers; None if that could take more than ``budget``
-    k^3 products (one ``apply`` is two).  ``counter``, if given, is bumped
-    once per product made.
+    of one matrix's powers, or from ``powers`` when that does not fit the
+    k^3 products the pass spends: two per application, so a budget of
+    2 ((L - 1) + sum(popcount(e) - 1)), L the largest bit length.
 
     Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I, I the
     min-plus identity (+inf off the diagonal): H with its diagonal clipped
@@ -283,19 +266,13 @@ def periodic_powers(
     likewise for G_m, and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2})
     with W_j = B^j.
 
-    The walk squares from W_1 = B (otimes is associative) until its index
-    j reaches 2k, then steps W_{j+1} = W_j otimes B in segments W_s ..
-    W_{s+k}, looking each W_j up by the hash of W_j - W_j[0][0] among the
-    segment's powers.  A segment with no hit ends in a jump W_{j+s} = W_j
-    otimes W_s that starts the next, as each squaring does: s = j, unless
-    that would pass the next needed index i = e - 2; then s is the
-    largest index up to i - j among the powers the walk holds (B, the
-    first power of every segment, and the current segment), so it takes
-    every needed power below its stop as it passes.  At a hit, W_n with
-    p = j - n, it checks W_j == W_n + c exactly, c = W_j[0][0] -
-    W_n[0][0], and returns None if that fails (a hash collision).  The
-    check proves every later index, since otimes B commutes with adding a
-    scalar: W_{n+qp+r} = W_{n+r} + q c for r < p.
+    The walk squares from W_1 = B (otimes is associative) while its index
+    j is below 2k, then steps W_{j+1} = W_j otimes B in segments W_s ..
+    W_{s+k}, squaring the last power of each to start the next.  It keys
+    each power of a segment by W_j - W_j[0][0], so a hit on W_n, p = j - n,
+    is the exact certificate W_j = W_n + c, c = W_j[0][0] - W_n[0][0].  It
+    proves every later index, since otimes B commutes with adding a scalar:
+    W_{n+qp+r} = W_{n+r} + q c for r < p.
 
     A repeat always comes: B is irreducible because H is finite, so by the
     cyclicity theorem of min-plus algebra its powers are ultimately
@@ -306,65 +283,52 @@ def periodic_powers(
     p <= k and the first segment to start at or past B's transient T shows
     it.  Otherwise p can exceed k (critical cycles of lengths 2 and 3 at
     k = 5 give p = 6): no segment holds two powers p apart, and the walk
-    spends its budget and returns None.
+    falls back.
 
-    Cost: the squarings cost one product each and a segment k + 1, so
-    unless needed indices hold the jumps short the walk passes T after
-    about log2(2k) + (k + 1) log2(T / 2k) products and shows the period
-    within p more; it stops at max e - 2 if that comes first.  Serving
-    costs two products for P_2 (one ``apply``), then, since adding a
-    scalar commutes with otimes, two per distinct W_{n+r} (or walked W_i)
-    the exponents need: P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) +
-    q c.  The walk stops before the product that would leave less of
-    ``budget`` than the worst case of serving, two per exponent above 2.
-    Only B, the first power of each segment, a segment, and one matrix per
-    exponent are kept.
+    Cost: the squarings cost one product each and a segment k + 1, so the
+    walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
+    shows the period within p more.  Serving costs two products for P_2
+    (one ``apply``), then, since adding a scalar commutes with otimes, two
+    per distinct W_{n+r} (or W_i of the segment, for i < n) the exponents
+    need: P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk
+    falls back to ``powers`` when the most serving can cost, two per
+    exponent above 2, exceeds the budget, before the product that would
+    leave less of the budget than that, and before a squaring that would
+    start a segment past the least needed index e - 2, whose power it then
+    never holds.  So it never costs more than the pass, and a fallback at
+    most twice.  Only one segment and one matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
     top = max(exponents, default=1)
+    budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
     if serving > budget:
-        return None
-    found = dict.fromkeys(e - 2 for e in exponents)  # W_i for each needed i = e - 2 > 0
-    period = 0
+        return powers(_CIRC, base, exponents)
     if top > 2:
+        least = min(e for e in exponents if e > 2) - 2
         k = base.k
         h = _flatten(base.second.rows)  # B = H oplus I: H with its diagonal clipped at 0
         b = _wrap_flat((x if i % (k + 1) else min(x, 0) for i, x in enumerate(h)), k)
         b_cols = b._columns()
-        starts = {1: b}  # the first power of every segment, by index
-        first_seen: dict[int, int] = {}
         window: dict[int, TropicalMatrix] = {}  # the segment's powers, by index
+        first_seen: dict[TropicalMatrix, int] = {}  # their indices, by W_j - W_j[0][0]
         w, j, spent = b, 1, 0
         while True:  # w = W_j, after ``spent`` products
             window[j] = w
-            if j in found:
-                found[j] = w
-            if j == top - 2 or (
-                j >= 2 * k and (n := first_seen.setdefault(_shift_key(w), j)) < j
-            ):
+            if (n := first_seen.setdefault(_shifted(w, -w.rows[0][0]), j)) < j:
                 break
-            if spent + serving >= budget:  # one more product could overrun the budget
-                return None
-            if j < 2 * k or len(window) > k:  # jump to W_{j+s}, starting a new segment
-                held = starts | window
-                s = max(i for i in held if i <= min(i for i in found if i > j) - j)
-                w, j = _product(w, held[s]._columns()), j + s
+            squaring = j < 2 * k or len(window) > k  # to W_{2j}, starting a new segment
+            if spent + serving >= budget or (squaring and 2 * j > least):
+                return powers(_CIRC, base, exponents)
+            if squaring:
+                w, j = _product(w, w._columns()), 2 * j
                 window.clear()
                 first_seen.clear()
-                starts[j] = w
             else:
                 w, j = _product(w, b_cols), j + 1
             spent += 1
-            if counter is not None:
-                counter.count += 1
-        if j < top - 2:  # stopped at a repeat inside the segment, j = n + p
-            period = j - n
-            c = w.rows[0][0] - window[n].rows[0][0]
-            if _shifted(window[n], c) != w:
-                return None
-            found.update(window)
+        period, c = j - n, w.rows[0][0] - window[n].rows[0][0]
     square = apply(_CIRC, base, base) if top > 1 else None
     served: dict[int, SemigroupPair] = {}  # X_2 and G_2 times W_i, by i
     result = []
@@ -373,15 +337,15 @@ def periodic_powers(
             result.append(base if e == 1 else square)
             continue
         i, q = e - 2, 0
-        if period and i >= n:
+        if i >= n:
             q, r = divmod(i - n, period)
             i = n + r
         pair = served.get(i)
         if pair is None:
-            pair = served[i] = _times(square, found[i])
+            cols = window[i]._columns()
+            pair = _new_pair(_product(square.first, cols), _product(square.second, cols))
+            served[i] = pair
         result.append(
             _new_pair(_shifted(pair.first, q * c), _shifted(pair.second, q * c)) if q else pair
         )
-    if counter is not None:
-        counter.count += 2 * (top > 1) + 2 * len(served)
     return tuple(result)

@@ -148,61 +148,53 @@ def matrix_period(b: TropicalMatrix) -> tuple[int, int]:
 
 def pass_products(exponents) -> int:
     """k^3 products the least-bit-first pass ``powers`` spends on
-    ``exponents``, two per application: the budget ``party_powers`` gives
-    the walk."""
+    ``exponents``, two per application: the budget of ``periodic_powers``."""
     return 2 * (max(exponents).bit_length() - 1 + sum(bin(e).count("1") - 1 for e in exponents))
 
 
-def periodic_cost(base: SemigroupPair, exponents, budget: int) -> tuple[int, bool]:
-    """k^3 products ``periodic_powers`` makes on ``exponents`` with this
-    budget, and whether it returns the powers (True) or gives up (False).
+def periodic_cost(base: SemigroupPair, exponents) -> int:
+    """k^3 products ``periodic_powers`` makes on ``exponents``, counting the
+    pass it falls back to.
 
     Replays the walk's schedule over the powers W_j of B = I oplus H with
-    ``naive_otimes``, one product per step.  From W_1 = B it jumps to
-    W_(j+s) = W_j W_s while j < 2k, and whenever the segment of powers
-    made since the last jump holds k + 1 with no two equal up to a scalar
-    shift; otherwise it multiplies by B.  s is the largest index, up to
-    the next needed index e - 2 less j, among B, the results of all jumps
-    and the current segment: j itself, a squaring, whenever that fits.  It
-    stops at W_(max e - 2), or at a repeat W_j = W_n + c inside a segment,
-    and never makes a product that would leave less of the budget than the
-    most serving can cost: two products for base^2 and two per exponent
-    above 2.  Serving then makes two for base^2 and two per distinct W_i
-    it multiplies, where a needed index at or past n is read as
-    n + (index - n) mod (j - n).
+    ``naive_otimes``, one product per step.  From W_1 = B it squares while
+    j < 2k, and whenever the segment of powers made since the last
+    squaring holds k + 1 with no two equal up to a scalar shift; otherwise
+    it multiplies by B.  It stops at a repeat W_j = W_n + c inside a
+    segment; serving then makes two products for base^2 and two per
+    distinct W_i it multiplies, where a needed index e - 2 at or past n is
+    read as n + (index - n) mod (j - n).  It falls back, adding the pass's
+    ``pass_products``, when the most serving can cost (two products for
+    base^2 and two per exponent above 2) exceeds that budget, before a
+    product that would leave less of the budget than that, and before a
+    squaring to an index past the least needed one.
     """
-    top = max(exponents)
+    top, budget = max(exponents), pass_products(exponents)
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
     if serving > budget:
-        return 0, False
+        return budget
     needed = {e - 2 for e in exponents if e > 2}
     if not needed:
-        return serving, True
+        return serving
     b = identity_oplus(base.second)
-    jumped_to = {1: b}  # B and the result of every jump, by index
-    segment = {}  # the powers made since the last jump, by index
+    segment = {}  # the powers made since the last squaring, by index
     w, j, spent = b, 1, 0
     while True:
         state = _relative(w)
         repeats = [n for n, seen in segment.items() if _relative(seen) == state]
-        if j == top - 2:
-            return spent + 2 + 2 * len(needed), True
         if repeats:
             n, p = repeats[0], j - repeats[0]
             served = {i if i < n else n + (i - n) % p for i in needed}
-            return spent + 2 + 2 * len(served), True
-        if spent + serving >= budget:
-            return spent, False
+            return spent + 2 + 2 * len(served)
         segment[j] = w
-        spent += 1
-        if j < 2 * base.k or len(segment) == base.k + 1:
-            held = {**jumped_to, **segment}
-            s = max(i for i in held if i <= min(i for i in needed if i > j) - j)
-            w, j = naive_otimes(w, held[s]), j + s
-            segment = {}
-            jumped_to[j] = w
+        squaring = j < 2 * base.k or len(segment) == base.k + 1
+        if spent + serving >= budget or (squaring and 2 * j > min(needed)):
+            return spent + budget
+        if squaring:
+            w, j, segment = naive_otimes(w, w), 2 * j, {}
         else:
             w, j = naive_otimes(w, b), j + 1
+        spent += 1
 
 
 def period_six_pair() -> SemigroupPair:
@@ -235,3 +227,18 @@ def count_products(monkeypatch) -> OpCounter:
     monkeypatch.setattr(semidirect, "op_circ", counted_circ)
     monkeypatch.setattr(semidirect, "_product", counted_product)
     return tally
+
+
+def count_fallbacks(monkeypatch) -> list:
+    """Record from here on the exponents of every pass ``periodic_powers``
+    falls back to, by wrapping ``semidirect.powers``, where it looks the
+    pass up."""
+    calls = []
+    pass_ = semidirect.powers
+
+    def recorded(op, base, exponents):
+        calls.append(exponents)
+        return pass_(op, base, exponents)
+
+    monkeypatch.setattr(semidirect, "powers", recorded)
+    return calls

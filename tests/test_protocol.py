@@ -16,6 +16,7 @@ from tropkex import (
     params_from_json,
     params_to_json,
     power,
+    powers,
     run_exchange,
     run_parties,
     setup,
@@ -27,6 +28,7 @@ from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 
 from _oracles import (
     chain_fold,
+    count_fallbacks,
     count_products,
     naive_apply,
     pass_products,
@@ -195,25 +197,25 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
     key are the chain's first components at a, b and a + b.  Under circ
     the call walks the powers of B = I oplus H to their period with the
     pass's k^3 products as budget, 2 ((L - 1) + (popcount(a) - 1) +
-    (popcount(b) - 1)), L the larger exponent's bit length; it costs what
-    the naive schedule oracle predicts when the walk fits that budget, and
-    that budget's share of the walk plus the pass when it does not."""
+    (popcount(b) - 1)), L the larger exponent's bit length, or falls back
+    to the pass; either way it costs what the naive schedule oracle
+    predicts."""
     products = count_products(monkeypatch)
+    passes = count_fallbacks(monkeypatch)
     rng = Random(131)
     trials = []
-    # small K gives small budgets: two of these exchanges fall back
+    # small K gives small budgets and small exponents: six of these
+    # exchanges fall back
     for trial in range(24):
         params = setup(1 + trial % 4, 100, rng.randint(1, 10), CIRC, rng)
         a, b = rng.randint(1, (1 << params.K) - 1), rng.randint(1, (1 << params.K) - 1)
         trials.append((params, a, b))
     paths = set()
     for params, a, b in trials:
-        products.count = 0
+        products.count, passes[:] = 0, []
         transcript, key = run_exchange(params, FixedExponents(a, b))
-        budget = pass_products((a, b))
-        walked, certified = periodic_cost(params.base_pair, (a, b), budget)
-        assert products.count == (walked if certified else walked + budget)
-        paths.add(certified)
+        assert products.count == periodic_cost(params.base_pair, (a, b))
+        paths.add(bool(passes))
         base = params.base_pair
         assert transcript.alice_message == chain_fold(CIRC, base, a).first
         assert transcript.bob_message == chain_fold(CIRC, base, b).first
@@ -226,14 +228,7 @@ def test_party_powers_cost_bound(monkeypatch):
     spends at most what the least-bit-first pass would, and a walk given
     up on plus the pass at most twice that; both give the pass's pairs."""
     products = count_products(monkeypatch)
-    passes = []
-    pass_ = protocol.powers
-
-    def counted_pass(op, base, exponents):
-        passes.append(exponents)
-        return pass_(op, base, exponents)
-
-    monkeypatch.setattr(protocol, "powers", counted_pass)
+    passes = count_fallbacks(monkeypatch)
     rng = Random(137)
     small = setup(3, 100, 8, CIRC, rng)
     six = period_six_pair()
@@ -241,12 +236,13 @@ def test_party_powers_cost_bound(monkeypatch):
         # B first repeats after 1 038 products; squaring past that transient
         # certifies within this budget of 796
         (setup(2, 10**6, 200, CIRC, Random(1997)), ((1 << 200) - 1, 1 << 199)),
-        # B's period 6 exceeds k = 5, so the walk spends its budget and falls back
+        # B's period 6 exceeds k = 5, so the walk never certifies and falls back
         *(
             (ProtocolParams(5, 100, 41, CIRC, six.first, six.second), exponents)
             for exponents in ((191, 255), (1 << 40, (1 << 40) + 5))
         ),
-        # (4, 4, 4) falls back: its budget of 4 does not cover serving three powers
+        # (4, 4, 4) falls back: its budget of 4 does not cover serving three
+        # powers; (3, 3, 3) and (5, 250) need powers of B below every segment
         *((small, exponents) for exponents in ((1,), (2,), (3, 3, 3), (4, 4, 4), (5, 250))),
     ]
     for trial in range(40):
@@ -259,7 +255,7 @@ def test_party_powers_cost_bound(monkeypatch):
         pairs = protocol.party_powers(params, exponents)
         assert products.count <= (2 if passes else 1) * pass_products(exponents)
         fell_back.add(bool(passes))
-        assert pairs == pass_(CIRC, params.base_pair, exponents)
+        assert pairs == powers(CIRC, params.base_pair, exponents)
     assert fell_back == {True, False}
 
 
@@ -269,21 +265,16 @@ def test_walk_tail_at_benchmark_size(monkeypatch):
     exactly the k^3 products the naive schedule oracle predicts, so a long
     transient of B costs O(k log T) products, not T."""
     products = count_products(monkeypatch)
-
-    def forbidden(*args):
-        raise AssertionError("an exchange fell back to the pass")
-
-    monkeypatch.setattr(protocol, "powers", forbidden)
+    passes = count_fallbacks(monkeypatch)
     expected = 0
     for seed in range(100):
         rng = Random(seed)
         params = setup(10, 1000, 200, CIRC, rng)
         exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
         run_exchange(params, FixedExponents(*exponents))
-        walked, certified = periodic_cost(params.base_pair, exponents, pass_products(exponents))
-        assert certified
-        expected += walked
+        expected += periodic_cost(params.base_pair, exponents)
     assert products.count == expected == 1411
+    assert passes == []
 
 
 def test_transcript_round_trip_and_privacy():

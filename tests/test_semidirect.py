@@ -14,7 +14,6 @@ from tropkex import (
     periodic_powers,
     power,
     powers,
-    semidirect,
     setup,
 )
 from tropkex import protocol
@@ -22,6 +21,7 @@ from tropkex.semidirect import apply
 
 from _oracles import (
     chain_fold,
+    count_fallbacks,
     count_products,
     fold_left,
     fold_right,
@@ -301,191 +301,205 @@ def _b_period(base):
     return matrix_period(identity_oplus(base.second))
 
 
-def test_periodic_powers_match_powers_and_fold():
+def test_periodic_powers_match_powers_and_fold(monkeypatch):
     """Read off the period of B's powers, every power equals the pass's and
-    the fold's, at the cost the naive schedule oracle predicts; pairs of
-    exponents far past the period come out as the pass gives them."""
+    the fold's, at the cost the naive schedule oracle predicts.  The
+    exponents 1 .. 127 include 3, whose B^1 lies below every segment, so
+    the walk runs the pass; 128 exponents past 2^64 cover every residue."""
+    products = count_products(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch)
     rng = Random(61)
     for k in range(1, 5):
         for _ in range(4):
             base = random_pair(rng, k, 40)
-            everything = range(1, 1 << 7)
-            counter = OpCounter()
-            result = periodic_powers(base, everything, 10**6, counter)
-            assert result == powers(CIRC, base, everything)
             n, p = _b_period(base)
-            assert n + p + 3 < 128  # exponents past B's first repeat are read off the period
+            assert n + p + 3 < 128  # the fold checks below reach past B's first repeat
+            for exponents in (range(1 << 64, (1 << 64) + 128), range(1, 1 << 7)):
+                products.count, fallbacks[:] = 0, []
+                result = periodic_powers(base, exponents)
+                assert products.count == periodic_cost(base, exponents)
+                assert len(fallbacks) == (exponents[0] == 1)
+                assert result == powers(CIRC, base, exponents)
             for e in {1, 2, 3, n + 2, n + p + 1, n + p + 2, n + p + 3, 127}:
                 assert result[e - 1] == chain_fold(CIRC, base, e)
-            assert counter.count == periodic_cost(base, everything, 10**6)[0]
             for _ in range(8):
                 two = (rng.randint(1, 1 << 64), rng.randint(1, 1 << 200))
-                counter = OpCounter()
-                result = periodic_powers(base, two, pass_products(two), counter)
-                assert (counter.count, result is not None) == periodic_cost(
-                    base, two, pass_products(two)
-                )
-                if result is not None:
-                    assert result == powers(CIRC, base, two)
+                products.count = 0
+                result = periodic_powers(base, two)
+                assert products.count == periodic_cost(base, two)
+                assert result == powers(CIRC, base, two)
 
 
-def test_periodic_powers_stationary_chain():
+def test_periodic_powers_stationary_chain(monkeypatch):
     # M in [0, N] and H all N: B = I oplus H squares to itself, so B's
     # powers repeat from j = 2 on, period 1 and shift c = 0, and every
     # power is the base.  The walk squares to B^8 (k = 4) and one step
-    # shows the repeat: four products.  Serving makes six more, two for P_2
-    # and two each for W_1 (exponent 3) and W_8, which both huge exponents
-    # share; the walk needs room for the worst case, 2 + 2 * 3, so 12.
+    # shows the repeat: four products.  Serving makes four more, two for
+    # P_2 and two for W_8, which both huge exponents share.  Exponent 3
+    # needs B^1, below every segment, so with it the walk runs the pass.
     rng = Random(67)
     big = 1000
     m = TropicalMatrix([[rng.randint(0, big) for _ in range(4)] for _ in range(4)])
     base = SemigroupPair(m, TropicalMatrix([[big] * 4] * 4))
     assert _b_period(base) == (1, 1)
-    exponents = (1, 2, 3, 1 << 200, (1 << 4096) - 1)
-    counter = OpCounter()
-    assert periodic_powers(base, exponents, 12, counter) == (base,) * 5
-    assert counter.count == periodic_cost(base, exponents, 12)[0] == 10
-    assert periodic_powers(base, exponents, 11) is None
+    products = count_products(monkeypatch)
+    exponents = (1, 2, 1 << 200, (1 << 4096) - 1)
+    assert periodic_powers(base, exponents) == (base,) * 4
+    assert products.count == periodic_cost(base, exponents) == 8
+    products.count = 0
+    assert periodic_powers(base, (3, *exponents)) == (base,) * 5
+    assert products.count == periodic_cost(base, (3, *exponents)) == pass_products((3, *exponents))
 
 
-def test_periodic_powers_before_the_certificate():
-    """Exponent 1 costs nothing, and exponents below the first repeat are
-    read off the walk, which stops at the largest of them."""
+def test_periodic_powers_before_the_certificate(monkeypatch):
+    """Exponent 1 costs nothing, and exponents whose power of B lies below
+    the segment where the period shows run the pass, after whatever the
+    walk made, at most twice the pass's products."""
     rng = Random(71)
     base = random_pair(rng, 3)
-    counter = OpCounter()
-    assert periodic_powers(base, (1,), 0, counter) == (base,)
-    assert counter.count == 0
-    # exponent 3 needs B itself, no walk, but P_2 and P_2 times B: four products
-    assert periodic_powers(base, (1, 3), 4, counter) == powers(CIRC, base, (1, 3))
-    assert counter.count == periodic_cost(base, (1, 3), 4)[0] == 4
-    assert periodic_powers(base, (1, 3), 3) is None
-    # the long transient pinned below: B's first repeat is at j = 1 039,
-    # past the walk's last stop B^1036 for exponent 1 038; a squaring that
-    # would jump past B^3, B^498 or B^1036 is replaced by the longest jump
-    # to a power the walk holds that does not
+    products = count_products(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch)
+    assert periodic_powers(base, (1,)) == (base,)
+    assert products.count == 0
+    # exponent 3 needs B itself: the budget of 4 only covers serving, so
+    # the walk runs the pass at once
+    result = periodic_powers(base, (1, 3))
+    assert products.count == periodic_cost(base, (1, 3)) == 4
+    assert fallbacks == [(1, 3)]
+    assert result == powers(CIRC, base, (1, 3))
+    # the long transient pinned below: the walk squares to B^2, and squaring
+    # again would start a segment at B^4, past B^3 for exponent 5
     base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
     exponents = (1, 5, 500, 1038)
-    counter = OpCounter()
-    assert periodic_powers(base, exponents, 41, counter) == powers(CIRC, base, exponents)
-    assert counter.count == periodic_cost(base, exponents, 41)[0] == 41
-    assert periodic_powers(base, exponents, 40) is None
-    assert periodic_powers(base, (), 0) == ()
+    products.count = 0
+    result = periodic_powers(base, exponents)
+    assert products.count == periodic_cost(base, exponents) == 1 + pass_products(exponents) == 39
+    assert result == powers(CIRC, base, exponents)
+    assert periodic_powers(base, ()) == ()
     with pytest.raises(ValueError):
-        periodic_powers(base, (3, 0), 10)
+        periodic_powers(base, (3, 0))
 
 
-def test_periodic_powers_long_transient_certifies_within_budget():
+def test_periodic_powers_long_transient_certifies_within_budget(monkeypatch):
     """A k = 2 instance with N = 10^6 whose B first repeats after 1 038
     products.  Squaring to B^4, then at the end of each segment of three
     powers, reaches B^2044 past the transient after 26 products, and one
     more step shows the period, 1: 31 products with serving (two for the
     square, two for the one residue both exponents share), within the 796
-    the pass would spend on 200-bit exponents.  The walk needs room for the
-    worst case of serving, six products, so a budget of 30 gives up after
-    24."""
+    the pass would spend on 200-bit exponents."""
     params = setup(2, 10**6, 200, CIRC, Random(1997))
     base = params.base_pair
     assert _b_period(base) == (1038, 1)
     exponents = ((1 << 200) - 1, 1 << 199)
-    budget = pass_products(exponents)
-    assert budget == 796
-    counter = OpCounter()
-    result = periodic_powers(base, exponents, budget, counter)
+    assert pass_products(exponents) == 796
+    products = count_products(monkeypatch)
+    result = periodic_powers(base, exponents)
+    assert products.count == periodic_cost(base, exponents) == 31
     assert result == powers(CIRC, base, exponents)
-    assert counter.count == periodic_cost(base, exponents, budget)[0] == 31
-    counter = OpCounter()
-    assert periodic_powers(base, exponents, 30, counter) is None
-    assert (counter.count, False) == periodic_cost(base, exponents, 30) == (24, False)
 
 
-def test_periodic_powers_never_jumps_a_needed_power():
-    """Small and huge exponents together on the long transient: where a
-    squaring would jump past a needed index e - 2, the walk takes the
-    longest jump to a power it holds that does not, so each small power
-    is taken as the walk passes it and each huge one is read off the
-    period, all equal to the pass's and the small ones to the fold's."""
+def test_periodic_powers_small_with_huge_exponents(monkeypatch):
+    """Small and huge exponents together on the long transient: the small
+    ones lie below every segment, so the walk runs the pass, which gives
+    the pass's pairs, the small ones equal to the fold's, within twice the
+    pass's products."""
     base = setup(2, 10**6, 200, CIRC, Random(1997)).base_pair
-    exponents = (1, 3, 40, 1038, 1 << 60, (1 << 200) - 1)
-    budget = pass_products(exponents)
-    counter = OpCounter()
-    result = periodic_powers(base, exponents, budget, counter)
-    assert result == powers(CIRC, base, exponents)
-    for e, pair in zip(exponents[:3], result):
-        assert pair == chain_fold(CIRC, base, e)
-    assert counter.count == periodic_cost(base, exponents, budget)[0] == 49
+    products = count_products(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch)
+    for exponents in (
+        (1, 3, 40, 1038, 1 << 60, (1 << 200) - 1),
+        (40, (1 << 200) - 1),
+        (1038, 1 << 60),
+    ):
+        products.count, fallbacks[:] = 0, []
+        result = periodic_powers(base, exponents)
+        assert products.count == periodic_cost(base, exponents) <= 2 * pass_products(exponents)
+        assert fallbacks == [exponents]
+        assert result == powers(CIRC, base, exponents)
+        for e, pair in zip(exponents, result):
+            if e < 1 << 20:
+                assert pair == chain_fold(CIRC, base, e)
 
 
 def test_periodic_powers_counts_the_products_it_makes(monkeypatch):
-    """``counter`` goes up by the k^3 products the call makes, as counted
-    on the kernels themselves: P_2, the walk, and two per distinct power
-    of B served, on exponents that repeat, that share a residue past the
-    period, or that lie below it; the powers are the pass's either way."""
+    """The k^3 products a call makes, as counted on the kernels themselves,
+    are what the schedule oracle predicts: P_2, the walk, and two per
+    distinct power of B served, or the walk so far and the pass when it
+    falls back.  Exponents that repeat or share a residue past the period
+    serve no extra power; the powers are the pass's either way."""
     rng = Random(97)
     products = count_products(monkeypatch)
-    gave_up = 0
+    fallbacks = count_fallbacks(monkeypatch)
+    fell_back, compared = set(), 0
     for trial in range(40):
         base = random_pair(rng, 1 + trial % 4, rng.choice((5, 50, 1000)))
         n, p = _b_period(base)
         huge = rng.randint(1 << 60, 1 << 64)
         small = rng.randint(1, n + 2 * p + 2)
-        exponents = (huge, small, huge, huge + p * rng.randint(1, 99), small, 3)
-        expected = powers(CIRC, base, exponents)
-        counter = OpCounter()
-        products.count = 0
-        assert periodic_powers(base, exponents, 10**6, counter) == expected
-        assert counter.count == products.count == periodic_cost(base, exponents, 10**6)[0]
+        shared = (huge, huge, huge + p * rng.randint(1, 99))
+        costs = []
+        for exponents in (shared, (huge,), (huge, small, huge, small, 3), (huge, small)):
+            products.count, fallbacks[:] = 0, []
+            result = periodic_powers(base, exponents)
+            costs.append((products.count, bool(fallbacks)))
+            assert products.count == periodic_cost(base, exponents)
+            assert result == powers(CIRC, base, exponents)
+            fell_back.add(bool(fallbacks))
         # the repeats and the residue the huge exponents share cost no product
-        fewer = OpCounter()
-        periodic_powers(base, (huge, small, 3), 10**6, fewer)
-        assert fewer.count == counter.count
-        # a walk given up on has counted what it made
-        budget = 14 + trial % 8  # 14 is the most serving six exponents can cost
-        counter = OpCounter()
-        products.count = 0
-        result = periodic_powers(base, exponents, budget, counter)
-        assert counter.count == products.count
-        assert (counter.count, result is not None) == periodic_cost(base, exponents, budget)
-        assert result in (None, expected)
-        gave_up += result is None
-    assert 0 < gave_up < 40
+        if not costs[0][1] and not costs[1][1]:
+            assert costs[0][0] == costs[1][0]
+            compared += 1
+    assert fell_back == {True, False}
+    assert compared > 30
 
 
-def test_periodic_powers_refuses_an_unchecked_repeat(monkeypatch):
-    # With every shift key equal, the walk squares to B^8 (k = 3) and sees
-    # a "repeat" at B^9, four products in; B's powers repeat only from
-    # B^15 on, so the exact comparison rejects it and the caller gets None.
-    base = random_pair(Random(73), 3)
-    assert _b_period(base) == (15, 1)
-    monkeypatch.setattr(semidirect, "_shift_key", lambda w: 0)
-    counter = OpCounter()
-    assert periodic_powers(base, (100,), 10, counter) is None
-    assert counter.count == 4
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    bound=st.integers(5, 1000),
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.lists(st.tuples(st.booleans(), st.integers(0, 2**200)), min_size=1, max_size=4),
+)
+def test_party_powers_mixed_exponents(k, bound, seed, draws):
+    """Exponents below B's first repeat plus twice its period, mixed with
+    exponents above 2^60: ``party_powers`` gives the pass's pairs, at the
+    products the schedule oracle predicts, at most twice the pass's."""
+    base = random_pair(Random(seed), k, bound)
+    n, p = _b_period(base)
+    exponents = tuple(
+        1 + x % (n + 2 * p + 1) if small else (1 << 60) + 1 + x for small, x in draws
+    )
+    params = protocol.ProtocolParams(k, bound, 201, CIRC, base.first, base.second)
+    with pytest.MonkeyPatch.context() as patch:
+        products = count_products(patch)
+        pairs = protocol.party_powers(params, exponents)
+    assert pairs == powers(CIRC, base, exponents)
+    assert products.count == periodic_cost(base, exponents) <= 2 * pass_products(exponents)
 
 
 def test_periodic_powers_window_overflow(monkeypatch):
     """A k = 5 chain whose period, 6, exceeds k: H has two disjoint
     critical cycles, of lengths 2 and 3, so the critical graph is not
     strongly connected and the period is their lcm.  No segment of k + 1
-    powers holds two powers six apart, so the walk never certifies: unless
-    it reaches the largest needed power first, it spends its budget less
-    the most serving can cost, and ``party_powers`` then runs the pass, at
-    most twice the pass's products in all."""
+    powers holds two powers six apart, so the walk never certifies: it
+    spends its budget less the most serving can cost, or stops before a
+    segment past the least needed power, and then runs the pass, at most
+    twice the pass's products in all."""
     base = period_six_pair()
     assert _b_period(base) == (2, 6)
+    products = count_products(monkeypatch)
+    fallbacks = count_fallbacks(monkeypatch)
     exponents = (1 << 40, (1 << 40) + 5)
-    budget = pass_products(exponents)
-    counter = OpCounter()
-    assert periodic_powers(base, exponents, budget, counter) is None
-    assert counter.count <= budget
-    assert (counter.count, False) == periodic_cost(base, exponents, budget) == (78, False)
+    result = periodic_powers(base, exponents)
+    assert products.count == periodic_cost(base, exponents) == 78 + pass_products(exponents)
+    assert result == powers(CIRC, base, exponents)
     params = protocol.ProtocolParams(5, 100, 41, CIRC, base.first, base.second)
     exponents = (191, 255)
-    walked, certified = periodic_cost(base, exponents, pass_products(exponents))
-    assert (walked, certified) == (34, False)
-    products = count_products(monkeypatch)
+    products.count, fallbacks[:] = 0, []
     pairs = protocol.party_powers(params, exponents)
-    assert products.count == walked + pass_products(exponents) <= 2 * pass_products(exponents)
+    assert products.count == periodic_cost(base, exponents) == 21 + pass_products(exponents)
+    assert products.count <= 2 * pass_products(exponents)
+    assert fallbacks == [exponents]
     assert pairs == powers(CIRC, base, exponents)
     assert pairs == (chain_fold(CIRC, base, 191), chain_fold(CIRC, base, 255))
 

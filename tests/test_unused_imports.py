@@ -1,15 +1,18 @@
-"""Every name a module, test or demo imports is referenced in that file.
+"""Every name a module, test or demo imports is referenced in that file,
+and every private module-level name of the package is referenced in it.
 
 The sources are parsed with ``ast``, never imported.  ``tropkex/__init__.py``
-is exempt: its import list is the package's API.
+is exempt from the import check: its import list is the package's API.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "tropkex").glob("*.py"))
 FILES = sorted(
     path
     for path in [
@@ -48,3 +51,49 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = set(_imported_names(tree)) - set(_referenced_names(tree))
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def _private_definitions(tree):
+    # (name, node) for each module-level function, class or assignment
+    # that binds a name starting with an underscore
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [
+                name.id
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _uses(tree):
+    # every loaded name and every attribute name, so that both _f() and
+    # module._f count
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_dead_private_names():
+    """A private module-level name of ``tropkex`` that nothing in the
+    package uses, outside its own definition, is dead code."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
+    uses = Counter(name for tree in trees.values() for name in _uses(tree))
+    defined, dead = 0, []
+    for path, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            defined += 1
+            if uses[name] == sum(use == name for use in _uses(node)):
+                dead.append(f"{path.name}:{name}")
+    assert defined > 0
+    assert not dead, f"private names never used: {dead}"
