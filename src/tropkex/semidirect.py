@@ -2,16 +2,21 @@
 
 A pair (M, G) combines with (S, H) under either of two laws:
 
-  circ:  (M oplus S oplus H oplus (M otimes H),  G oplus H oplus (G otimes H))
+  circ:  ((M otimes B) oplus S oplus H,  (G otimes B) oplus H)
   star:  ((H otimes M^T) oplus (M^T otimes H) oplus S,  G otimes H)
 
+with B = H oplus I, I the min-plus identity (0 on the diagonal, +inf off
+it): H with its diagonal clipped at 0.  Since X otimes B is
+X oplus (X otimes H), circ is the paper's
+(M oplus S oplus H oplus (M otimes H), G oplus H oplus (G otimes H)).
 For both laws the first component of a product never depends on G, which
 is what lets the key-exchange parties publish first components only.
 
 circ is an honest semigroup operation: its first component applies the
-map X -> X + H + (X * H) to M, and that family of maps is closed under
-composition (composing the maps for H and V gives the map for
-H + V + (H * V), the same law the second component follows).
+map X -> (X * B) + H to M and adds S, and that family of maps is closed
+under composition (composing the maps for H and V gives the map for
+W = (H * B_V) + V, the law the second component follows, because
+B_H * B_V = B_W).
 
 star, written exactly as above, is NOT associative for k >= 2: its first
 component applies X -> (H * X^T) + (X^T * H) to M, and composing two
@@ -61,7 +66,7 @@ from itertools import repeat
 from operator import add
 from typing import Sequence
 
-from .tropical import DimensionMismatchError, TropicalMatrix, _flatten, _wrap_flat
+from .tropical import DimensionMismatchError, TropicalMatrix, _flatten, _min_plus, _wrap_flat
 
 
 class SemigroupOpKind(Enum):
@@ -118,36 +123,40 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# The kernels fuse the entrywise minima into the product pass: a separate
-# pass per oplus term would add a k^2 cost with a constant big enough to
+# Every k^3 product in this module is tropical's one kernel, ``_min_plus``
+# (directly, or through ``TropicalMatrix.otimes``).  It returns the k^2
+# entries flat and row-major, so a law folds its oplus terms into one pass
+# over them and cuts the result into rows only once, in ``_wrap_flat``: a
+# separate pass per term would add a k^2 cost with a constant big enough to
 # distort small-k timings, and the benchmark asserts that the attack's cost
-# profile is k^3-shaped.  For the same reason each kernel works on the k^2
-# entries as one flat row-major sequence and cuts it into rows only once, in
-# ``_wrap_flat``: per-row iterators and comprehension frames cost about as
-# much as the arithmetic at k = 5.
+# profile is k^3-shaped.  Per-row iterators and comprehension frames, too,
+# cost about as much as the arithmetic at k = 5.
+
+
+def _b_columns(h: TropicalMatrix) -> list[tuple[int, ...]]:
+    # The columns of B = H + I: H's columns with the diagonal clipped at 0.
+    cols = list(zip(*h.rows))
+    for j, col in enumerate(cols):
+        if col[j] > 0:
+            cols[j] = col[:j] + (0,) + col[j + 1 :]
+    return cols
 
 
 def _circ_first(
-    m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix, h_cols: tuple[tuple[int, ...], ...]
+    m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix, b_cols: list[tuple[int, ...]]
 ) -> TropicalMatrix:
-    # M + S + H + (M * H), given the columns of H: circ's first component;
-    # with S = H also its second.
-    _min, _map, _add = min, map, add
-    products = [_min(_map(_add, m_row, col)) for m_row in m.rows for col in h_cols]
+    # (M * B) + S + H, given the columns of B: circ's first component.
     return _wrap_flat(
-        _map(_min, products, _flatten(m.rows), _flatten(s.rows), _flatten(h.rows)),
-        len(h_cols),
+        map(min, _min_plus(m.rows, b_cols), _flatten(s.rows), _flatten(h.rows)), len(b_cols)
     )
 
 
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
-    # (H * M^T) + (M^T * H) + S: star's first component.
-    m_rows, h_cols = m.rows, h._columns()
-    _min, _map, _add = min, map, add
-    left = [_min(_map(_add, h_row, m_row)) for h_row in h.rows for m_row in m_rows]
-    # row i of M^T is column i of M
-    right = [_min(_map(_add, m_col, h_col)) for m_col in m._columns() for h_col in h_cols]
-    return _wrap_flat(_map(_min, left, right, _flatten(s.rows)), len(m_rows))
+    # (H * M^T) + (M^T * H) + S: star's first component.  The columns of
+    # M^T are the rows of M, and its rows the columns of M.
+    left = _min_plus(h.rows, m.rows)
+    right = _min_plus(m._columns(), h._columns())
+    return _wrap_flat(map(min, left, right, _flatten(s.rows)), m.k)
 
 
 def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -155,8 +164,9 @@ def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     if p.first.k != q.first.k:
         raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
     h = q.second
-    h_cols = h._columns()
-    return _new_pair(_circ_first(p.first, q.first, h, h_cols), _circ_first(p.second, h, h, h_cols))
+    b_cols = _b_columns(h)
+    second = _wrap_flat(map(min, _min_plus(p.second.rows, b_cols), _flatten(h.rows)), h.k)
+    return _new_pair(_circ_first(p.first, q.first, h, b_cols), second)
 
 
 def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -169,7 +179,7 @@ def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
 def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> TropicalMatrix:
     """First component of (m, G) combined with q, which is the same for every G."""
     if op is _CIRC:
-        return _circ_first(m, q.first, q.second, q.second._columns())
+        return _circ_first(m, q.first, q.second, _b_columns(q.second))
     if op is _STAR:
         return _star_first(m, q.first, q.second)
     raise ValueError(f"unknown operation kind: {op!r}")
@@ -240,12 +250,6 @@ def power(
     return powers(op, base, (e,), counter)[0]
 
 
-def _product(a: TropicalMatrix, b_cols: tuple[tuple[int, ...], ...]) -> TropicalMatrix:
-    # a otimes b, given the columns of b: one plain k^3 min-plus product.
-    _min, _map, _add = min, map, add
-    return _wrap_flat([_min(_map(_add, row, col)) for row in a.rows for col in b_cols], len(b_cols))
-
-
 def _shifted(w: TropicalMatrix, c: int) -> TropicalMatrix:
     # c added to every entry: the scalar multiple c (x) w of min-plus algebra.
     return _wrap_flat(map(add, _flatten(w.rows), repeat(c)), w.k)
@@ -259,12 +263,10 @@ def periodic_powers(
     k^3 products the pass spends: two per application, so a budget of
     2 ((L - 1) + sum(popcount(e) - 1)), L the largest bit length.
 
-    Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I, I the
-    min-plus identity (+inf off the diagonal): H with its diagonal clipped
-    at 0.  For m >= 2, X_m holds M oplus H as a term and G_m <= H, so the
-    circ step X_m oplus M oplus H oplus (X_m otimes H) is X_m otimes B,
-    likewise for G_m, and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2})
-    with W_j = B^j.
+    Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I as in
+    circ's law.  Past the square, S oplus H (here M oplus H) is already a
+    term of X_m, and H of G_m, so a step is (X_m otimes B, G_m otimes B),
+    and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2}) with W_j = B^j.
 
     The walk squares from W_1 = B (otimes is associative) while its index
     j is below 2k, then steps W_{j+1} = W_j otimes B in segments W_s ..
@@ -291,26 +293,21 @@ def periodic_powers(
     (one ``apply``), then, since adding a scalar commutes with otimes, two
     per distinct W_{n+r} (or W_i of the segment, for i < n) the exponents
     need: P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk
-    falls back to ``powers`` when the most serving can cost, two per
-    exponent above 2, exceeds the budget, before the product that would
-    leave less of the budget than that, and before a squaring that would
-    start a segment past the least needed index e - 2, whose power it then
-    never holds.  So it never costs more than the pass, and a fallback at
-    most twice.  Only one segment and one matrix per exponent are kept.
+    falls back to ``powers`` before the product that would leave less of
+    the budget than the most serving can cost, two per exponent above 2,
+    and before a squaring that would start a segment past the least needed
+    index e - 2, whose power it then never holds.  So it never costs more
+    than the pass, and a fallback at most twice.  Only one segment and one matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
     top = max(exponents, default=1)
     budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
-    if serving > budget:
-        return powers(_CIRC, base, exponents)
     if top > 2:
         least = min(e for e in exponents if e > 2) - 2
         k = base.k
-        h = _flatten(base.second.rows)  # B = H oplus I: H with its diagonal clipped at 0
-        b = _wrap_flat((x if i % (k + 1) else min(x, 0) for i, x in enumerate(h)), k)
-        b_cols = b._columns()
+        b = TropicalMatrix(zip(*_b_columns(base.second)))
         window: dict[int, TropicalMatrix] = {}  # the segment's powers, by index
         first_seen: dict[TropicalMatrix, int] = {}  # their indices, by W_j - W_j[0][0]
         w, j, spent = b, 1, 0
@@ -322,11 +319,11 @@ def periodic_powers(
             if spent + serving >= budget or (squaring and 2 * j > least):
                 return powers(_CIRC, base, exponents)
             if squaring:
-                w, j = _product(w, w._columns()), 2 * j
+                w, j = w.otimes(w), 2 * j
                 window.clear()
                 first_seen.clear()
             else:
-                w, j = _product(w, b_cols), j + 1
+                w, j = w.otimes(b), j + 1
             spent += 1
         period, c = j - n, w.rows[0][0] - window[n].rows[0][0]
     square = apply(_CIRC, base, base) if top > 1 else None
@@ -342,9 +339,8 @@ def periodic_powers(
             i = n + r
         pair = served.get(i)
         if pair is None:
-            cols = window[i]._columns()
-            pair = _new_pair(_product(square.first, cols), _product(square.second, cols))
-            served[i] = pair
+            w = window[i]
+            pair = served[i] = _new_pair(square.first.otimes(w), square.second.otimes(w))
         result.append(
             _new_pair(_shifted(pair.first, q * c), _shifted(pair.second, q * c)) if q else pair
         )

@@ -104,13 +104,7 @@ class TropicalMatrix:
     def otimes(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Min-plus matrix product: result[i][j] = min over l of a[i][l] + b[l][j]."""
         self._check_dim(other)
-        cols = other._columns()
-        return _wrap(
-            tuple(
-                tuple(min(map(add, row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        return _wrap_flat(_min_plus(self.rows, other._columns()), self.k)
 
     def transpose(self) -> "TropicalMatrix":
         return _wrap(self._columns())
@@ -146,6 +140,15 @@ def _wrap_flat(entries: Iterable[int], k: int) -> TropicalMatrix:
 
 
 _flatten = chain.from_iterable
+
+
+def _min_plus(rows, cols) -> list[int]:
+    # The package's one k^3 min-plus product: entry (i, j) is the minimum
+    # of rows[i][l] + cols[j][l] over l, in row-major order, flat so that
+    # callers fold further entrywise minima into one pass before the single
+    # cut into rows in ``_wrap_flat``.
+    _min, _map, _add = min, map, add
+    return [_min(_map(_add, row, col)) for row in rows for col in cols]
 
 
 def _rows_leq(x_rows, y_rows) -> bool:

@@ -167,7 +167,9 @@ def periodic_cost(base: SemigroupPair, exponents) -> int:
     ``pass_products``, when the most serving can cost (two products for
     base^2 and two per exponent above 2) exceeds that budget, before a
     product that would leave less of the budget than that, and before a
-    squaring to an index past the least needed one.
+    squaring to an index past the least needed one.  (The library has no
+    check of its own for the first case: its check before the first
+    product catches it.)
     """
     top, budget = max(exponents), pass_products(exponents)
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)
@@ -211,21 +213,23 @@ def period_six_pair() -> SemigroupPair:
 
 def count_products(monkeypatch) -> OpCounter:
     """Count k^3 products from here on, by wrapping the library's own
-    kernels: two per pair application (``op_circ``), one per plain product
-    of the walk over the powers of B (``_product``)."""
+    entry points: two per pair application (``op_circ``, which calls the
+    product kernel directly), one per plain product
+    (``TropicalMatrix.otimes``, which the walk over the powers of B and
+    its serving step call, and nothing else on a circ path)."""
     tally = OpCounter()
-    op_circ, product = semidirect.op_circ, semidirect._product
+    op_circ, otimes = semidirect.op_circ, TropicalMatrix.otimes
 
     def counted_circ(p, q):
         tally.count += 2
         return op_circ(p, q)
 
-    def counted_product(a, b_cols):
+    def counted_otimes(a, b):
         tally.count += 1
-        return product(a, b_cols)
+        return otimes(a, b)
 
     monkeypatch.setattr(semidirect, "op_circ", counted_circ)
-    monkeypatch.setattr(semidirect, "_product", counted_product)
+    monkeypatch.setattr(TropicalMatrix, "otimes", counted_otimes)
     return tally
 
 

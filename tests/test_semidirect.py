@@ -17,7 +17,7 @@ from tropkex import (
     setup,
 )
 from tropkex import protocol
-from tropkex.semidirect import apply
+from tropkex.semidirect import apply, product_first
 
 from _oracles import (
     chain_fold,
@@ -103,10 +103,24 @@ def test_apply_dispatches_and_counts(op):
 def test_apply_matches_naive_oracle():
     rng = Random(13)
     for op in (CIRC, STAR):
+        cases = []
         for _ in range(60):
             k = rng.randint(1, 4)
-            p, q = random_pair(rng, k), random_pair(rng, k)
-            assert apply(op, p, q) == naive_apply(op, p, q)
+            cases.append((random_pair(rng, k), random_pair(rng, k)))
+        # H's diagonal all above, at or below 0: circ multiplies by
+        # B = H + I, which clips that diagonal at 0
+        for k in range(1, 5):
+            for sign in (1, 0, -1):
+                p, q = random_pair(rng, k), random_pair(rng, k)
+                h = [
+                    [sign * rng.randint(1, 50) if i == j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(q.second.rows)
+                ]
+                cases.append((p, SemigroupPair(q.first, TropicalMatrix(h))))
+        for p, q in cases:
+            expected = naive_apply(op, p, q)
+            assert apply(op, p, q) == expected
+            assert product_first(op, p.first, q) == expected.first
 
 
 def test_pair_dimension_mismatch():
