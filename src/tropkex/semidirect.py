@@ -45,9 +45,13 @@ one k^3 product per step and a squaring between segments, to an exact
 repeat up to a scalar shift inside a segment, and serves each exponent
 as base^2 times a power of B read off that period, one product pair per
 distinct residue: O(k log T) products for B's transient T, whatever the
-exponents' bit length.  Where that could cost more than ``powers`` (as a
-period above k does), or an exponent lies below the segment where the
-period shows, it runs ``powers`` instead.
+exponents' bit length.  It holds the powers of B packed, each one int
+of k^2 fixed-width fields plus an offset, and multiplies them with
+tropical's packed kernel: every power of B has at most twice B's span,
+so one field width, fixed from B, holds the whole walk exactly.  Where
+that could cost more than ``powers`` (as a period above k does), or an
+exponent lies below the segment where the period shows, it runs
+``powers`` instead.
 There is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
@@ -62,11 +66,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import add
 from typing import Sequence
 
-from .tropical import DimensionMismatchError, TropicalMatrix, _flatten, _min_plus, _wrap_flat
+from .tropical import (
+    DimensionMismatchError,
+    TropicalMatrix,
+    _flatten,
+    _min_plus,
+    _min_plus_packed,
+    _Packing,
+    _wrap_flat,
+)
 
 
 class SemigroupOpKind(Enum):
@@ -123,14 +133,23 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# Every k^3 product in this module is tropical's one kernel, ``_min_plus``
-# (directly, or through ``TropicalMatrix.otimes``).  It returns the k^2
-# entries flat and row-major, so a law folds its oplus terms into one pass
-# over them and cuts the result into rows only once, in ``_wrap_flat``: a
-# separate pass per term would add a k^2 cost with a constant big enough to
-# distort small-k timings, and the benchmark asserts that the attack's cost
-# profile is k^3-shaped.  Per-row iterators and comprehension frames, too,
-# cost about as much as the arithmetic at k = 5.
+# Every k^3 product in this module is one of tropical's two kernels.  The
+# laws (``op_circ``, ``op_star``, ``product_first``) use the plain one,
+# ``_min_plus`` (directly, or through ``TropicalMatrix.otimes``): their
+# operands are arbitrary matrices, each used once, so packing them would
+# add a span, a pack and an unpack to every product, which at k = 5 cost
+# about as much as the plain product they replace, and would bend the
+# attack's k^3-shaped cost profile that the acceptance suite asserts.
+# ``periodic_powers`` uses the packed one, ``_min_plus_packed``: its
+# matrices have a span bounded by B's, so it packs B, X_2 and G_2 once
+# and keeps every power packed from product to product.
+#
+# ``_min_plus`` returns the k^2 entries flat and row-major, so a law folds
+# its oplus terms into one pass over them and cuts the result into rows
+# only once, in ``_wrap_flat``: a separate pass per term would add a k^2
+# cost with a constant big enough to distort small-k timings.  Per-row
+# iterators and comprehension frames, too, cost about as much as the
+# arithmetic at k = 5.
 
 
 def _b_columns(h: TropicalMatrix) -> list[tuple[int, ...]]:
@@ -250,11 +269,6 @@ def power(
     return powers(op, base, (e,), counter)[0]
 
 
-def _shifted(w: TropicalMatrix, c: int) -> TropicalMatrix:
-    # c added to every entry: the scalar multiple c (x) w of min-plus algebra.
-    return _wrap_flat(map(add, _flatten(w.rows), repeat(c)), w.k)
-
-
 def periodic_powers(
     base: SemigroupPair, exponents: Sequence[int]
 ) -> tuple[SemigroupPair, ...]:
@@ -287,6 +301,26 @@ def periodic_powers(
     k = 5 give p = 6): no segment holds two powers p apart, and the walk
     falls back.
 
+    The walk holds each W_j packed (``tropical._Packing``): one int of k^2
+    fields, w bits each, row-major, plus an offset, W_j = fields + offset;
+    its products are ``_min_plus_packed``, exact while every sum of two
+    fields stays below a field's top (guard) bit.  With S = span(B), the
+    largest entry less the least, every power has span(W_j) <= 2S: a
+    least-weight path of length j >= 2 from i' to l' becomes a path from
+    i to l when its first edge is swapped for one out of i and its last
+    for one into l, each swap adding at most S (for j = 1, the one edge
+    adds at most S).  After each product the walk rebases: f0 the packed
+    [0][0] field, it takes f0 - 2S off every field and adds it to the
+    offset, so field [0][0] is 2S and every field lies in [0, 4S], B's
+    included.  Two such factors sum to at most 8S in a field, so
+    w = bitlen(8S) + 1, rounded up to a byte, holds for the whole walk at
+    any entry size.  The rebased int is W_j - W_j[0][0] + 2S exactly, so
+    it is the repeat key, and c is the difference of the offsets.  Serving
+    packs X_2 and G_2 as well, each less its least entry, in a layout wide
+    enough for one of their fields plus one of W_i's (at most 4S), and
+    repacks each W_i it needs into it; offsets add, so P_e is unpacked
+    with its components' least entries plus W_i's offset plus q c.
+
     Cost: the squarings cost one product each and a segment k + 1, so the
     walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
     shows the period within p more.  Serving costs two products for P_2
@@ -297,7 +331,8 @@ def periodic_powers(
     the budget than the most serving can cost, two per exponent above 2,
     and before a squaring that would start a segment past the least needed
     index e - 2, whose power it then never holds.  So it never costs more
-    than the pass, and a fallback at most twice.  Only one segment and one matrix per exponent are kept.
+    than the pass, and a fallback at most twice.  Only one segment and one
+    matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
@@ -307,27 +342,45 @@ def periodic_powers(
     if top > 2:
         least = min(e for e in exponents if e > 2) - 2
         k = base.k
-        b = TropicalMatrix(zip(*_b_columns(base.second)))
-        window: dict[int, TropicalMatrix] = {}  # the segment's powers, by index
-        first_seen: dict[TropicalMatrix, int] = {}  # their indices, by W_j - W_j[0][0]
-        w, j, spent = b, 1, 0
-        while True:  # w = W_j, after ``spent`` products
-            window[j] = w
-            if (n := first_seen.setdefault(_shifted(w, -w.rows[0][0]), j)) < j:
+        rows = enumerate(base.second.rows)
+        # B = H oplus I: H's rows with the diagonal clipped at 0
+        b = [*_flatten(row if row[i] <= 0 else row[:i] + (0,) + row[i + 1 :] for i, row in rows)]
+        lift = 2 * (max(b) - min(b))  # 2S
+        walk = _Packing(k, 4 * lift)
+        corner = (1 << walk.w) - 1  # field [0][0]
+        b_offset = b[0] - lift
+        x = walk.pack([e - b_offset for e in b])
+        b_tiles = walk.tiles(x)
+        window: dict[int, tuple[int, int]] = {}  # the segment's packed powers, by index
+        first_seen: dict[int, int] = {}  # their indices, by packed power
+        offset, j, spent = b_offset, 1, 0
+        while True:  # W_j is x with offset, after ``spent`` products
+            window[j] = x, offset
+            if (n := first_seen.setdefault(x, j)) < j:
                 break
             squaring = j < 2 * k or len(window) > k  # to W_{2j}, starting a new segment
             if spent + serving >= budget or (squaring and 2 * j > least):
                 return powers(_CIRC, base, exponents)
             if squaring:
-                w, j = w.otimes(w), 2 * j
+                x, offset, j = _min_plus_packed(x, walk.tiles(x), walk), 2 * offset, 2 * j
                 window.clear()
                 first_seen.clear()
             else:
-                w, j = w.otimes(b), j + 1
+                x, offset, j = _min_plus_packed(x, b_tiles, walk), offset + b_offset, j + 1
+            shift = (x & corner) - lift
+            x -= shift * walk.ones
+            offset += shift
             spent += 1
-        period, c = j - n, w.rows[0][0] - window[n].rows[0][0]
+        period, c = j - n, offset - window[n][1]
     square = apply(_CIRC, base, base) if top > 1 else None
-    served: dict[int, SemigroupPair] = {}  # X_2 and G_2 times W_i, by i
+    if top > 2:
+        x2, g2 = [*_flatten(square.first.rows)], [*_flatten(square.second.rows)]
+        x2_least, g2_least = min(x2), min(g2)
+        widest = max(max(x2) - x2_least, max(g2) - g2_least) + 2 * lift
+        serve = _Packing(k, widest)
+        x2 = serve.pack([e - x2_least for e in x2])
+        g2 = serve.pack([e - g2_least for e in g2])
+    served: dict[int, tuple[tuple[int, int], ...]] = {}  # X_2 and G_2 times W_i, packed, by i
     result = []
     for e in exponents:
         if e < 3:
@@ -339,9 +392,11 @@ def periodic_powers(
             i = n + r
         pair = served.get(i)
         if pair is None:
-            w = window[i]
-            pair = served[i] = _new_pair(square.first.otimes(w), square.second.otimes(w))
-        result.append(
-            _new_pair(_shifted(pair.first, q * c), _shifted(pair.second, q * c)) if q else pair
-        )
+            x, offset = window[i]
+            tiles = serve.tiles(serve.pack(walk.fields(x)))
+            pair = served[i] = (
+                (_min_plus_packed(x2, tiles, serve), x2_least + offset),
+                (_min_plus_packed(g2, tiles, serve), g2_least + offset),
+            )
+        result.append(_new_pair(*(serve.unpack(y, lo + q * c) for y, lo in pair)))
     return tuple(result)

@@ -7,6 +7,9 @@ of (+, *).  Entries are plain Python ints, so values hundreds of bits wide
 (routine at the suggested key-exchange parameters) stay exact.  Floating
 point is deliberately never used: the attack relies on exact order
 comparisons, and a rounded entry could fake or hide an order relation.
+Besides the plain product kernel there is a packed one for matrices of
+bounded span, each held as one int of fixed-width fields: exact integer
+arithmetic too, under the width condition its docstring proves.
 
 Matrix addition is idempotent, which induces the partial order
 ``x <= y  iff  x oplus y == x``, i.e. entrywise ``<=``.  ``chain_compare``
@@ -149,6 +152,79 @@ def _min_plus(rows, cols) -> list[int]:
     # cut into rows in ``_wrap_flat``.
     _min, _map, _add = min, map, add
     return [_min(_map(_add, row, col)) for row in rows for col in cols]
+
+
+class _Packing:
+    """A layout that holds a k-by-k matrix of non-negative ints up to
+    ``largest`` as one int: entry (i, j) is the w-bit field at bit
+    (i k + j) w, row-major.  The low w - 1 bits of a field hold
+    ``largest``, and its top bit is the guard bit; w is rounded up to a
+    multiple of 8 so that packing and unpacking go through bytes.
+    Callers build one per use (four masks) and keep track of each packed
+    matrix's offset, the scalar its fields omit.
+    """
+
+    __slots__ = ("k", "w", "column", "spread", "guard", "ones")
+
+    def __init__(self, k: int, largest: int):
+        self.k = k
+        self.w = w = (largest.bit_length() + 8) // 8 * 8
+        self.spread = sum(1 << (j * w) for j in range(k))  # a 1 in each field of row 0
+        blocks = sum(1 << (i * k * w) for i in range(k))  # a 1 in field (i, 0), every i
+        self.ones = self.spread * blocks  # a 1 in every field
+        self.column = ((1 << (w - 1)) - 1) * blocks  # the values of column 0
+        self.guard = (1 << (w - 1)) * self.ones
+
+    def pack(self, entries: Iterable[int]) -> int:
+        """k*k ints in [0, 2^(w-1)), row-major, as one int."""
+        size = self.w // 8
+        return int.from_bytes(b"".join(e.to_bytes(size, "little") for e in entries), "little")
+
+    def fields(self, x: int) -> list[int]:
+        """The k*k fields of ``x``, row-major: ``pack`` undone."""
+        size = self.w // 8
+        data, read = x.to_bytes(self.k * self.k * size, "little"), int.from_bytes
+        return [read(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+    def unpack(self, x: int, offset: int) -> TropicalMatrix:
+        """The matrix whose fields ``x`` holds, each plus ``offset``."""
+        return _wrap_flat([f + offset for f in self.fields(x)], self.k)
+
+    def tiles(self, x: int) -> list[int]:
+        """Row l of ``x`` copied into every row, for each l: the right
+        factor of ``_min_plus_packed``."""
+        k, size = self.k, self.k * self.w // 8
+        data, read = x.to_bytes(k * size, "little"), int.from_bytes
+        return [read(data[i : i + size] * k, "little") for i in range(0, len(data), size)]
+
+
+def _min_plus_packed(x: int, tiles: list[int], packing: _Packing) -> int:
+    """The min-plus product of two packed matrices, packed: ``x`` is the
+    left factor and ``tiles`` the right factor's ``packing.tiles``.
+
+    Exact when every field of x plus every field of the right factor is
+    below 2^(w-1), the guard bit, and then so is every field of the
+    product.  Step l spreads column l of x across each row (mask column
+    0, multiply by a 1 in each field of the row) and adds row l of the
+    right factor to every row: field (i, j) is x[i][l] + v[l][j], below
+    the guard bit, so no sum carries into the next field.  The running
+    minimum of two such ints a, y sets each field's guard bit in
+    (a | G) - y, G the guard bits, iff a >= y there: each field computes
+    2^(w-1) + a - y in [1, 2^w), so no borrow crosses a field.  Masked to
+    G as m, m - (m >> (w - 1)) fills the value bits of just those fields,
+    and the xor selects y in them and keeps a elsewhere.  k such steps of
+    a dozen whole-matrix int operations replace the k^3 interpreted adds
+    of ``_min_plus``.
+    """
+    w, column, spread, guard = packing.w, packing.column, packing.spread, packing.guard
+    top = w - 1
+    acc = (x & column) * spread + tiles[0]
+    for tile in tiles[1:]:
+        x >>= w
+        y = (x & column) * spread + tile
+        m = ((acc | guard) - y) & guard
+        acc ^= (acc ^ y) & (m - (m >> top))
+    return acc
 
 
 def _rows_leq(x_rows, y_rows) -> bool:

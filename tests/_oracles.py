@@ -214,22 +214,24 @@ def period_six_pair() -> SemigroupPair:
 def count_products(monkeypatch) -> OpCounter:
     """Count k^3 products from here on, by wrapping the library's own
     entry points: two per pair application (``op_circ``, which calls the
-    product kernel directly), one per plain product
-    (``TropicalMatrix.otimes``, which the walk over the powers of B and
-    its serving step call, and nothing else on a circ path)."""
+    plain product kernel directly), one per packed product
+    (``_min_plus_packed``, looked up on ``semidirect``, which the walk
+    over the powers of B and its serving step call).  Nothing else on a
+    circ path makes a product: ``TropicalMatrix.otimes`` serves only
+    star."""
     tally = OpCounter()
-    op_circ, otimes = semidirect.op_circ, TropicalMatrix.otimes
+    op_circ, packed = semidirect.op_circ, semidirect._min_plus_packed
 
     def counted_circ(p, q):
         tally.count += 2
         return op_circ(p, q)
 
-    def counted_otimes(a, b):
+    def counted_packed(x, tiles, packing):
         tally.count += 1
-        return otimes(a, b)
+        return packed(x, tiles, packing)
 
     monkeypatch.setattr(semidirect, "op_circ", counted_circ)
-    monkeypatch.setattr(TropicalMatrix, "otimes", counted_otimes)
+    monkeypatch.setattr(semidirect, "_min_plus_packed", counted_packed)
     return tally
 
 

@@ -23,7 +23,7 @@ from tropkex import (
     transcript_from_json,
     transcript_to_json,
 )
-from tropkex import protocol
+from tropkex import protocol, semidirect
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 
 from _oracles import (
@@ -275,6 +275,31 @@ def test_walk_tail_at_benchmark_size(monkeypatch):
         expected += periodic_cost(params.base_pair, exponents)
     assert products.count == expected == 1411
     assert passes == []
+
+
+@pytest.mark.parametrize("k", (3, 5))
+def test_wide_entry_exchange_matches_the_pass(k, monkeypatch):
+    """Entries up to 10^30 put the packed walk's fields past 64 bits: the
+    exchange gives the transcript and key the least-bit-first pass gives,
+    without falling back to it."""
+    widths = []
+    packed = semidirect._min_plus_packed
+
+    def recorded(x, tiles, packing):
+        widths.append(packing.w)
+        return packed(x, tiles, packing)
+
+    passes = count_fallbacks(monkeypatch)
+    monkeypatch.setattr(semidirect, "_min_plus_packed", recorded)
+    for seed in range(4):
+        rng = Random(seed)
+        walked = run_exchange(setup(k, 10**30, 200, CIRC, rng), rng)
+        rng = Random(seed)
+        params = setup(k, 10**30, 200, CIRC, rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "periodic_powers", lambda base, e: powers(CIRC, base, e))
+            assert run_exchange(params, rng) == walked
+    assert passes == [] and min(widths) > 64
 
 
 def test_transcript_round_trip_and_privacy():

@@ -16,8 +16,9 @@ from tropkex import (
     powers,
     setup,
 )
-from tropkex import protocol
+from tropkex import protocol, semidirect
 from tropkex.semidirect import apply, product_first
+from tropkex.tropical import _min_plus_packed, _Packing
 
 from _oracles import (
     chain_fold,
@@ -33,6 +34,7 @@ from _oracles import (
     pass_products,
     period_six_pair,
     periodic_cost,
+    random_mat,
     random_pair,
 )
 
@@ -311,6 +313,57 @@ def test_circ_powers_are_powers_of_b(k, bound, seed):
     assert pair == chain_fold(CIRC, base, 64)
 
 
+def _span(w):
+    entries = [x for row in w.rows for x in row]
+    return max(entries) - min(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    data=st.data(),
+    bound=st.sampled_from((0, 3, 1000, 10**6, 10**30)),
+)
+def test_powers_of_b_span_at_most_twice_b(k, data, bound):
+    """The width lemma the packed walk rests on: span(B^j) <= 2 span(B)
+    for j >= 1, with B = I oplus H for any finite H."""
+    entry = st.integers(-bound, bound)
+    h = TropicalMatrix([[data.draw(entry) for _ in range(k)] for _ in range(k)])
+    b = identity_oplus(h)
+    w, limit = b, 2 * _span(b)
+    for _ in range(40):
+        assert _span(w) <= limit
+        w = naive_otimes(w, b)
+
+
+def test_packed_walk_matches_naive_powers():
+    """The walk's representation over 300 steps W_{j+1} = W_j otimes B,
+    each checked against the triple loop: W_j is its packed fields plus
+    an offset, in fields of bitlen(8S) + 1 bits rounded up to a byte,
+    S = span(B), and after each product every field is rebased by the
+    [0][0] field, which then reads 2S, with all of them in [0, 4S]."""
+    rng = Random(59)
+    hs = [random_mat(rng, k, bound) for k in range(1, 7) for bound in (3, 1000, 10**30)]
+    hs += [TropicalMatrix([[c] * k] * k) for k, c in ((1, 5), (3, -7), (4, 0), (6, 10**30))]
+    hs.append(TropicalMatrix([[rng.randint(-10**30, -10**29) for _ in range(5)] for _ in range(5)]))
+    for h in hs:
+        b = identity_oplus(h)
+        k, lift = b.k, 2 * _span(b)
+        packing = _Packing(k, 4 * lift)
+        offset = b.rows[0][0] - lift
+        x = packing.pack([e - offset for row in b.rows for e in row])
+        b_tiles, b_offset, power = packing.tiles(x), offset, b
+        for _ in range(300):
+            x, offset = _min_plus_packed(x, b_tiles, packing), offset + b_offset
+            power = naive_otimes(power, b)
+            assert packing.unpack(x, offset) == power
+            shift = packing.fields(x)[0] - lift
+            x, offset = x - shift * packing.ones, offset + shift
+            assert packing.unpack(x, offset) == power
+            fields = packing.fields(x)
+            assert fields[0] == lift and max(fields) <= 2 * lift and x >= 0
+
+
 def _b_period(base):
     return matrix_period(identity_oplus(base.second))
 
@@ -363,6 +416,42 @@ def test_periodic_powers_stationary_chain(monkeypatch):
     products.count = 0
     assert periodic_powers(base, (3, *exponents)) == (base,) * 5
     assert products.count == periodic_cost(base, (3, *exponents)) == pass_products((3, *exponents))
+
+
+def test_periodic_powers_fields_at_their_bound(monkeypatch):
+    """Every packed product the walk and its serving make meets the
+    kernel's exactness condition, on a base whose sums reach both width
+    bounds.  B = [[-5000, 0], [0, 0]] spans S = 5000, and from B^2 on
+    each power spans 2S with its least entry at [0][0], so its rebased
+    fields reach 4S and squaring B^2 sums two fields to 8S = 40 000, past
+    15 value bits.  X_2 = [[-5000, 0], [-20000, -15000]] spans 20 000
+    with its largest entry in column 1, so serving sums 20 000 + 4S =
+    40 000 too.  Both layouts need 24-bit fields."""
+    packed, sums = semidirect._min_plus_packed, []
+
+    def checked(x, tiles, packing):
+        # every field of x plus every field of the right factor, whose
+        # rows the tiles repeat, stays below the guard bit
+        widest = max(packing.fields(x)) + max(max(packing.fields(t)) for t in tiles)
+        assert widest < 1 << (packing.w - 1)
+        sums.append((widest, packing.w))
+        return packed(x, tiles, packing)
+
+    monkeypatch.setattr(semidirect, "_min_plus_packed", checked)
+    m = TropicalMatrix([[0, 15000], [-15000, 15000]])
+    base = SemigroupPair(m, TropicalMatrix([[-5000, 0], [0, 3000]]))
+    assert apply(CIRC, base, base).first == TropicalMatrix([[-5000, 0], [-20000, -15000]])
+    exponents = ((1 << 60) + 1, (1 << 61) + 3)
+    result = periodic_powers(base, exponents)
+    # B^2, B^4 and B^5 for the walk, which then repeats; X_2 and G_2
+    # times the one power of B both exponents share for serving
+    assert sums == [(30000, 24), (40000, 24), (35000, 24), (40000, 24), (30000, 24)]
+    assert result == powers(CIRC, base, exponents)
+    rng = Random(89)
+    for trial in range(40):
+        base = random_pair(rng, 1 + trial % 6, rng.choice((0, 5, 1000, 10**30)))
+        exponents = (rng.randint(1 << 60, 1 << 64), rng.randint(3, 1 << 200))
+        assert periodic_powers(base, exponents) == powers(CIRC, base, exponents)
 
 
 def test_periodic_powers_before_the_certificate(monkeypatch):

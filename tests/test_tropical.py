@@ -14,6 +14,7 @@ from tropkex import (
     matrix_to_json,
     random_matrix,
 )
+from tropkex.tropical import _min_plus_packed, _Packing
 
 from _oracles import naive_otimes, random_mat
 
@@ -52,12 +53,45 @@ def test_otimes_examples():
     assert TropicalMatrix([[2]]).otimes(TropicalMatrix([[3]])) == TropicalMatrix([[5]])
 
 
+def _packed_otimes(a, b):
+    # a otimes b through the packed kernel: each factor less its least
+    # entry, in the narrowest byte-sized fields that hold the sum of two
+    fa, fb = [x for row in a.rows for x in row], [x for row in b.rows for x in row]
+    la, lb = min(fa), min(fb)
+    packing = _Packing(a.k, max(fa) - la + max(fb) - lb)
+    x = packing.pack([e - la for e in fa])
+    tiles = packing.tiles(packing.pack([e - lb for e in fb]))
+    return packing.unpack(_min_plus_packed(x, tiles, packing), la + lb)
+
+
 def test_otimes_matches_naive_oracle():
+    """Both product kernels, the plain one behind ``otimes`` and the packed
+    one, against the triple loop at k = 1..6: random entries, equal
+    entries (span 0), all negative, up to 10^30 (fields past 64 bits),
+    and sums that fill every value bit of a field below its guard bit."""
     rng = Random(101)
+    pairs = []
     for trial in range(200):
         k = 1 + trial % 6
-        a, b = random_mat(rng, k), random_mat(rng, k)
-        assert a.otimes(b) == naive_otimes(a, b)
+        pairs.append((random_mat(rng, k), random_mat(rng, k)))
+    for k in range(1, 7):
+        c = rng.randint(-10**6, 10**6)
+        pairs.append((TropicalMatrix([[c] * k] * k), random_mat(rng, k)))
+        pairs.append((random_mat(rng, k), TropicalMatrix([[-c] * k] * k)))
+        for lo, hi in ((-10**30, -10**29), (-10**30, 10**30), (0, 2**64)):
+            a, b = (
+                TropicalMatrix([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
+                for _ in range(2)
+            )
+            pairs.append((a, b))
+        # spans 2^14 - 1 and 2^14: sums up to 2^15 - 1 in 16-bit fields
+        rows = [[rng.randint(0, 2**14 - 1) for _ in range(k)] for _ in range(k)]
+        rows[0][0], rows[-1][-1] = 2**14 - 1, 0
+        pairs.append((TropicalMatrix(rows), TropicalMatrix([[2**14] * k] * (k - 1) + [[0] * k])))
+    for a, b in pairs:
+        expected = naive_otimes(a, b)
+        assert a.otimes(b) == expected
+        assert _packed_otimes(a, b) == expected
 
 
 def test_transpose():
