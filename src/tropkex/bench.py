@@ -80,7 +80,7 @@ class RunConfig:
             raise ValueError(f"k_list repeats a dimension: {self.k_list}")
         # here rather than in each trial's setup, so a k above the cap fails
         # before the trials of the smaller k run
-        _check_caps(max(self.k_list), self.K)
+        _check_caps(max(self.k_list), self.N, self.K)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

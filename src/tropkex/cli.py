@@ -16,9 +16,17 @@ literal past the digit limit or nests too deeply to parse), 5 for attack
 failures; the category is printed to stderr as ``error:<category>: <message>``.
 
 Every set of params is capped at k <= 30 and K <= 4096
-(``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``), checked before
-any pair operation: a params or transcript file asking for more is
-malformed input and exits 4, flags asking for more exit 2.
+(``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``), and at an entry
+bound N whose 2^(K+1) * N, the largest magnitude any written entry can
+reach, has at most ``sys.get_int_max_str_digits()`` decimal digits (no
+cap when that is 0).  All three are checked before any pair operation: a
+params or transcript file asking for more is malformed input and exits
+4, flags asking for more exit 2.  ``exchange --params`` takes k, N, K
+and op from the file, so giving any of those flags with it exits 2.
+
+Every JSON file is written by ``_json_text``, byte for byte what
+``json.dumps(obj, indent=2)`` writes: two-space indent, keys in the
+builders' order, no trailing newline in a file (stdout gets one).
 """
 
 from __future__ import annotations
@@ -85,6 +93,24 @@ def _emit(payload: str, path: str | None) -> None:
             handle.write(payload)
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    # json.dumps(obj, indent=2) without its pure-Python encoder, for the
+    # dicts the *_to_json builders return: keys and string values (field
+    # names, "circ"/"star", str(int) decimals) need no escaping, ints are
+    # written with str, and the only lists are a matrix's k >= 1 rows of
+    # decimal strings, each written with one join.
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = (f'"{key}": {_json_text(value, inner)}' for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, list):
+        cell = '",' + inner + '  "'  # between two entries of a row
+        row = '"' + inner + "]," + inner + "[" + inner + '  "'  # between two rows
+        body = row.join(map(cell.join, obj))
+        return "[" + inner + "[" + inner + '  "' + body + '"' + inner + "]" + indent + "]"
+    return f'"{obj}"' if isinstance(obj, str) else str(obj)
+
+
 def _load_json(path: str):
     # Every ValueError of the parser (bad syntax, undecodable bytes, an int
     # literal past the digit limit) and nesting past the recursion limit
@@ -96,11 +122,25 @@ def _load_json(path: str):
             raise FormatError(f"{path}: {exc}") from exc
 
 
+class _Given(argparse.Action):
+    # Stores the value like the default action and also records the flag,
+    # so exchange can refuse one given alongside --params.
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, option_string)
+
+
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--N", type=int, default=1000, help="entry bound for M and H")
-    parser.add_argument("--K", type=int, default=200, help="private exponent bit bound")
+    parser.set_defaults(given=())
     parser.add_argument(
-        "--op", choices=["circ", "star"], default="circ", help="semigroup operation"
+        "--N", type=int, default=1000, action=_Given, help="entry bound for M and H"
+    )
+    parser.add_argument(
+        "--K", type=int, default=200, action=_Given, help="private exponent bit bound"
+    )
+    parser.add_argument(
+        "--op", choices=["circ", "star"], default="circ", action=_Given,
+        help="semigroup operation",
     )
 
 
@@ -117,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate public protocol parameters")
     p_ex = sub.add_parser("exchange", help="run one key exchange")
     for p in (p_gen, p_ex):
-        p.add_argument("--k", type=int, default=10, help="matrix dimension")
+        p.add_argument("--k", type=int, default=10, action=_Given, help="matrix dimension")
         _add_param_flags(p)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", default=None, help="params JSON path (default stdout)")
@@ -164,21 +204,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     rng = Random(_resolve_seed(args.seed))
     params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
-    _emit(json.dumps(params_to_json(params), indent=2), args.out)
+    _emit(_json_text(params_to_json(params)), args.out)
     return EXIT_OK
 
 
 def _cmd_exchange(args) -> int:
+    if args.params is not None and args.given:
+        flags = ", ".join(args.given)
+        raise ValueError(f"{flags} cannot be given with --params, which sets them")
     rng = Random(_resolve_seed(args.seed))
     if args.params is not None:
         params = params_from_json(_load_json(args.params))
     else:
         params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
     transcript, key = run_exchange(params, rng)
-    _emit(json.dumps(transcript_to_json(transcript), indent=2), args.out)
+    _emit(_json_text(transcript_to_json(transcript)), args.out)
     # Both parties derived this key; the file names it once per party.
     key_json = matrix_to_json(key)
-    _emit(json.dumps({"alice_key": key_json, "bob_key": key_json}, indent=2), args.keys_out)
+    _emit(_json_text({"alice_key": key_json, "bob_key": key_json}), args.keys_out)
     return EXIT_OK
 
 
@@ -187,7 +230,7 @@ def _cmd_attack(args) -> int:
     result = recover_key_targeting(
         transcript, args.target, cached=not args.no_cache
     )
-    _emit(json.dumps(attack_result_to_json(result), indent=2), args.out)
+    _emit(_json_text(attack_result_to_json(result)), args.out)
     return EXIT_OK
 
 

@@ -38,6 +38,7 @@ there.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from random import Random
 from typing import Sequence
@@ -59,14 +60,33 @@ from .tropical import (
 # operation costs ~k^3 and a recovery up to ~2K of them, so no input can
 # request unbounded work.  The suggested sizes (k up to 30, K = 200) are
 # within both.
+#
+# A third cap keeps every entry of a power or key writable with str(): it
+# lies in [-2^(K+1)*N, N].  Under either law each component of p * q is an
+# oplus of otimes products of a component of p with one of q (or with
+# B = H oplus I, which is at least min(H, 0)), so entries of p at least -a*N
+# and of q at least -b*N give entries of p * q at least -(a + b)*N: a
+# product of e copies of (M, H), however bracketed, is at least -e*N.  Its
+# first component is at most q's (an oplus term), so at most N.  A party's
+# power has e < 2^K, an attack square or m' has e <= 2^K, and a key is the
+# first component of the product of two of these.  So params are refused
+# when 2^(K+1)*N has more decimal digits than ``sys.get_int_max_str_digits()``
+# (0 means no limit).
 MAX_K = 30
 MAX_EXPONENT_BITS = 4096
 
 
-def _check_caps(k: int, K: int) -> None:
+def _check_caps(k: int, N: int, K: int) -> None:
     for name, value, cap in (("k", k, MAX_K), ("K", K, MAX_EXPONENT_BITS)):
         if value > cap:
             raise ValueError(f"{name} is {value}, above the cap of {cap}")
+    # 2^3 < 10, so a bound of at most 3 * limit bits has at most limit digits
+    limit, bound = sys.get_int_max_str_digits(), N << max(K + 1, 0)
+    if limit and bound.bit_length() > 3 * limit and bound >= 10**limit:
+        raise ValueError(
+            f"entries may reach 2^{K + 1} * N, more than {limit} decimal digits "
+            f"(the interpreter's int-to-str limit) for this {N.bit_length()}-bit N"
+        )
 
 
 class KeyAgreementError(RuntimeError):
@@ -92,7 +112,7 @@ class ProtocolParams:
             raise ValueError("N must be >= 0")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        _check_caps(self.k, self.K)
+        _check_caps(self.k, self.N, self.K)
         if self.M.k != self.k or self.H.k != self.k:
             raise DimensionMismatchError("M and H must be k-by-k")
         for mat in (self.M, self.H):
@@ -134,7 +154,7 @@ class Transcript:
 
 def setup(k: int, N: int, K: int, op: SemigroupOpKind, rng: Random) -> ProtocolParams:
     """Draw public matrices M then H uniformly with entries in [-N, N]."""
-    _check_caps(k, K)
+    _check_caps(k, N, K)
     m = random_matrix(k, N, rng)
     h = random_matrix(k, N, rng)
     return ProtocolParams(k=k, N=N, K=K, op=op, M=m, H=h)

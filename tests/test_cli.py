@@ -12,15 +12,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tropkex import (
+    AttackResult,
+    ProtocolParams,
     SemigroupOpKind,
+    SemigroupPair,
+    Transcript,
+    TropicalMatrix,
+    attack_result_to_json,
     draw_exponent,
     matrix_from_json,
     matrix_to_json,
     params_from_json,
     params_to_json,
     powers,
+    run_exchange,
     setup,
     transcript_from_json,
+    transcript_to_json,
 )
 from tropkex import cli, protocol
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
@@ -215,6 +223,91 @@ def test_large_exchange_files_are_pinned(tmp_path):
         assert digests == expected, (k, seed)
 
 
+# sha256 of the params file ``tropkex gen --k 5 --N 1000 --K 200 --op circ
+# --seed 7`` writes, and of the transcript and keys files of ``tropkex
+# exchange --k 1 --N 1000 --K 200 --op star --seed 5`` (star agrees at
+# k = 1): the other two files the CLI writes, in the layout the pins above
+# fix for circ.
+PINNED_GEN = "fd0e8373daf8071d037c4453925fd5e6bbf99890859312bc96860f51c9d0d39d"
+PINNED_STAR_EXCHANGE = (
+    "e9473a1277ded7157f81ffaef87b18cec856cb43f46afae4be5caddf74f9a831",
+    "0d7b0a9ca536905b51ede5700e552314b5d5c980e34d6fdb129a9eb0524c2f62",
+)
+
+
+def test_gen_and_star_exchange_files_are_pinned(tmp_path):
+    params_path = tmp_path / "params.json"
+    assert run_cli(
+        "gen", "--k", "5", "--N", "1000", "--K", "200", "--op", "circ", "--seed", "7",
+        "--out", str(params_path),
+    ) == EXIT_OK
+    assert hashlib.sha256(params_path.read_bytes()).hexdigest() == PINNED_GEN
+    transcript_path, keys_path = tmp_path / "tr.json", tmp_path / "keys.json"
+    assert run_cli(
+        "exchange", "--k", "1", "--N", "1000", "--K", "200", "--op", "star", "--seed", "5",
+        "--out", str(transcript_path), "--keys-out", str(keys_path),
+    ) == EXIT_OK
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest() for path in (transcript_path, keys_path)
+    )
+    assert digests == PINNED_STAR_EXCHANGE
+
+
+@st.composite
+def _matrices(draw, k):
+    # k^2 entries from a small drawn pool of 0, +-1 and small ints, then up
+    # to three cells set to 4 000-digit values (str of one costs ~0.3 ms)
+    pool = draw(st.lists(st.sampled_from((0, 1, -1)) | st.integers(-(10**6), 10**6),
+                         min_size=1, max_size=4))
+    rng = Random(draw(st.integers(0, 2**16)))
+    rows = [[rng.choice(pool) for _ in range(k)] for _ in range(k)]
+    wide = st.integers(10**3999, 10**4000 - 1)
+    for i, j, entry in draw(st.lists(
+        st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), wide | wide.map(int.__neg__)),
+        max_size=3,
+    )):
+        rows[i][j] = entry
+    return TropicalMatrix(rows)
+
+
+@settings(
+    max_examples=60,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_json_text_is_json_dumps_indent_2(data):
+    """The CLI's writer gives exactly ``json.dumps(obj, indent=2)`` on all
+    four dicts it writes: params, transcript, keys and attack result."""
+    k = data.draw(st.sampled_from((1, MAX_K)) | st.integers(1, MAX_K), label="k")
+    m, h, alice, bob = (data.draw(_matrices(k)) for _ in range(4))
+    params = ProtocolParams(
+        k=k,
+        N=max(abs(e) for mat in (m, h) for row in mat.rows for e in row),
+        K=data.draw(st.integers(1, 8)),
+        op=data.draw(st.sampled_from(list(SemigroupOpKind))),
+        M=m,
+        H=h,
+    )
+    result = AttackResult(
+        m_prime=data.draw(st.integers(1, 2**MAX_EXPONENT_BITS)),
+        t=data.draw(st.integers(0, MAX_EXPONENT_BITS)),
+        op_count=data.draw(st.integers(0, 2 * MAX_EXPONENT_BITS)),
+        eve_pair=SemigroupPair(alice, h),
+        recovered_key=bob,
+    )
+    key_json = matrix_to_json(bob)
+    for obj in (
+        params_to_json(params),
+        transcript_to_json(Transcript(params, alice, bob)),
+        {"alice_key": key_json, "bob_key": key_json},
+        attack_result_to_json(result),
+    ):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
 def test_exchange_long_transient_params(tmp_path, monkeypatch):
     """Params whose B = I oplus H first repeats only after 1 038 products, at
     the largest K a params file may ask for: the exchange still succeeds,
@@ -357,6 +450,94 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
     assert run_cli("bench", "--k", "2,x", "--out", "t.csv") == EXIT_USAGE
     assert run_cli("bench") == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.fixture
+def int_max_str_digits():
+    """Sets the interpreter's int/str digit limit for one test, then restores it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_params_past_the_digit_limit_are_refused_first(
+    tmp_path, capsys, monkeypatch, int_max_str_digits
+):
+    """Entries can reach 2^(K+1) * N in magnitude, and str() writes no more
+    digits than the interpreter's limit: params whose bound has more are
+    refused before any pair operation, from flags with exit 2 and from
+    files with exit 4.  At N = 10^4000, K = 4096 seeds 2, 3 and 5 used to
+    run the whole exchange and fail on writing; seed 4's entries happened
+    to fit, and it is refused as well."""
+    int_max_str_digits(4300)
+    # a params and a transcript file asking for the same, made at K = 8
+    transcript = transcript_to_json(
+        run_exchange(setup(2, 10**4000, 8, SemigroupOpKind.CIRC, Random(2)), Random(2))[0]
+    )
+    transcript["params"]["K"] = 4096
+    (tmp_path / "params.json").write_text(json.dumps(transcript["params"]))
+    (tmp_path / "tr.json").write_text(json.dumps(transcript))
+
+    def no_draw(*args):
+        raise AssertionError("matrix drawn for refused params")
+
+    monkeypatch.setattr(protocol, "random_matrix", no_draw)
+    products = count_products(monkeypatch)
+    wide, keys = str(10**4000), tmp_path / "keys.json"
+    for code, argv in (
+        *((EXIT_USAGE, ("exchange", "--k", "2", "--N", wide, "--K", "4096",
+                        "--seed", str(seed), "--keys-out", str(keys))) for seed in (2, 3, 4, 5)),
+        (EXIT_USAGE, ("gen", "--k", "2", "--N", wide, "--K", "4096")),
+        (EXIT_USAGE, ("bench", "--k", "2", "--N", wide, "--K", "4096", "--trials", "1")),
+        (EXIT_FORMAT, ("exchange", "--params", str(tmp_path / "params.json"))),
+        (EXIT_FORMAT, ("attack", "--transcript", str(tmp_path / "tr.json"))),
+    ):
+        out = tmp_path / "refused.out"
+        assert run_cli(*argv, "--out", str(out)) == code, argv[:8]
+        err = capsys.readouterr().err
+        category = "usage" if code == EXIT_USAGE else "format"
+        assert err.startswith(f"error:{category}:"), err[:200]
+        assert "4300 decimal digits" in err, err[:200]
+        assert not out.exists() and not keys.exists()
+    assert products.count == 0
+    monkeypatch.undo()
+
+    # the cap sits exactly where 2^(K+1) * N reaches 10^4300; 0 lifts it
+    n_max = (10**4300 - 1) >> 9
+    assert setup(1, n_max, 8, SemigroupOpKind.CIRC, Random(0)).N == n_max
+    with pytest.raises(ValueError, match="4300 decimal digits"):
+        setup(1, n_max + 1, 8, SemigroupOpKind.CIRC, Random(0))
+    int_max_str_digits(0)
+    assert setup(1, n_max + 1, 8, SemigroupOpKind.CIRC, Random(0)).N == n_max + 1
+
+
+def test_exchange_refuses_param_flags_with_params(tmp_path, capsys):
+    """``exchange --params`` takes k, N, K and op from the file, so each of
+    those flags given with it is a usage error, even at its default value
+    or the file's; --seed and the output paths still go with it."""
+    params_path = tmp_path / "params.json"
+    assert run_cli(
+        "gen", "--k", "3", "--N", "20", "--K", "8", "--seed", "1", "--out", str(params_path)
+    ) == EXIT_OK
+    out, keys = tmp_path / "tr.json", tmp_path / "keys.json"
+    for flags in (
+        ("--k", "7", "--K", "300", "--op", "star"),
+        ("--k", "3"),
+        ("--N", "1000"),
+        ("--K=8",),
+        ("--op", "circ"),
+    ):
+        argv = ("exchange", "--params", str(params_path), *flags)
+        assert run_cli(*argv, "--out", str(out), "--keys-out", str(keys)) == EXIT_USAGE, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage:"), err
+        assert flags[0].split("=")[0] in err and "--params" in err, err
+        assert not out.exists() and not keys.exists()
+    assert run_cli(
+        "exchange", "--params", str(params_path), "--seed", "2",
+        "--out", str(out), "--keys-out", str(keys),
+    ) == EXIT_OK
+    assert transcript_from_json(json.loads(out.read_text())).params.K == 8
 
 
 def test_back_to_back_calls_share_one_parser(tmp_path, capsys, monkeypatch):
