@@ -14,6 +14,7 @@ I/O errors, 4 for malformed input (a TROPKEX_SEED that is not an
 integer, or a file that breaks the format, is not UTF-8, holds an int
 literal past the digit limit or nests too deeply to parse), 5 for attack
 failures; the category is printed to stderr as ``error:<category>: <message>``.
+An I/O error leaves no output file behind that the command created.
 
 Every set of params is capped at k <= 30 and K <= 4096
 (``protocol.MAX_K`` and ``protocol.MAX_EXPONENT_BITS``), and at an entry
@@ -32,6 +33,7 @@ builders' order, no trailing newline in a file (stdout gets one).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -83,14 +85,29 @@ def _k_list_arg(text: str) -> tuple[int, ...]:
     return values
 
 
-def _emit(payload: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as handle:
-            handle.write(payload)
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    # Writes each (payload, path) in turn, to stdout for a path of None or
+    # "-".  When one fails, the files this call created are removed before
+    # the OSError goes on, so an error:io exit leaves none of them behind;
+    # a file that was already there stays, overwritten or not.
+    created = []
+    try:
+        for payload, path in outputs:
+            if path is None or path == "-":
+                sys.stdout.write(payload)
+                if not payload.endswith("\n"):
+                    sys.stdout.write("\n")
+                continue
+            new = not os.path.exists(path)
+            with open(path, "w") as handle:
+                if new:
+                    created.append(path)
+                handle.write(payload)
+    except OSError:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _json_text(obj, indent: str = "\n") -> str:
@@ -204,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     rng = Random(_resolve_seed(args.seed))
     params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
-    _emit(_json_text(params_to_json(params)), args.out)
+    _emit((_json_text(params_to_json(params)), args.out))
     return EXIT_OK
 
 
@@ -218,10 +235,12 @@ def _cmd_exchange(args) -> int:
     else:
         params = setup(args.k, args.N, args.K, SemigroupOpKind(args.op), rng)
     transcript, key = run_exchange(params, rng)
-    _emit(_json_text(transcript_to_json(transcript)), args.out)
     # Both parties derived this key; the file names it once per party.
     key_json = matrix_to_json(key)
-    _emit(_json_text({"alice_key": key_json, "bob_key": key_json}), args.keys_out)
+    _emit(
+        (_json_text(transcript_to_json(transcript)), args.out),
+        (_json_text({"alice_key": key_json, "bob_key": key_json}), args.keys_out),
+    )
     return EXIT_OK
 
 
@@ -230,7 +249,7 @@ def _cmd_attack(args) -> int:
     result = recover_key_targeting(
         transcript, args.target, cached=not args.no_cache
     )
-    _emit(_json_text(attack_result_to_json(result)), args.out)
+    _emit((_json_text(attack_result_to_json(result)), args.out))
     return EXIT_OK
 
 
@@ -244,7 +263,7 @@ def _cmd_bench(args) -> int:
         seed=_resolve_seed(args.seed),
     )
     rows = run_experiment(config)
-    _emit(rows_to_csv(rows), args.out)
+    _emit((rows_to_csv(rows), args.out))
     return EXIT_OK
 
 

@@ -21,12 +21,14 @@ of the exponents modulo p.  When that could cost more than the
 least-bit-first pass ``powers`` (about 2K applications of two products
 each), as a period above k does, or an exponent lies below the segment
 where the period shows, the walk runs the pass itself; under star the
-pass is all there is.  Under circ both give the same pairs.  The walk
-and its serving products use the packed kernel (each power of B one int
-of fixed-width fields, exact because every power of B has at most twice
-B's span).  (M, H)^2, the key derivation and the pass apply the law
-itself, on the plain kernel: their operands are used once each, so
-packing them would cost about what it saves.
+pass is all there is.  Under circ both give the same pairs.  Every
+product of an honest circ exchange uses the packed kernel: the walk and
+its serving (each power of B one int of fixed-width fields, exact
+because every power of B has at most twice B's span), and (M, H)^2 and
+each key derivation, which pack their two factors per product.  The
+fallback pass and the attack's search apply the law on the plain
+kernel.  Packing one product costs about what it saves at k = 5 and
+about half the plain product's time at k = 10.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two

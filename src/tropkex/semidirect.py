@@ -48,10 +48,10 @@ distinct residue: O(k log T) products for B's transient T, whatever the
 exponents' bit length.  It holds the powers of B packed, each one int
 of k^2 fixed-width fields plus an offset, and multiplies them with
 tropical's packed kernel: every power of B has at most twice B's span,
-so one field width, fixed from B, holds the whole walk exactly.  Where
-that could cost more than ``powers`` (as a period above k does), or an
-exponent lies below the segment where the period shows, it runs
-``powers`` instead.
+so one field width, fixed from B, holds the whole walk exactly; it
+builds base^2 with two packed products as well.  Where that could cost
+more than ``powers`` (as a period above k does), or an exponent lies
+below the segment where the period shows, it runs ``powers`` instead.
 There is no identity pair (the semiring has no multiplicative identity
 matrix), so exponents start at 1.
 
@@ -59,14 +59,15 @@ Every counted application goes through ``apply``, which picks the law and
 increments an optional ``OpCounter`` by exactly one.  The attack's cost
 guarantees are stated in these counts, so they are measured, never
 estimated.  ``product_first`` computes only the first component of a
-product, which is all a party needs to derive the shared key.
+product, which is all a party needs to derive the shared key; under
+circ it multiplies on the packed kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .tropical import (
     DimensionMismatchError,
@@ -133,16 +134,19 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# Every k^3 product in this module is one of tropical's two kernels.  The
-# laws (``op_circ``, ``op_star``, ``product_first``) use the plain one,
-# ``_min_plus`` (directly, or through ``TropicalMatrix.otimes``): their
-# operands are arbitrary matrices, each used once, so packing them would
-# add a span, a pack and an unpack to every product, which at k = 5 cost
-# about as much as the plain product they replace, and would bend the
-# attack's k^3-shaped cost profile that the acceptance suite asserts.
-# ``periodic_powers`` uses the packed one, ``_min_plus_packed``: its
-# matrices have a span bounded by B's, so it packs B, X_2 and G_2 once
-# and keeps every power packed from product to product.
+# Every k^3 product in this module is one of tropical's two kernels, and
+# the rule is: honest exchange products are packed, attack products are
+# plain.  ``periodic_powers`` and ``product_first`` under circ use the
+# packed one, ``_min_plus_packed``: the walk's matrices have a span
+# bounded by B's, so it packs B, X_2 and G_2 once and keeps every power
+# packed from product to product, and base^2 and the key derivation
+# pack their two factors per product (``_min_plus_by_packing``).
+# ``op_circ`` and ``op_star`` use the plain one, ``_min_plus`` (directly,
+# or through ``TropicalMatrix.otimes``): they serve the attack's doubling
+# and search and the fallback pass, whose k^3-shaped cost profile the
+# acceptance suite asserts.  Per product on key-sized operands, packing
+# costs about 6-10 us more than the plain product at k <= 4, about the
+# same at k = 5 and 6, and half as much at k = 10 (Python 3.11).
 #
 # ``_min_plus`` returns the k^2 entries flat and row-major, so a law folds
 # its oplus terms into one pass over them and cuts the result into rows
@@ -161,13 +165,30 @@ def _b_columns(h: TropicalMatrix) -> list[tuple[int, ...]]:
     return cols
 
 
-def _circ_first(
-    m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix, b_cols: list[tuple[int, ...]]
-) -> TropicalMatrix:
-    # (M * B) + S + H, given the columns of B: circ's first component.
-    return _wrap_flat(
-        map(min, _min_plus(m.rows, b_cols), _flatten(s.rows), _flatten(h.rows)), len(b_cols)
-    )
+def _b_entries(h: TropicalMatrix) -> list[int]:
+    # The entries of B = H + I, flat and row-major: H's rows with the
+    # diagonal clipped at 0.
+    rows = enumerate(h.rows)
+    return [*_flatten(row if row[i] <= 0 else row[:i] + (0,) + row[i + 1 :] for i, row in rows)]
+
+
+def _min_plus_by_packing(a: list[int], b: list[int], k: int) -> list[int]:
+    # The product of two k-by-k matrices given flat and row-major, flat and
+    # row-major like ``_min_plus``'s, through the packed kernel: each factor
+    # less its least entry, in one layout whose fields hold the sum of the
+    # two spans, so every sum of a field of each stays below the guard bit;
+    # the two least entries are added back on the way out.
+    a_least, b_least = min(a), min(b)
+    packing = _Packing(k, max(a) - a_least + max(b) - b_least)
+    x = packing.pack([e - a_least for e in a])
+    tiles = packing.tiles(packing.pack([e - b_least for e in b]))
+    least = a_least + b_least
+    return [f + least for f in packing.fields(_min_plus_packed(x, tiles, packing))]
+
+
+def _circ_first(product: Iterable[int], s: TropicalMatrix, h: TropicalMatrix) -> Iterator[int]:
+    # (X * B) + S + H, given X * B flat: circ's first component, flat.
+    return map(min, product, _flatten(s.rows), _flatten(h.rows))
 
 
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
@@ -184,8 +205,9 @@ def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
         raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
     h = q.second
     b_cols = _b_columns(h)
+    first = _wrap_flat(_circ_first(_min_plus(p.first.rows, b_cols), q.first, h), h.k)
     second = _wrap_flat(map(min, _min_plus(p.second.rows, b_cols), _flatten(h.rows)), h.k)
-    return _new_pair(_circ_first(p.first, q.first, h, b_cols), second)
+    return _new_pair(first, second)
 
 
 def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -198,7 +220,9 @@ def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
 def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> TropicalMatrix:
     """First component of (m, G) combined with q, which is the same for every G."""
     if op is _CIRC:
-        return _circ_first(m, q.first, q.second, _b_columns(q.second))
+        h = q.second
+        product = _min_plus_by_packing([*_flatten(m.rows)], _b_entries(h), h.k)
+        return _wrap_flat(_circ_first(product, q.first, h), h.k)
     if op is _STAR:
         return _star_first(m, q.first, q.second)
     raise ValueError(f"unknown operation kind: {op!r}")
@@ -323,8 +347,10 @@ def periodic_powers(
 
     Cost: the squarings cost one product each and a segment k + 1, so the
     walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
-    shows the period within p more.  Serving costs two products for P_2
-    (one ``apply``), then, since adding a scalar commutes with otimes, two
+    shows the period within p more.  Serving costs two products for P_2,
+    X_2 = (M otimes B) oplus M oplus H and G_2 = (H otimes B) oplus H, each
+    product packed on its own (``_min_plus_by_packing``), then, since
+    adding a scalar commutes with otimes, two
     per distinct W_{n+r} (or W_i of the segment, for i < n) the exponents
     need: P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk
     falls back to ``powers`` before the product that would leave less of
@@ -339,12 +365,10 @@ def periodic_powers(
     top = max(exponents, default=1)
     budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
+    k, m, h = base.k, base.first, base.second
+    b = _b_entries(h)
     if top > 2:
         least = min(e for e in exponents if e > 2) - 2
-        k = base.k
-        rows = enumerate(base.second.rows)
-        # B = H oplus I: H's rows with the diagonal clipped at 0
-        b = [*_flatten(row if row[i] <= 0 else row[:i] + (0,) + row[i + 1 :] for i, row in rows)]
         lift = 2 * (max(b) - min(b))  # 2S
         walk = _Packing(k, 4 * lift)
         corner = (1 << walk.w) - 1  # field [0][0]
@@ -372,9 +396,12 @@ def periodic_powers(
             offset += shift
             spent += 1
         period, c = j - n, offset - window[n][1]
-    square = apply(_CIRC, base, base) if top > 1 else None
+    if top > 1:  # X_2 = (M * B) + M + H and G_2 = (H * B) + H
+        h_entries = [*_flatten(h.rows)]
+        x2 = [*_circ_first(_min_plus_by_packing([*_flatten(m.rows)], b, k), m, h)]
+        g2 = [*map(min, _min_plus_by_packing(h_entries, b, k), h_entries)]
+        square = _new_pair(_wrap_flat(x2, k), _wrap_flat(g2, k))
     if top > 2:
-        x2, g2 = [*_flatten(square.first.rows)], [*_flatten(square.second.rows)]
         x2_least, g2_least = min(x2), min(g2)
         widest = max(max(x2) - x2_least, max(g2) - g2_least) + 2 * lift
         serve = _Packing(k, widest)

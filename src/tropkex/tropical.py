@@ -20,6 +20,8 @@ power chain are always comparable.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from enum import Enum
 from itertools import chain
 from operator import add, le
@@ -154,36 +156,55 @@ def _min_plus(rows, cols) -> list[int]:
     return [_min(_map(_add, row, col)) for row in rows for col in cols]
 
 
+# Field sizes, in bytes, that an unsigned array type stores natively, with
+# its type code.  On a little-endian machine an array's bytes are then its
+# items in order, least significant byte first: exactly a packed int's
+# fields, so ``_Packing`` converts all k^2 of them in one call.  Elsewhere
+# the table is empty and every size takes the bytes path.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHIQ"} if sys.byteorder == "little" else {}
+
+
 class _Packing:
     """A layout that holds a k-by-k matrix of non-negative ints up to
     ``largest`` as one int: entry (i, j) is the w-bit field at bit
     (i k + j) w, row-major.  The low w - 1 bits of a field hold
     ``largest``, and its top bit is the guard bit; w is rounded up to a
-    multiple of 8 so that packing and unpacking go through bytes.
-    Callers build one per use (four masks) and keep track of each packed
-    matrix's offset, the scalar its fields omit.
+    multiple of 8 so that packing and unpacking go through bytes, and
+    through one ``array`` of the field's machine width when it has one
+    (1, 2, 4 or 8 bytes).  Either way an entry below 0 or of 2^w or more
+    raises ``OverflowError``.  Callers build one per use (four masks) and
+    keep track of each packed matrix's offset, the scalar its fields omit.
     """
 
-    __slots__ = ("k", "w", "column", "spread", "guard", "ones")
+    __slots__ = ("k", "w", "code", "column", "spread", "guard", "ones")
 
     def __init__(self, k: int, largest: int):
         self.k = k
         self.w = w = (largest.bit_length() + 8) // 8 * 8
-        self.spread = sum(1 << (j * w) for j in range(k))  # a 1 in each field of row 0
-        blocks = sum(1 << (i * k * w) for i in range(k))  # a 1 in field (i, 0), every i
-        self.ones = self.spread * blocks  # a 1 in every field
-        self.column = ((1 << (w - 1)) - 1) * blocks  # the values of column 0
-        self.guard = (1 << (w - 1)) * self.ones
+        size = w // 8
+        self.code = _ARRAY_CODES.get(size)
+        # each mask is one field's bytes repeated: low byte first
+        one, zeros = b"\x01" + bytes(size - 1), bytes(size * (k - 1))
+        self.spread = int.from_bytes(one * k, "little")  # a 1 in each field of row 0
+        self.ones = int.from_bytes(one * (k * k), "little")  # a 1 in every field
+        # the values of column 0: 2^(w-1) - 1 in field (i, 0), every i
+        self.column = int.from_bytes((b"\xff" * (size - 1) + b"\x7f" + zeros) * k, "little")
+        self.guard = int.from_bytes((bytes(size - 1) + b"\x80") * (k * k), "little")
 
     def pack(self, entries: Iterable[int]) -> int:
         """k*k ints in [0, 2^(w-1)), row-major, as one int."""
+        if self.code:
+            return int.from_bytes(array(self.code, entries).tobytes(), "little")
         size = self.w // 8
         return int.from_bytes(b"".join(e.to_bytes(size, "little") for e in entries), "little")
 
     def fields(self, x: int) -> list[int]:
         """The k*k fields of ``x``, row-major: ``pack`` undone."""
         size = self.w // 8
-        data, read = x.to_bytes(self.k * self.k * size, "little"), int.from_bytes
+        data = x.to_bytes(self.k * self.k * size, "little")
+        if self.code:
+            return array(self.code, data).tolist()
+        read = int.from_bytes
         return [read(data[i : i + size], "little") for i in range(0, len(data), size)]
 
     def unpack(self, x: int, offset: int) -> TropicalMatrix:

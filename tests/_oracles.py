@@ -216,9 +216,9 @@ def count_products(monkeypatch) -> OpCounter:
     entry points: two per pair application (``op_circ``, which calls the
     plain product kernel directly), one per packed product
     (``_min_plus_packed``, looked up on ``semidirect``, which the walk
-    over the powers of B and its serving step call).  Nothing else on a
-    circ path makes a product: ``TropicalMatrix.otimes`` serves only
-    star."""
+    over the powers of B, its serving step, P_2 and ``product_first``
+    under circ call).  Nothing else on a circ path makes a product:
+    ``TropicalMatrix.otimes`` serves only star."""
     tally = OpCounter()
     op_circ, packed = semidirect.op_circ, semidirect._min_plus_packed
 

@@ -311,10 +311,11 @@ def test_json_text_is_json_dumps_indent_2(data):
 def test_exchange_long_transient_params(tmp_path, monkeypatch):
     """Params whose B = I oplus H first repeats only after 1 038 products, at
     the largest K a params file may ask for: the exchange still succeeds,
-    gives what the least-bit-first pass gives, and makes exactly 31 k^3
-    products, 27 for the walk that squares its way past that transient
-    (``_oracles.periodic_cost``), two for the square and two that serve
-    both parties: B's period is 1, so their powers of B share a residue."""
+    gives what the least-bit-first pass gives, and makes exactly 33 k^3
+    products: 31 for the powering (``_oracles.periodic_cost``), 27 for the
+    walk that squares its way past that transient, two for the square and
+    two that serve both parties (B's period is 1, so their powers of B
+    share a residue), and one for each party's key derivation."""
     params = setup(2, 10**6, MAX_EXPONENT_BITS, SemigroupOpKind.CIRC, Random(1997))
     params_path = tmp_path / "params.json"
     params_path.write_text(json.dumps(params_to_json(params)))
@@ -329,7 +330,7 @@ def test_exchange_long_transient_params(tmp_path, monkeypatch):
     rng = Random(3)
     exponents = (draw_exponent(params, rng), draw_exponent(params, rng))
     alice, bob = powers(SemigroupOpKind.CIRC, params.base_pair, exponents)
-    assert products.count == periodic_cost(params.base_pair, exponents) == 31
+    assert products.count == periodic_cost(params.base_pair, exponents) + 2 == 31 + 2
     transcript = transcript_from_json(json.loads(transcript_path.read_text()))
     assert (transcript.alice_message, transcript.bob_message) == (alice.first, bob.first)
     keys = json.loads(keys_path.read_text())
@@ -368,6 +369,27 @@ def test_seed_env_var(tmp_path, monkeypatch):
 
     monkeypatch.setenv("TROPKEX_SEED", "not-a-number")
     assert run_cli("gen", "--k", "2", "--N", "5", "--K", "4") == EXIT_FORMAT
+
+
+def test_exchange_io_failure_leaves_no_file_it_created(tmp_path, capsys):
+    """Whichever of exchange's two outputs cannot be written, it exits 3
+    and leaves neither file behind; a file that was already there stays."""
+    missing = tmp_path / "nodir"
+    for out, keys_out in (
+        (tmp_path / "tr.json", missing / "keys.json"),
+        (missing / "tr.json", tmp_path / "keys.json"),
+    ):
+        assert run_cli(
+            "exchange", "--k", "3", "--K", "10", "--out", str(out), "--keys-out", str(keys_out)
+        ) == EXIT_IO
+        assert capsys.readouterr().err.startswith("error:io:")
+        assert sorted(tmp_path.iterdir()) == []
+    old = tmp_path / "old.json"
+    old.write_text("{}")
+    assert run_cli(
+        "exchange", "--k", "3", "--K", "10", "--out", str(old), "--keys-out", str(missing / "k")
+    ) == EXIT_IO
+    assert sorted(tmp_path.iterdir()) == [old]
 
 
 def test_error_exit_codes(tmp_path, capsys, monkeypatch):

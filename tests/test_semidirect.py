@@ -17,6 +17,7 @@ from tropkex import (
     setup,
 )
 from tropkex import protocol, semidirect
+from tropkex.attack import find_chain_exponent
 from tropkex.semidirect import apply, product_first
 from tropkex.tropical import _min_plus_packed, _Packing
 
@@ -123,6 +124,48 @@ def test_apply_matches_naive_oracle():
             expected = naive_apply(op, p, q)
             assert apply(op, p, q) == expected
             assert product_first(op, p.first, q) == expected.first
+
+
+def test_packed_product_first_matches_naive_oracle():
+    """``product_first`` under circ multiplies by B on the packed kernel:
+    against the triple loop at k = 1..6, with H's diagonal all above, at
+    or below 0, and entries of +-10^30, whose spans need fields past 64
+    bits."""
+    rng = Random(17)
+    for k in range(1, 7):
+        for bound in (50, 10**30):
+            for sign in (1, 0, -1):
+                for _ in range(3):
+                    m, q = random_mat(rng, k, bound), random_pair(rng, k, bound)
+                    h = [
+                        [sign * rng.randint(1, bound) if i == j else x for j, x in enumerate(row)]
+                        for i, row in enumerate(q.second.rows)
+                    ]
+                    q = SemigroupPair(q.first, TropicalMatrix(h))
+                    g = random_mat(rng, k, bound)  # the left factor's second component
+                    expected = naive_apply(CIRC, SemigroupPair(m, g), q).first
+                    assert product_first(CIRC, m, q) == expected
+
+
+def test_attack_search_makes_no_packed_product(monkeypatch):
+    """The eavesdropper's search, the timed region of the scaling gate,
+    stays on the plain kernel: ``find_chain_exponent`` makes no packed
+    product at k = 5 or 10."""
+    calls = []
+    packed = semidirect._min_plus_packed
+
+    def recorded(x, tiles, packing):
+        calls.append(packing.k)
+        return packed(x, tiles, packing)
+
+    for k in (5, 10):
+        params = setup(k, 1000, 40, CIRC, Random(k))
+        target = protocol.party_powers(params, (Random(k).randint(1, 1 << 40),))[0].first
+        monkeypatch.setattr(semidirect, "_min_plus_packed", recorded)
+        m_prime, t, pair = find_chain_exponent(params, target)
+        monkeypatch.undo()
+        assert pair.first == target
+        assert calls == []
 
 
 def test_pair_dimension_mismatch():
@@ -424,9 +467,13 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
     bounds.  B = [[-5000, 0], [0, 0]] spans S = 5000, and from B^2 on
     each power spans 2S with its least entry at [0][0], so its rebased
     fields reach 4S and squaring B^2 sums two fields to 8S = 40 000, past
-    15 value bits.  X_2 = [[-5000, 0], [-20000, -15000]] spans 20 000
-    with its largest entry in column 1, so serving sums 20 000 + 4S =
-    40 000 too.  Both layouts need 24-bit fields."""
+    15 value bits.  P_2 takes two products with B, each factor less its
+    least entry in a layout for the sum of their spans: M spans 30 000, so
+    M otimes B sums 30 000 + S = 35 000 (24 bits), and H spans 8 000, so
+    H otimes B sums 8 000 + S = 13 000 (16 bits).  X_2 = [[-5000, 0],
+    [-20000, -15000]] spans 20 000 with its largest entry in column 1, so
+    serving sums 20 000 + 4S = 40 000 too.  The walk's and serving's
+    layouts need 24-bit fields."""
     packed, sums = semidirect._min_plus_packed, []
 
     def checked(x, tiles, packing):
@@ -443,9 +490,11 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
     assert apply(CIRC, base, base).first == TropicalMatrix([[-5000, 0], [-20000, -15000]])
     exponents = ((1 << 60) + 1, (1 << 61) + 3)
     result = periodic_powers(base, exponents)
-    # B^2, B^4 and B^5 for the walk, which then repeats; X_2 and G_2
-    # times the one power of B both exponents share for serving
-    assert sums == [(30000, 24), (40000, 24), (35000, 24), (40000, 24), (30000, 24)]
+    # B^2, B^4 and B^5 for the walk, which then repeats; M and H times B
+    # for P_2; X_2 and G_2 times the one power of B both exponents share
+    # for serving
+    walk, square, serving = [(30000, 24), (40000, 24), (35000, 24)], [(35000, 24), (13000, 16)], [(40000, 24), (30000, 24)]
+    assert sums == walk + square + serving
     assert result == powers(CIRC, base, exponents)
     rng = Random(89)
     for trial in range(40):

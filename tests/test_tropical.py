@@ -1,4 +1,5 @@
 import json
+import sys
 from random import Random
 
 import pytest
@@ -14,7 +15,8 @@ from tropkex import (
     matrix_to_json,
     random_matrix,
 )
-from tropkex.tropical import _min_plus_packed, _Packing
+from tropkex.semidirect import _min_plus_by_packing
+from tropkex.tropical import _Packing
 
 from _oracles import naive_otimes, random_mat
 
@@ -54,14 +56,49 @@ def test_otimes_examples():
 
 
 def _packed_otimes(a, b):
-    # a otimes b through the packed kernel: each factor less its least
-    # entry, in the narrowest byte-sized fields that hold the sum of two
+    # a otimes b through the packed kernel, as the laws' single-use
+    # operands take it: each factor less its least entry, in the narrowest
+    # byte-sized fields that hold the sum of two
     fa, fb = [x for row in a.rows for x in row], [x for row in b.rows for x in row]
-    la, lb = min(fa), min(fb)
-    packing = _Packing(a.k, max(fa) - la + max(fb) - lb)
-    x = packing.pack([e - la for e in fa])
-    tiles = packing.tiles(packing.pack([e - lb for e in fb]))
-    return packing.unpack(_min_plus_packed(x, tiles, packing), la + lb)
+    return TropicalMatrix(zip(*[iter(_min_plus_by_packing(fa, fb, a.k))] * a.k))
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 8, 9, 16))
+def test_packing_round_trip_at_every_field_size(size):
+    """``_Packing`` at fields of 1, 2, 4 and 8 bytes (one machine-width
+    array) and of 3, 9 and 16 (bytes one field at a time): ``pack`` and
+    ``fields`` undo each other and agree with shifts, up to fields of
+    2^(w-1) - 1 and at k = 1; the masks equal their sums of shifts; an
+    entry of 2^w or below 0 raises instead of wrapping into a neighbour."""
+    w = 8 * size
+    rng = Random(size)
+    for k in (1, 2, 5):
+        packing = _Packing(k, (1 << (w - 1)) - 1)
+        assert packing.w == w
+        assert (packing.code is not None) == (size in (1, 2, 4, 8) and sys.byteorder == "little")
+        top = (1 << (w - 1)) - 1
+        for entries in (
+            [top] * (k * k),
+            [0] * (k * k),
+            [rng.randint(0, top) for _ in range(k * k)],
+            [top if i % 2 else 0 for i in range(k * k)],
+        ):
+            x = packing.pack(entries)
+            assert x == sum(e << (i * w) for i, e in enumerate(entries))
+            assert packing.fields(x) == entries
+            assert packing.unpack(x, -5) == TropicalMatrix(
+                [[e - 5 for e in entries[i * k : (i + 1) * k]] for i in range(k)]
+            )
+        fields = range(k * k)
+        assert packing.ones == sum(1 << (i * w) for i in fields)
+        assert packing.spread == sum(1 << (j * w) for j in range(k))
+        assert packing.column == sum(top << (i * k * w) for i in range(k))
+        assert packing.guard == sum(1 << (i * w + w - 1) for i in fields)
+        for bad in (1 << w, -1):
+            with pytest.raises(OverflowError):
+                packing.pack([0] * (k * k - 1) + [bad])
+            with pytest.raises(OverflowError):
+                packing.pack([bad] + [0] * (k * k - 1))
 
 
 def test_otimes_matches_naive_oracle():
