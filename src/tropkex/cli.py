@@ -132,7 +132,7 @@ def _load_json(path: str):
     # Every ValueError of the parser (bad syntax, undecodable bytes, an int
     # literal past the digit limit) and nesting past the recursion limit
     # mean a malformed file, not a usage error.
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except (ValueError, RecursionError) as exc:

@@ -11,24 +11,9 @@ A ``Transcript`` is exactly what a passive eavesdropper sees: the public
 parameters plus the two exchanged matrices.  Private exponents are never
 serialized.
 
-Every honest powering goes through ``party_powers``.  Under circ it walks
-the powers of B = H oplus I to their checked period
-(``semidirect.periodic_powers``): it squares B up to index 2k, then takes
-k + 1 powers at a time, one k^3 product each, squaring again between
-them: O(k log T) + p products, T the transient and p the period of B,
-however large K is, plus two for (M, H)^2 and two per distinct residue
-of the exponents modulo p.  When that could cost more than the
-least-bit-first pass ``powers`` (about 2K applications of two products
-each), as a period above k does, or an exponent lies below the segment
-where the period shows, the walk runs the pass itself; under star the
-pass is all there is.  Under circ both give the same pairs.  Every
-product of an honest circ exchange uses the packed kernel: the walk and
-its serving (each power of B one int of fixed-width fields, exact
-because every power of B has at most twice B's span), and (M, H)^2 and
-each key derivation, which pack their two factors per product.  The
-fallback pass and the attack's search apply the law on the plain
-kernel.  Packing one product costs about what it saves at k = 5 and
-about half the plain product's time at k = 10.
+Every honest powering goes through ``party_powers``: under circ
+``semidirect.periodic_powers`` (its docstring has the walk, its cost and
+its packed widths), under star the least-bit-first pass ``powers``.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two

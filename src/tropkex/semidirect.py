@@ -38,22 +38,13 @@ There are two ways to power.  ``powers`` is one least-bit-first pass
 for either law: it squares the base once per bit and folds each square
 into the accumulator of every exponent with that bit set, so several
 powers of one base share their squarings (both parties of an exchange
-power the same public pair).  ``periodic_powers`` is circ only: past the
-square, a circ step multiplies both components by B = H oplus I, so it
-squares B up to index 2k, then walks B's powers in segments of k + 1,
-one k^3 product per step and a squaring between segments, to an exact
-repeat up to a scalar shift inside a segment, and serves each exponent
-as base^2 times a power of B read off that period, one product pair per
-distinct residue: O(k log T) products for B's transient T, whatever the
-exponents' bit length.  It holds the powers of B packed, each one int
-of k^2 fixed-width fields plus an offset, and multiplies them with
-tropical's packed kernel: every power of B has at most twice B's span,
-so one field width, fixed from B, holds the whole walk exactly; it
-builds base^2 with two packed products as well.  Where that could cost
-more than ``powers`` (as a period above k does), or an exponent lies
-below the segment where the period shows, it runs ``powers`` instead.
-There is no identity pair (the semiring has no multiplicative identity
-matrix), so exponents start at 1.
+power the same public pair).  ``periodic_powers`` is circ only: it walks
+the powers of B = H oplus I to an exact repeat up to a scalar shift and
+serves each exponent off that period, in O(k log T) products for B's
+transient T, and runs ``powers`` itself where that could cost more; its
+docstring has the schedule, the proof and the packed layout.  There is
+no identity pair (the semiring has no multiplicative identity matrix),
+so exponents start at 1.
 
 Every counted application goes through ``apply``, which picks the law and
 increments an optional ``OpCounter`` by exactly one.  The attack's cost
@@ -134,26 +125,8 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# Every k^3 product in this module is one of tropical's two kernels, and
-# the rule is: honest exchange products are packed, attack products are
-# plain.  ``periodic_powers`` and ``product_first`` under circ use the
-# packed one, ``_min_plus_packed``: the walk's matrices have a span
-# bounded by B's, so it packs B, X_2 and G_2 once and keeps every power
-# packed from product to product, and base^2 and the key derivation
-# pack their two factors per product (``_min_plus_by_packing``).
-# ``op_circ`` and ``op_star`` use the plain one, ``_min_plus`` (directly,
-# or through ``TropicalMatrix.otimes``): they serve the attack's doubling
-# and search and the fallback pass, whose k^3-shaped cost profile the
-# acceptance suite asserts.  Per product on key-sized operands, packing
-# costs about 6-10 us more than the plain product at k <= 4, about the
-# same at k = 5 and 6, and half as much at k = 10 (Python 3.11).
-#
-# ``_min_plus`` returns the k^2 entries flat and row-major, so a law folds
-# its oplus terms into one pass over them and cuts the result into rows
-# only once, in ``_wrap_flat``: a separate pass per term would add a k^2
-# cost with a constant big enough to distort small-k timings.  Per-row
-# iterators and comprehension frames, too, cost about as much as the
-# arithmetic at k = 5.
+# Honest circ products are packed (``periodic_powers``, ``product_first``);
+# the attack's and the fallback pass's are plain, for the k^3 cost AC4 times.
 
 
 def _b_columns(h: TropicalMatrix) -> list[tuple[int, ...]]:
@@ -336,14 +309,19 @@ def periodic_powers(
     adds at most S).  After each product the walk rebases: f0 the packed
     [0][0] field, it takes f0 - 2S off every field and adds it to the
     offset, so field [0][0] is 2S and every field lies in [0, 4S], B's
-    included.  Two such factors sum to at most 8S in a field, so
-    w = bitlen(8S) + 1, rounded up to a byte, holds for the whole walk at
-    any entry size.  The rebased int is W_j - W_j[0][0] + 2S exactly, so
-    it is the repeat key, and c is the difference of the offsets.  Serving
-    packs X_2 and G_2 as well, each less its least entry, in a layout wide
-    enough for one of their fields plus one of W_i's (at most 4S), and
-    repacks each W_i it needs into it; offsets add, so P_e is unpacked
-    with its components' least entries plus W_i's offset plus q c.
+    included, and the walk's sums stay at most 8S.  The rebased int is
+    W_j - W_j[0][0] + 2S exactly, so it is the repeat key, and c is the
+    difference of the offsets.
+
+    Serving multiplies X_2 and G_2, each packed less its least entry, by
+    the walk's own W_i, in the walk's layout.  Both have H as an oplus
+    term, so every entry is at most max(H), and min(B) <= 0 (B's diagonal
+    is clipped at 0), so every entry is at least min(min M, min H) +
+    min(B).  Each then spans at most R = max(H) - min(min M, min H) -
+    min(B), and serving's sums stay at most R + 4S.  So one layout whose
+    fields hold 4S + max(4S, R) is exact for the walk and its serving at
+    any entry size; offsets add, so P_e is unpacked with its component's
+    least entry plus W_i's offset plus q c.
 
     Cost: the squarings cost one product each and a segment k + 1, so the
     walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
@@ -366,11 +344,12 @@ def periodic_powers(
     budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
     k, m, h = base.k, base.first, base.second
-    b = _b_entries(h)
+    b, m_entries, h_entries = _b_entries(h), [*_flatten(m.rows)], [*_flatten(h.rows)]
     if top > 2:
         least = min(e for e in exponents if e > 2) - 2
         lift = 2 * (max(b) - min(b))  # 2S
-        walk = _Packing(k, 4 * lift)
+        reach = max(h_entries) - min(min(m_entries), min(h_entries)) - min(b)  # R
+        walk = _Packing(k, 2 * lift + max(2 * lift, reach))
         corner = (1 << walk.w) - 1  # field [0][0]
         b_offset = b[0] - lift
         x = walk.pack([e - b_offset for e in b])
@@ -397,17 +376,12 @@ def periodic_powers(
             spent += 1
         period, c = j - n, offset - window[n][1]
     if top > 1:  # X_2 = (M * B) + M + H and G_2 = (H * B) + H
-        h_entries = [*_flatten(h.rows)]
-        x2 = [*_circ_first(_min_plus_by_packing([*_flatten(m.rows)], b, k), m, h)]
+        x2 = [*_circ_first(_min_plus_by_packing(m_entries, b, k), m, h)]
         g2 = [*map(min, _min_plus_by_packing(h_entries, b, k), h_entries)]
         square = _new_pair(_wrap_flat(x2, k), _wrap_flat(g2, k))
     if top > 2:
-        x2_least, g2_least = min(x2), min(g2)
-        widest = max(max(x2) - x2_least, max(g2) - g2_least) + 2 * lift
-        serve = _Packing(k, widest)
-        x2 = serve.pack([e - x2_least for e in x2])
-        g2 = serve.pack([e - g2_least for e in g2])
-    served: dict[int, tuple[tuple[int, int], ...]] = {}  # X_2 and G_2 times W_i, packed, by i
+        factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]
+    served: dict[int, list[tuple[int, int]]] = {}  # X_2 and G_2 times W_i, packed, by i
     result = []
     for e in exponents:
         if e < 3:
@@ -420,10 +394,7 @@ def periodic_powers(
         pair = served.get(i)
         if pair is None:
             x, offset = window[i]
-            tiles = serve.tiles(serve.pack(walk.fields(x)))
-            pair = served[i] = (
-                (_min_plus_packed(x2, tiles, serve), x2_least + offset),
-                (_min_plus_packed(g2, tiles, serve), g2_least + offset),
-            )
-        result.append(_new_pair(*(serve.unpack(y, lo + q * c) for y, lo in pair)))
+            tiles = walk.tiles(x)
+            pair = served[i] = [(_min_plus_packed(y, tiles, walk), lo + offset) for y, lo in factors]
+        result.append(_new_pair(*(walk.unpack(y, lo + q * c) for y, lo in pair)))
     return tuple(result)

@@ -19,7 +19,7 @@ power chain are always comparable.
 
 from __future__ import annotations
 
-import re
+import reprlib
 import sys
 from array import array
 from enum import Enum
@@ -296,12 +296,29 @@ def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
 
 # Wire format: {"k": int, "entries": [[str, ...], ...]}, row-major, every
 # entry a decimal string so arbitrary-precision values survive JSON intact.
-
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+# A cell is canonical iff it is a str equal to str(int(cell)): str writes
+# exactly "0" or an optional "-" and digits without a leading 0, and a cell
+# of any other type never equals a str.  ``int`` raises ValueError on other
+# text and past the digit limit, TypeError on null, lists and objects, and
+# OverflowError on JSON's Infinity.
+_NOT_DECIMAL = (ValueError, TypeError, OverflowError)
 
 
 def matrix_to_json(m: TropicalMatrix) -> dict:
     return {"k": m.k, "entries": [[str(e) for e in row] for row in m.rows]}
+
+
+def _refusal(row: list) -> FormatError:
+    # The error for a row that is not all canonical, naming its first bad
+    # cell: only a refused row is checked one cell at a time.
+    for cell in row:
+        try:
+            if str(int(cell)) == cell:
+                continue
+            reason = ""
+        except _NOT_DECIMAL as exc:
+            reason = f": {exc}"
+        return FormatError(f"entry {reprlib.repr(cell)} is not a canonical decimal string{reason}")
 
 
 def matrix_from_json(obj) -> TropicalMatrix:
@@ -319,13 +336,12 @@ def matrix_from_json(obj) -> TropicalMatrix:
     for row in entries:
         if not isinstance(row, list) or len(row) != k:
             raise FormatError(f"each row must be a list of {k} entries")
-        parsed = []
-        for cell in row:
-            if not isinstance(cell, str) or not _DECIMAL.fullmatch(cell):
-                raise FormatError(f"entry {cell!r} is not a canonical decimal string")
-            try:
-                parsed.append(int(cell))
-            except ValueError as exc:  # past the interpreter's digit limit
-                raise FormatError(f"entry of {len(cell)} digits: {exc}") from exc
-        rows.append(tuple(parsed))
+        try:
+            parsed = tuple(map(int, row))
+            canonical = list(map(str, parsed)) == row
+        except _NOT_DECIMAL:
+            canonical = False
+        if not canonical:
+            raise _refusal(row)
+        rows.append(parsed)
     return _wrap(tuple(rows))

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -605,6 +606,28 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert params_from_json(json.loads(out.read_text())).k == 2
+
+
+def test_files_are_read_as_utf8_under_any_locale(tmp_path):
+    """A transcript is read as UTF-8 whatever the locale's encoding: under
+    the C locale with UTF-8 mode and locale coercion off (an ASCII
+    encoding), a valid transcript with a non-ASCII key still exits 0, and
+    bytes that are not UTF-8 still exit 4."""
+    transcript = transcript_to_json(
+        run_exchange(setup(2, 5, 4, SemigroupOpKind.CIRC, Random(3)), Random(3))[0]
+    )
+    transcript["\u00e9"] = 1
+    valid, not_utf8 = tmp_path / "valid.json", tmp_path / "not_utf8.json"
+    valid.write_bytes(json.dumps(transcript, ensure_ascii=False).encode("utf-8"))
+    not_utf8.write_bytes(b"\xff\xfe")
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    for path, code in ((valid, EXIT_OK), (not_utf8, EXIT_FORMAT)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tropkex", "attack", "--transcript", str(path)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == code, proc.stderr
 
 
 # --- attack on mutated transcripts -------------------------------------------

@@ -461,6 +461,23 @@ def test_periodic_powers_stationary_chain(monkeypatch):
     assert products.count == periodic_cost(base, (3, *exponents)) == pass_products((3, *exponents))
 
 
+def packed_sums(monkeypatch):
+    """Check every packed product from here on against the kernel's
+    exactness condition, and record its widest sum and field width."""
+    packed, sums = semidirect._min_plus_packed, []
+
+    def checked(x, tiles, packing):
+        # every field of x plus every field of the right factor, whose
+        # rows the tiles repeat, stays below the guard bit
+        widest = max(packing.fields(x)) + max(max(packing.fields(t)) for t in tiles)
+        assert widest < 1 << (packing.w - 1)
+        sums.append((widest, packing.w))
+        return packed(x, tiles, packing)
+
+    monkeypatch.setattr(semidirect, "_min_plus_packed", checked)
+    return sums
+
+
 def test_periodic_powers_fields_at_their_bound(monkeypatch):
     """Every packed product the walk and its serving make meets the
     kernel's exactness condition, on a base whose sums reach both width
@@ -474,17 +491,7 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
     [-20000, -15000]] spans 20 000 with its largest entry in column 1, so
     serving sums 20 000 + 4S = 40 000 too.  The walk's and serving's
     layouts need 24-bit fields."""
-    packed, sums = semidirect._min_plus_packed, []
-
-    def checked(x, tiles, packing):
-        # every field of x plus every field of the right factor, whose
-        # rows the tiles repeat, stays below the guard bit
-        widest = max(packing.fields(x)) + max(max(packing.fields(t)) for t in tiles)
-        assert widest < 1 << (packing.w - 1)
-        sums.append((widest, packing.w))
-        return packed(x, tiles, packing)
-
-    monkeypatch.setattr(semidirect, "_min_plus_packed", checked)
+    sums = packed_sums(monkeypatch)
     m = TropicalMatrix([[0, 15000], [-15000, 15000]])
     base = SemigroupPair(m, TropicalMatrix([[-5000, 0], [0, 3000]]))
     assert apply(CIRC, base, base).first == TropicalMatrix([[-5000, 0], [-20000, -15000]])
@@ -501,6 +508,29 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
         base = random_pair(rng, 1 + trial % 6, rng.choice((0, 5, 1000, 10**30)))
         exponents = (rng.randint(1 << 60, 1 << 64), rng.randint(3, 1 << 200))
         assert periodic_powers(base, exponents) == powers(CIRC, base, exponents)
+
+
+def test_periodic_powers_serving_sets_the_width(monkeypatch):
+    """The one layout holds the walk's sums, at most 8S, and serving's, at
+    most R + 4S with R = max(H) - min(min M, min H) - min(B); here R
+    decides w.  H = [[5, 5], [5, 5]] gives B = [[0, 5], [5, 0]], S = 5, so
+    8S = 40 would fit 8-bit fields, but M = [[-1000, 1000], [0, 0]] gives
+    R = 5 + 1000 + 0 = 1005, and 4S + R = 1025 needs 16 bits.  B is
+    idempotent, so the walk squares B to B^2 and B^4, steps to B^5 and
+    repeats (p = 1, c = 0): three products of rebased fields [[10, 15],
+    [15, 10]], summing to 30.  P_2 packs its own two products: M spans
+    2000 and H none, so M otimes B sums 2005 (16 bits) and H otimes B 5
+    (8 bits).  X_2 = [[-1000, -995], [0, 0]] spans 1000 and G_2 = H none,
+    so serving sums 1000 + 15 = 1015 and 15, both below R + 4S."""
+    sums = packed_sums(monkeypatch)
+    m = TropicalMatrix([[-1000, 1000], [0, 0]])
+    base = SemigroupPair(m, TropicalMatrix([[5, 5], [5, 5]]))
+    assert apply(CIRC, base, base).first == TropicalMatrix([[-1000, -995], [0, 0]])
+    exponents = ((1 << 60) + 1, (1 << 61) + 3)
+    result = periodic_powers(base, exponents)
+    walk, square, serving = [(30, 16)] * 3, [(2005, 16), (5, 8)], [(1015, 16), (15, 16)]
+    assert sums == walk + square + serving
+    assert result == powers(CIRC, base, exponents)
 
 
 def test_periodic_powers_before_the_certificate(monkeypatch):

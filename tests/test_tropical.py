@@ -292,6 +292,13 @@ def test_matrix_json_round_trip():
         {"k": 1, "entries": [["1_0"]]},
         {"k": 1, "entries": [[" 1"]]},
         {"k": 1, "entries": [["-"]]},
+        *(
+            {"k": 1, "entries": [[cell]]}
+            for cell in (
+                None, [1], {}, True, 1.0, float("inf"), float("nan"),
+                "\u0661", "\uff11", "1\n", "", "9" * 4301,
+            )
+        ),
     ],
 )
 def test_matrix_from_json_rejects_bad_input(obj):

@@ -1,5 +1,6 @@
 """Every name a module, test or demo imports is referenced in that file,
-and every private module-level name of the package is referenced in it.
+and every private module-level name of the package, and every method and
+slot of its private classes, is referenced in it.
 
 The sources are parsed with ``ast``, never imported.  ``tropkex/__init__.py``
 is exempt from the import check: its import list is the package's API.
@@ -84,16 +85,47 @@ def _uses(tree):
             yield node.attr
 
 
+def _private_class_members(tree):
+    # (name, node) for each method and each __slots__ name of a private
+    # module-level class, dunders exempt; node is None for a slot
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    yield node.name, node
+                elif isinstance(node, ast.Assign) and "__slots__" in (
+                    getattr(target, "id", None) for target in node.targets
+                ):
+                    for slot in ast.walk(node.value):
+                        if isinstance(slot, ast.Constant) and not slot.value.startswith("__"):
+                            yield slot.value, None
+
+
+def _attribute_reads(tree):
+    # every attribute read, so that assigning self.x alone does not count
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def test_no_dead_private_names():
     """A private module-level name of ``tropkex`` that nothing in the
-    package uses, outside its own definition, is dead code."""
+    package uses, outside its own definition, is dead code, and so is a
+    method or slot of a private class that nothing in the package reads
+    as an attribute, outside its own definition."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in PACKAGE}
     uses = Counter(name for tree in trees.values() for name in _uses(tree))
+    reads = Counter(name for tree in trees.values() for name in _attribute_reads(tree))
     defined, dead = 0, []
     for path, tree in trees.items():
         for name, node in _private_definitions(tree):
             defined += 1
             if uses[name] == sum(use == name for use in _uses(node)):
+                dead.append(f"{path.name}:{name}")
+        for name, node in _private_class_members(tree):
+            defined += 1
+            own = 0 if node is None else sum(read == name for read in _attribute_reads(node))
+            if reads[name] == own:
                 dead.append(f"{path.name}:{name}")
     assert defined > 0
     assert not dead, f"private names never used: {dead}"
