@@ -32,7 +32,7 @@ from typing import Sequence
 from .attack import AttackError, find_chain_exponent
 from .protocol import (
     KeyAgreementError,
-    _check_caps,
+    _check_scalars,
     derive_shared_key,
     draw_exponent,
     party_powers,
@@ -80,7 +80,7 @@ class RunConfig:
             raise ValueError(f"k_list repeats a dimension: {self.k_list}")
         # here rather than in each trial's setup, so a k above the cap fails
         # before the trials of the smaller k run
-        _check_caps(max(self.k_list), self.N, self.K)
+        _check_scalars(max(self.k_list), self.N, self.K, self.op)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

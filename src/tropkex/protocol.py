@@ -41,12 +41,13 @@ from .tropical import (
 )
 
 
-# Caps on every ``ProtocolParams``, however made (``setup``, a params or
+# Rules on every ``ProtocolParams``, however made (``setup``, a params or
 # transcript file, CLI flags), checked when it is made and so before any
-# pair operation (``setup`` checks before it draws the matrices): a k-by-k
-# operation costs ~k^3 and a recovery up to ~2K of them, so no input can
-# request unbounded work.  The suggested sizes (k up to 30, K = 200) are
-# within both.
+# pair operation (``setup`` checks before it draws the matrices): k, N and
+# K are ints, not bools, op a ``SemigroupOpKind``, k, K >= 1, N >= 0, and
+# two caps, since a k-by-k operation costs ~k^3 and a recovery up to ~2K
+# of them, so no input can request unbounded work.  The suggested sizes
+# (k up to 30, K = 200) are within both.
 #
 # A third cap keeps every entry of a power or key writable with str(): it
 # lies in [-2^(K+1)*N, N].  Under either law each component of p * q is an
@@ -63,12 +64,21 @@ MAX_K = 30
 MAX_EXPONENT_BITS = 4096
 
 
-def _check_caps(k: int, N: int, K: int) -> None:
+def _check_scalars(k: int, N: int, K: int, op: SemigroupOpKind) -> None:
+    # types first, so no comparison below meets a str or None
+    for name, value in (("k", k), ("N", N), ("K", K)):
+        if type(value) is not int:
+            raise ValueError(f"'{name}' must be an integer")
+    if not isinstance(op, SemigroupOpKind):
+        raise ValueError(f"unknown operation kind: {op!r}")
+    for name, value, least in (("k", k, 1), ("N", N, 0), ("K", K, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     for name, value, cap in (("k", k, MAX_K), ("K", K, MAX_EXPONENT_BITS)):
         if value > cap:
             raise ValueError(f"{name} is {value}, above the cap of {cap}")
     # 2^3 < 10, so a bound of at most 3 * limit bits has at most limit digits
-    limit, bound = sys.get_int_max_str_digits(), N << max(K + 1, 0)
+    limit, bound = sys.get_int_max_str_digits(), N << (K + 1)
     if limit and bound.bit_length() > 3 * limit and bound >= 10**limit:
         raise ValueError(
             f"entries may reach 2^{K + 1} * N, more than {limit} decimal digits "
@@ -93,13 +103,7 @@ class ProtocolParams:
     H: TropicalMatrix
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.N < 0:
-            raise ValueError("N must be >= 0")
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        _check_caps(self.k, self.N, self.K)
+        _check_scalars(self.k, self.N, self.K, self.op)
         if self.M.k != self.k or self.H.k != self.k:
             raise DimensionMismatchError("M and H must be k-by-k")
         for mat in (self.M, self.H):
@@ -138,10 +142,15 @@ class Transcript:
     alice_message: TropicalMatrix
     bob_message: TropicalMatrix
 
+    def __post_init__(self):
+        for name in ("alice_message", "bob_message"):
+            if (n := getattr(self, name).k) != self.params.k:
+                raise DimensionMismatchError(f"'{name}' is {n}x{n}, expected {self.params.k}")
+
 
 def setup(k: int, N: int, K: int, op: SemigroupOpKind, rng: Random) -> ProtocolParams:
     """Draw public matrices M then H uniformly with entries in [-N, N]."""
-    _check_caps(k, N, K)
+    _check_scalars(k, N, K, op)
     m = random_matrix(k, N, rng)
     h = random_matrix(k, N, rng)
     return ProtocolParams(k=k, N=N, K=K, op=op, M=m, H=h)
@@ -232,15 +241,11 @@ def params_from_json(obj) -> ProtocolParams:
     missing = {"k", "N", "K", "op", "M", "H"} - obj.keys()
     if missing:
         raise FormatError(f"params object missing {sorted(missing)}")
-    k, n_bound, exp_bits = obj["k"], obj["N"], obj["K"]
-    for name, value in (("k", k), ("N", n_bound), ("K", exp_bits)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise FormatError(f"'{name}' must be an integer")
     try:
         return ProtocolParams(
-            k=k,
-            N=n_bound,
-            K=exp_bits,
+            k=obj["k"],
+            N=obj["N"],
+            K=obj["K"],
             op=SemigroupOpKind(obj["op"]),
             M=matrix_from_json(obj["M"]),
             H=matrix_from_json(obj["H"]),
@@ -266,7 +271,7 @@ def transcript_from_json(obj) -> Transcript:
     params = params_from_json(obj["params"])
     alice_message = matrix_from_json(obj["alice_message"])
     bob_message = matrix_from_json(obj["bob_message"])
-    for name, mat in (("alice_message", alice_message), ("bob_message", bob_message)):
-        if mat.k != params.k:
-            raise FormatError(f"'{name}' is {mat.k}x{mat.k}, expected {params.k}")
-    return Transcript(params=params, alice_message=alice_message, bob_message=bob_message)
+    try:
+        return Transcript(params=params, alice_message=alice_message, bob_message=bob_message)
+    except DimensionMismatchError as exc:
+        raise FormatError(str(exc)) from exc

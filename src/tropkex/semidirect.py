@@ -192,6 +192,8 @@ def op_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
 
 def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> TropicalMatrix:
     """First component of (m, G) combined with q, which is the same for every G."""
+    if m.k != q.k:
+        raise DimensionMismatchError(f"pair dimension mismatch: {m.k} vs {q.k}")
     if op is _CIRC:
         h = q.second
         product = _min_plus_by_packing([*_flatten(m.rows)], _b_entries(h), h.k)
@@ -275,9 +277,11 @@ def periodic_powers(
     2 ((L - 1) + sum(popcount(e) - 1)), L the largest bit length.
 
     Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I as in
-    circ's law.  Past the square, S oplus H (here M oplus H) is already a
-    term of X_m, and H of G_m, so a step is (X_m otimes B, G_m otimes B),
-    and P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2}) with W_j = B^j.
+    circ's law.  Y otimes B <= Y for any Y, as B's diagonal is at most 0,
+    so an oplus term of the law drops out where the left factor lies below
+    it: P_2 = ((M otimes B) oplus H, H otimes B), past it X_m <= M oplus H
+    and G_m <= H, so a step is (X_m otimes B, G_m otimes B), and
+    P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2}) with W_j = B^j.
 
     The walk squares from W_1 = B (otimes is associative) while its index
     j is below 2k, then steps W_{j+1} = W_j otimes B in segments W_s ..
@@ -314,26 +318,25 @@ def periodic_powers(
     difference of the offsets.
 
     Serving multiplies X_2 and G_2, each packed less its least entry, by
-    the walk's own W_i, in the walk's layout.  Both have H as an oplus
-    term, so every entry is at most max(H), and min(B) <= 0 (B's diagonal
-    is clipped at 0), so every entry is at least min(min M, min H) +
-    min(B).  Each then spans at most R = max(H) - min(min M, min H) -
-    min(B), and serving's sums stay at most R + 4S.  So one layout whose
-    fields hold 4S + max(4S, R) is exact for the walk and its serving at
-    any entry size; offsets add, so P_e is unpacked with its component's
-    least entry plus W_i's offset plus q c.
+    the walk's own W_i, in the walk's layout.  X_2 has H as an oplus term
+    and G_2 <= H, so every entry is at most max(H), and min(B) <= 0, so
+    every entry is at least min(min M, min H) + min(B).  Each then spans
+    at most R = max(H) - min(min M, min H) - min(B), and serving's sums
+    stay at most R + 4S.  So one layout whose fields hold 4S + max(4S, R)
+    is exact for the walk and its serving at any entry size; offsets add,
+    so P_e is unpacked with its component's least entry plus W_i's offset
+    plus q c.
 
     Cost: the squarings cost one product each and a segment k + 1, so the
     walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
     shows the period within p more.  Serving costs two products for P_2,
-    X_2 = (M otimes B) oplus M oplus H and G_2 = (H otimes B) oplus H, each
-    product packed on its own (``_min_plus_by_packing``), then, since
-    adding a scalar commutes with otimes, two
-    per distinct W_{n+r} (or W_i of the segment, for i < n) the exponents
-    need: P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk
-    falls back to ``powers`` before the product that would leave less of
-    the budget than the most serving can cost, two per exponent above 2,
-    and before a squaring that would start a segment past the least needed
+    each packed on its own (``_min_plus_by_packing``), then, since adding
+    a scalar commutes with otimes, two per distinct W_{n+r} (or W_i of the
+    segment, for i < n) the exponents need:
+    P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk falls
+    back to ``powers`` before the product that would leave less of the
+    budget than the most serving can cost, two per exponent above 2, and
+    before a squaring that would start a segment past the least needed
     index e - 2, whose power it then never holds.  So it never costs more
     than the pass, and a fallback at most twice.  Only one segment and one
     matrix per exponent are kept.
@@ -375,9 +378,9 @@ def periodic_powers(
             offset += shift
             spent += 1
         period, c = j - n, offset - window[n][1]
-    if top > 1:  # X_2 = (M * B) + M + H and G_2 = (H * B) + H
-        x2 = [*_circ_first(_min_plus_by_packing(m_entries, b, k), m, h)]
-        g2 = [*map(min, _min_plus_by_packing(h_entries, b, k), h_entries)]
+    if top > 1:  # X_2 = (M * B) + H and G_2 = H * B
+        x2 = [*map(min, _min_plus_by_packing(m_entries, b, k), h_entries)]
+        g2 = _min_plus_by_packing(h_entries, b, k)
         square = _new_pair(_wrap_flat(x2, k), _wrap_flat(g2, k))
     if top > 2:
         factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]

@@ -68,7 +68,7 @@ class TropicalMatrix:
             if len(row) != k:
                 raise ValueError(f"expected {k} entries per row, got {len(row)}")
             for entry in row:
-                if not isinstance(entry, int):
+                if type(entry) is not int:  # bools and other int subclasses may not write as ints
                     raise TypeError(f"entries must be int, not {type(entry).__name__}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "rows", rows)
@@ -102,9 +102,7 @@ class TropicalMatrix:
     def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise minimum of two matrices of the same size."""
         self._check_dim(other)
-        return _wrap(
-            tuple(tuple(map(min, ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return _wrap_flat(map(min, _flatten(self.rows), _flatten(other.rows)), self.k)
 
     def otimes(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Min-plus matrix product: result[i][j] = min over l of a[i][l] + b[l][j]."""
@@ -112,7 +110,7 @@ class TropicalMatrix:
         return _wrap_flat(_min_plus(self.rows, other._columns()), self.k)
 
     def transpose(self) -> "TropicalMatrix":
-        return _wrap(self._columns())
+        return _wrap_flat(_flatten(self._columns()), self.k)
 
     def leq(self, other: "TropicalMatrix") -> bool:
         """True iff self oplus other == self, i.e. entrywise self <= other."""
@@ -120,24 +118,17 @@ class TropicalMatrix:
         return _rows_leq(self.rows, other.rows)
 
 
-# Internal fast path for results built by the kernels: rows must already be
-# a square tuple-of-tuples of ints.  Skips validation (which would dominate
-# the hot loops) and sets the slots through their descriptors, past the
-# immutability guard in __setattr__.
+# The one unchecked constructor, for results built by the kernels, the
+# parser and the sampler: k*k ints in row-major order, which zip cuts into
+# rows k at a time from one iterator.  Skips validation (which would
+# dominate the hot loops) and sets the slots through their descriptors,
+# past the immutability guard in __setattr__.
 _new_matrix = object.__new__
 _set_k = TropicalMatrix.k.__set__
 _set_rows = TropicalMatrix.rows.__set__
 
 
-def _wrap(rows: tuple[tuple[int, ...], ...]) -> TropicalMatrix:
-    m = _new_matrix(TropicalMatrix)
-    _set_k(m, len(rows))
-    _set_rows(m, rows)
-    return m
-
-
 def _wrap_flat(entries: Iterable[int], k: int) -> TropicalMatrix:
-    # k*k entries in row-major order; zip pulls k at a time from one iterator.
     m = _new_matrix(TropicalMatrix)
     _set_k(m, k)
     _set_rows(m, tuple(zip(*[iter(entries)] * k)))
@@ -289,9 +280,7 @@ def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
     if n_bound < 0:
         raise ValueError("entry bound must be >= 0")
     ri = rng.randint
-    return _wrap(
-        tuple(tuple(ri(-n_bound, n_bound) for _ in range(k)) for _ in range(k))
-    )
+    return _wrap_flat([ri(-n_bound, n_bound) for _ in range(k * k)], k)
 
 
 # Wire format: {"k": int, "entries": [[str, ...], ...]}, row-major, every
@@ -332,7 +321,7 @@ def matrix_from_json(obj) -> TropicalMatrix:
         raise FormatError("'k' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != k:
         raise FormatError(f"'entries' must be a list of {k} rows")
-    rows = []
+    flat: list[int] = []
     for row in entries:
         if not isinstance(row, list) or len(row) != k:
             raise FormatError(f"each row must be a list of {k} entries")
@@ -343,5 +332,5 @@ def matrix_from_json(obj) -> TropicalMatrix:
             canonical = False
         if not canonical:
             raise _refusal(row)
-        rows.append(parsed)
-    return _wrap(tuple(rows))
+        flat += parsed
+    return _wrap_flat(flat, k)

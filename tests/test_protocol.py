@@ -2,6 +2,7 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropkex import (
     DimensionMismatchError,
@@ -10,9 +11,16 @@ from tropkex import (
     ProtocolParams,
     SemigroupOpKind,
     SemigroupPair,
+    Transcript,
     TropicalMatrix,
+    apply,
+    chain_compare,
     derive_shared_key,
     draw_exponent,
+    matrix_from_json,
+    matrix_to_json,
+    op_circ,
+    op_star,
     params_from_json,
     params_to_json,
     power,
@@ -25,6 +33,7 @@ from tropkex import (
 )
 from tropkex import protocol, semidirect
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
+from tropkex.semidirect import product_first
 
 from _oracles import (
     chain_fold,
@@ -148,6 +157,49 @@ def test_derive_dimension_check():
     params = params_1x1(1, 3)
     with pytest.raises(DimensionMismatchError):
         derive_shared_key(params, params.base_pair, TropicalMatrix([[0, 1], [2, 3]]))
+
+
+# Every public operation on two matrices or pairs, written (p, q) with p of
+# one size and q of another; the key is derived from p's first component
+# under params of p's size, so only the own pair q is the wrong size.
+_TWO_OPERAND = {
+    "op_circ": op_circ,
+    "op_star": op_star,
+    "apply-circ": lambda p, q: apply(CIRC, p, q),
+    "apply-star": lambda p, q: apply(STAR, p, q),
+    "product_first-circ": lambda p, q: product_first(CIRC, p.first, q),
+    "product_first-star": lambda p, q: product_first(STAR, p.first, q),
+    "derive_shared_key-circ": lambda p, q: derive_shared_key(
+        setup(p.k, 50, 4, CIRC, Random(7)), q, p.first
+    ),
+    "derive_shared_key-star": lambda p, q: derive_shared_key(
+        setup(p.k, 50, 4, STAR, Random(7)), q, p.first
+    ),
+    "chain_compare": lambda p, q: chain_compare(p.first, q.first),
+    "oplus": lambda p, q: p.first.oplus(q.first),
+    "otimes": lambda p, q: p.first.otimes(q.first),
+    "leq": lambda p, q: p.first.leq(q.first),
+}
+
+
+@pytest.mark.parametrize("operation", _TWO_OPERAND.values(), ids=_TWO_OPERAND)
+def test_two_operand_operations_check_sizes(operation):
+    two, three = random_pair(Random(5), 2), random_pair(Random(6), 3)
+    for p, q in ((two, three), (three, two)):
+        with pytest.raises(DimensionMismatchError):
+            operation(p, q)
+
+
+def test_transcript_checks_message_sizes():
+    params = setup(2, 5, 4, CIRC, Random(3))
+    three = random_mat(Random(4), 3)
+    for messages in ((three, params.M), (params.M, three)):
+        with pytest.raises(DimensionMismatchError, match="is 3x3, expected 2"):
+            Transcript(params, *messages)
+    obj = transcript_to_json(Transcript(params, params.M, params.H))
+    obj["bob_message"] = matrix_to_json(three)
+    with pytest.raises(FormatError, match="^'bob_message' is 3x3, expected 2$"):
+        transcript_from_json(obj)
 
 
 def test_exchange_agreement_and_oracle_circ():
@@ -356,3 +408,72 @@ def test_transcript_from_json_rejects_bad_input(mutate):
     mutate(obj)
     with pytest.raises(FormatError):
         transcript_from_json(obj)
+
+
+_ENTRIES = st.sampled_from((0, 1, -1)) | st.integers(-1000, 1000) | st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def _matrices(draw, k):
+    return TropicalMatrix([[draw(_ENTRIES) for _ in range(k)] for _ in range(k)])
+
+
+@st.composite
+def _transcripts(draw):
+    k = draw(st.integers(1, 5))
+    m, h = draw(_matrices(k)), draw(_matrices(k))
+    params = ProtocolParams(
+        k=k,
+        N=max(abs(e) for mat in (m, h) for row in mat.rows for e in row) + draw(st.integers(0, 9)),
+        K=draw(st.integers(1, MAX_EXPONENT_BITS)),
+        op=draw(st.sampled_from(list(SemigroupOpKind))),
+        M=m,
+        H=h,
+    )
+    return Transcript(params, draw(_matrices(k)), draw(_matrices(k)))
+
+
+def _through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_transcripts())
+def test_wire_format_round_trips_what_the_constructors_accept(transcript):
+    params = transcript.params
+    for m in (params.M, params.H, transcript.alice_message, transcript.bob_message):
+        assert matrix_from_json(_through_text(matrix_to_json(m))) == m
+    assert params_from_json(_through_text(params_to_json(params))) == params
+    assert transcript_from_json(_through_text(transcript_to_json(transcript))) == transcript
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_constructors_refuse_what_the_wire_format_refuses(data):
+    """A bool entry, a k, N or K that is not an int (or is a bool) and an
+    op that is not a ``SemigroupOpKind`` are refused where the value is
+    built, as the parser refuses them in a file; ``setup`` refuses before
+    it draws."""
+    k = data.draw(st.integers(1, 4))
+    rows = [[data.draw(_ENTRIES) for _ in range(k)] for _ in range(k)]
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    rows[i][j] = data.draw(st.booleans())
+    with pytest.raises(TypeError):
+        TropicalMatrix(rows)
+
+    zero = TropicalMatrix([[0] * k for _ in range(k)])
+    good = {"k": k, "N": 50, "K": 4, "op": CIRC, "M": zero, "H": zero}
+    name = data.draw(st.sampled_from(("k", "N", "K")))
+    value = data.draw(st.booleans() | st.sampled_from((str(good[name]), None, float(good[name]))))
+    with pytest.raises(ValueError, match=f"^'{name}' must be an integer$"):
+        ProtocolParams(**{**good, name: value})
+    obj = params_to_json(ProtocolParams(**good))
+    obj[name] = value
+    with pytest.raises(FormatError, match=f"'{name}' must be an integer"):
+        params_from_json(_through_text(obj))
+
+    op = data.draw(st.sampled_from([kind.value for kind in SemigroupOpKind]))
+    with pytest.raises(ValueError, match="unknown operation kind"):
+        ProtocolParams(**{**good, "op": op})
+    with pytest.raises(ValueError, match="unknown operation kind"):
+        setup(k, 50, 4, op, FixedExponents())  # would fail on its first draw

@@ -31,6 +31,7 @@ from _oracles import (
     ladder_power,
     matrix_period,
     naive_apply,
+    naive_oplus,
     naive_otimes,
     pass_products,
     period_six_pair,
@@ -354,6 +355,26 @@ def test_circ_powers_are_powers_of_b(k, bound, seed):
                 naive_otimes(square.first, w), naive_otimes(square.second, w)
             )
     assert pair == chain_fold(CIRC, base, 64)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+@pytest.mark.parametrize("diagonal", (1, 0, -1))
+def test_circ_square_is_read_off_b(k, diagonal):
+    """Y otimes B <= Y for any Y, as B = I oplus H has its diagonal at most
+    0, so (M, H)^2 = ((M otimes B) oplus H, H otimes B): the square
+    ``periodic_powers`` serves, at H diagonals above, at and below 0."""
+    rng = Random(k)
+    for bound in (0, 1000, 10**30):
+        for _ in range(5):
+            m, h = random_mat(rng, k, bound), random_mat(rng, k, bound)
+            h = TropicalMatrix(
+                [[diagonal * (abs(x) + 1) if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(h.rows)]
+            )
+            base, b = SemigroupPair(m, h), identity_oplus(h)
+            square = SemigroupPair(naive_oplus(naive_otimes(m, b), h), naive_otimes(h, b))
+            assert naive_apply(CIRC, base, base) == square
+            assert periodic_powers(base, (2,)) == (square,)
 
 
 def _span(w):
