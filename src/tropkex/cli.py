@@ -25,6 +25,12 @@ params or transcript file asking for more is malformed input and exits
 4, flags asking for more exit 2.  ``exchange --params`` takes k, N, K
 and op from the file, so giving any of those flags with it exits 2.
 
+The arguments after a subcommand's name go straight to that
+subcommand's parser; the top-level parser only runs when the first
+argument names no subcommand (none given, ``--help``, an unknown name),
+so a usage error after a subcommand is reported under its own name,
+``tropkex exchange: error: ...``.
+
 Every JSON file is written by ``_json_text``, byte for byte what
 ``json.dumps(obj, indent=2)`` writes: two-space indent, keys in the
 builders' order, no trailing newline in a file (stdout gets one).
@@ -164,7 +170,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser unchanged, and
-    # building its four subparsers costs several times a parse.
+    # building its four subparsers costs several times a parse.  Each
+    # subcommand's parser is kept by name as ``subcommands``, for
+    # ``cli_main`` to call directly.
     parser = argparse.ArgumentParser(
         prog="tropkex",
         description="Min-plus matrix key exchange and the attack that breaks it.",
@@ -215,6 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=None)
     p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")
 
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -276,14 +285,20 @@ _COMMANDS = {
 
 
 def cli_main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in parser.subcommands:
+            command, args = argv[0], parser.subcommands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         # argparse already printed usage; translate to a return code.
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command](args)
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -299,7 +314,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    sys.exit(cli_main())
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from .tropical import (
     DimensionMismatchError,
     FormatError,
     TropicalMatrix,
+    _check_matrices,
     matrix_from_json,
     matrix_to_json,
     random_matrix,
@@ -104,6 +105,7 @@ class ProtocolParams:
 
     def __post_init__(self):
         _check_scalars(self.k, self.N, self.K, self.op)
+        _check_matrices(self, "M", "H")
         if self.M.k != self.k or self.H.k != self.k:
             raise DimensionMismatchError("M and H must be k-by-k")
         for mat in (self.M, self.H):
@@ -143,6 +145,7 @@ class Transcript:
     bob_message: TropicalMatrix
 
     def __post_init__(self):
+        _check_matrices(self, "alice_message", "bob_message")
         for name in ("alice_message", "bob_message"):
             if (n := getattr(self, name).k) != self.params.k:
                 raise DimensionMismatchError(f"'{name}' is {n}x{n}, expected {self.params.k}")

@@ -63,6 +63,7 @@ from typing import Iterable, Iterator, Sequence
 from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
+    _check_matrices,
     _flatten,
     _min_plus,
     _min_plus_packed,
@@ -89,6 +90,7 @@ class SemigroupPair:
     second: TropicalMatrix
 
     def __post_init__(self):
+        _check_matrices(self, "first", "second")
         if self.first.k != self.second.k:
             raise DimensionMismatchError(
                 f"pair components differ in size: {self.first.k} vs {self.second.k}"
@@ -317,22 +319,27 @@ def periodic_powers(
     W_j - W_j[0][0] + 2S exactly, so it is the repeat key, and c is the
     difference of the offsets.
 
-    Serving multiplies X_2 and G_2, each packed less its least entry, by
-    the walk's own W_i, in the walk's layout.  X_2 has H as an oplus term
-    and G_2 <= H, so every entry is at most max(H), and min(B) <= 0, so
-    every entry is at least min(min M, min H) + min(B).  Each then spans
-    at most R = max(H) - min(min M, min H) - min(B), and serving's sums
-    stay at most R + 4S.  So one layout whose fields hold 4S + max(4S, R)
-    is exact for the walk and its serving at any entry size; offsets add,
-    so P_e is unpacked with its component's least entry plus W_i's offset
-    plus q c.
+    P_2 multiplies M and H by B, and serving X_2 and G_2 by the walk's own
+    W_i, all in the walk's layout.  For P_2, M is first clipped at
+    cap = max(H) - min(B): a term M_il + B_lj with M_il > cap exceeds
+    max(H) >= H_ij, so it never sets an entry of X_2, and with cap in its
+    place the term is still at least max(H), so X_2 is unchanged.
+    Clipped M and H, each packed less its least entry, then span at most
+    R = max(H) - min(min M, min H) - min(B), and B's rebased fields lie in
+    [S, 3S], so P_2's sums stay at most R + 3S.  Serving packs X_2 and
+    G_2 each less its least entry.  X_2 has H as an oplus term and
+    G_2 <= H, so every entry is at most max(H), and min(B) <= 0, so every
+    entry is at least min(min M, min H) + min(B).  Each then spans at most
+    R too, and serving's sums stay at most R + 4S.  So one layout whose
+    fields hold 4S + max(4S, R) is exact for the walk, P_2 and serving at
+    any entry size; offsets add, so P_e is unpacked with its component's
+    least entry plus W_i's offset plus q c.  B is packed and tiled once.
 
     Cost: the squarings cost one product each and a segment k + 1, so the
     walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
     shows the period within p more.  Serving costs two products for P_2,
-    each packed on its own (``_min_plus_by_packing``), then, since adding
-    a scalar commutes with otimes, two per distinct W_{n+r} (or W_i of the
-    segment, for i < n) the exponents need:
+    then, since adding a scalar commutes with otimes, two per distinct
+    W_{n+r} (or W_i of the segment, for i < n) the exponents need:
     P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk falls
     back to ``powers`` before the product that would leave less of the
     budget than the most serving can cost, two per exponent above 2, and
@@ -347,16 +354,20 @@ def periodic_powers(
     budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
     k, m, h = base.k, base.first, base.second
-    b, m_entries, h_entries = _b_entries(h), [*_flatten(m.rows)], [*_flatten(h.rows)]
-    if top > 2:
-        least = min(e for e in exponents if e > 2) - 2
+    if top > 1:
+        b, h_entries = _b_entries(h), [*_flatten(h.rows)]
+        cap = max(h_entries) - min(b)  # an entry of M above it never reaches X_2
+        m_entries = [e if e < cap else cap for e in _flatten(m.rows)]
+        m_least, h_least = min(m_entries), min(h_entries)
         lift = 2 * (max(b) - min(b))  # 2S
-        reach = max(h_entries) - min(min(m_entries), min(h_entries)) - min(b)  # R
+        reach = max(h_entries) - min(m_least, h_least) - min(b)  # R
         walk = _Packing(k, 2 * lift + max(2 * lift, reach))
-        corner = (1 << walk.w) - 1  # field [0][0]
         b_offset = b[0] - lift
         x = walk.pack([e - b_offset for e in b])
         b_tiles = walk.tiles(x)
+    if top > 2:
+        least = min(e for e in exponents if e > 2) - 2
+        corner = (1 << walk.w) - 1  # field [0][0]
         window: dict[int, tuple[int, int]] = {}  # the segment's packed powers, by index
         first_seen: dict[int, int] = {}  # their indices, by packed power
         offset, j, spent = b_offset, 1, 0
@@ -378,9 +389,13 @@ def periodic_powers(
             offset += shift
             spent += 1
         period, c = j - n, offset - window[n][1]
-    if top > 1:  # X_2 = (M * B) + H and G_2 = H * B
-        x2 = [*map(min, _min_plus_by_packing(m_entries, b, k), h_entries)]
-        g2 = _min_plus_by_packing(h_entries, b, k)
+    if top > 1:  # X_2 = (M * B) + H and G_2 = H * B, on the walk's layout
+
+        def times_b(y: list[int], lo: int) -> list[int]:  # y otimes B, y's entries at least lo
+            product = _min_plus_packed(walk.pack([e - lo for e in y]), b_tiles, walk)
+            return [f + lo + b_offset for f in walk.fields(product)]
+
+        x2, g2 = [*map(min, times_b(m_entries, m_least), h_entries)], times_b(h_entries, h_least)
         square = _new_pair(_wrap_flat(x2, k), _wrap_flat(g2, k))
     if top > 2:
         factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]

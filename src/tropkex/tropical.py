@@ -118,6 +118,14 @@ class TropicalMatrix:
         return _rows_leq(self.rows, other.rows)
 
 
+def _check_matrices(record, *names: str) -> None:
+    # The named fields of a record must be matrices, so that a wrong type
+    # is refused by name before any field's size is read.
+    for name in names:
+        if not isinstance(value := getattr(record, name), TropicalMatrix):
+            raise TypeError(f"'{name}' must be a TropicalMatrix, not {type(value).__name__}")
+
+
 # The one unchecked constructor, for results built by the kernels, the
 # parser and the sampler: k*k ints in row-major order, which zip cuts into
 # rows k at a time from one iterator.  Skips validation (which would
@@ -273,14 +281,31 @@ def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
     """A k-by-k matrix with entries drawn uniformly from [-n_bound, n_bound].
 
     The caller owns the seeded ``random.Random`` instance, so runs are
-    replayable; every draw consumes exactly k*k calls to ``rng.randint``.
+    replayable.  The entries, row-major, are what k*k calls to
+    ``rng.randint(-n_bound, n_bound)`` would draw, and ``rng`` is left in
+    the same state, but they are drawn straight through ``rng.getrandbits``
+    as CPython's ``randint`` does it: one ``getrandbits(width.bit_length())``
+    call per try, width = 2 n_bound + 1, repeated while the value is not
+    below width, and the entry is that value less n_bound.  k and n_bound
+    must be ints, not bools.
     """
+    for name, value in (("k", k), ("n_bound", n_bound)):
+        if type(value) is not int:
+            raise ValueError(f"'{name}' must be an integer")
     if k < 1:
         raise ValueError("k must be >= 1")
     if n_bound < 0:
         raise ValueError("entry bound must be >= 0")
-    ri = rng.randint
-    return _wrap_flat([ri(-n_bound, n_bound) for _ in range(k * k)], k)
+    width = 2 * n_bound + 1
+    bits, draw = width.bit_length(), rng.getrandbits
+    entries = []
+    add = entries.append
+    for _ in range(k * k):
+        r = draw(bits)
+        while r >= width:
+            r = draw(bits)
+        add(r - n_bound)
+    return _wrap_flat(entries, k)
 
 
 # Wire format: {"k": int, "entries": [[str, ...], ...]}, row-major, every

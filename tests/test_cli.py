@@ -475,6 +475,24 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_usage_edges(capsys):
+    """A subcommand's arguments go to its own parser, so an unknown flag
+    after it is reported under the subcommand's name; the top-level
+    parser still answers no command, --help and an unknown command."""
+    assert run_cli("exchange", "--bogus") == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "tropkex exchange: error: unrecognized arguments: --bogus" in err, err
+    for argv, code, stream, text in (
+        ((), EXIT_USAGE, "err", "tropkex: error: the following arguments are required: command"),
+        (("--help",), EXIT_OK, "out", "usage: tropkex [-h] {gen,exchange,attack,bench}"),
+        (("nosuch",), EXIT_USAGE, "err", "tropkex: error: argument command: invalid choice: 'nosuch'"),
+        (("exchange", "--help"), EXIT_OK, "out", "usage: tropkex exchange [-h]"),
+    ):
+        assert run_cli(*argv) == code, argv
+        captured = capsys.readouterr()
+        assert text in getattr(captured, stream), (argv, captured)
+
+
 @pytest.fixture
 def int_max_str_digits():
     """Sets the interpreter's int/str digit limit for one test, then restores it."""

@@ -96,6 +96,23 @@ def test_params_validation():
         ProtocolParams(k=2, N=5, K=8, op=CIRC, M=m, H=m)
 
 
+def test_records_refuse_fields_that_are_not_matrices():
+    # a list where a matrix belongs is refused by name, not met later as
+    # an AttributeError on its size
+    params = setup(1, 1, 1, CIRC, Random(0))
+    zero = TropicalMatrix([[0]])
+    for call, name in (
+        (lambda: ProtocolParams(k=1, N=1, K=1, op=CIRC, M=[[0]], H=[[0]]), "M"),
+        (lambda: ProtocolParams(k=1, N=1, K=1, op=CIRC, M=zero, H=[[0]]), "H"),
+        (lambda: Transcript(params, [[0]], [[0]]), "alice_message"),
+        (lambda: Transcript(params, zero, [[0]]), "bob_message"),
+        (lambda: SemigroupPair([[0]], [[0]]), "first"),
+        (lambda: SemigroupPair(zero, [[0]]), "second"),
+    ):
+        with pytest.raises(TypeError, match=f"^'{name}' must be a TropicalMatrix, not list$"):
+            call()
+
+
 def test_run_parties_k1_forces_exponent_one():
     params = params_1x1(7, -2, K=1)
     for party in run_parties(params, Random(123))[:2]:
@@ -273,6 +290,25 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
         assert transcript.bob_message == chain_fold(CIRC, base, b).first
         assert key == chain_fold(CIRC, base, a + b).first
     assert paths == {True, False}
+
+
+def test_exchange_packs_b_once(monkeypatch):
+    """An exchange at the benchmark's size multiplies on the walk's one
+    layout, with B packed and tiled once: the only products packed on
+    their own are the two key derivations."""
+    calls = []
+    by_packing = semidirect._min_plus_by_packing
+
+    def counted(a, b, k):
+        calls.append(k)
+        return by_packing(a, b, k)
+
+    monkeypatch.setattr(semidirect, "_min_plus_by_packing", counted)
+    for seed in range(4):
+        params = setup(10, 1000, 200, CIRC, Random(seed))
+        calls.clear()
+        run_exchange(params, Random(seed))
+        assert calls == [10, 10]
 
 
 def test_party_powers_cost_bound(monkeypatch):

@@ -505,13 +505,13 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
     bounds.  B = [[-5000, 0], [0, 0]] spans S = 5000, and from B^2 on
     each power spans 2S with its least entry at [0][0], so its rebased
     fields reach 4S and squaring B^2 sums two fields to 8S = 40 000, past
-    15 value bits.  P_2 takes two products with B, each factor less its
-    least entry in a layout for the sum of their spans: M spans 30 000, so
-    M otimes B sums 30 000 + S = 35 000 (24 bits), and H spans 8 000, so
-    H otimes B sums 8 000 + S = 13 000 (16 bits).  X_2 = [[-5000, 0],
-    [-20000, -15000]] spans 20 000 with its largest entry in column 1, so
-    serving sums 20 000 + 4S = 40 000 too.  The walk's and serving's
-    layouts need 24-bit fields."""
+    15 value bits.  P_2 multiplies by B's rebased fields, [[10000, 15000],
+    [15000, 15000]], in the walk's layout: M is clipped at
+    max(H) - min(B) = 8 000, so it spans 8 000 + 15 000 = 23 000 and
+    M otimes B sums 23 000 + 15 000 = 38 000, and H spans 8 000, so
+    H otimes B sums 23 000.  X_2 = [[-5000, 0], [-20000, -15000]] spans
+    20 000 with its largest entry in column 1, so serving sums
+    20 000 + 4S = 40 000 too.  The walk's layout needs 24-bit fields."""
     sums = packed_sums(monkeypatch)
     m = TropicalMatrix([[0, 15000], [-15000, 15000]])
     base = SemigroupPair(m, TropicalMatrix([[-5000, 0], [0, 3000]]))
@@ -521,7 +521,7 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
     # B^2, B^4 and B^5 for the walk, which then repeats; M and H times B
     # for P_2; X_2 and G_2 times the one power of B both exponents share
     # for serving
-    walk, square, serving = [(30000, 24), (40000, 24), (35000, 24)], [(35000, 24), (13000, 16)], [(40000, 24), (30000, 24)]
+    walk, square, serving = [(30000, 24), (40000, 24), (35000, 24)], [(38000, 24), (23000, 24)], [(40000, 24), (30000, 24)]
     assert sums == walk + square + serving
     assert result == powers(CIRC, base, exponents)
     rng = Random(89)
@@ -539,17 +539,19 @@ def test_periodic_powers_serving_sets_the_width(monkeypatch):
     R = 5 + 1000 + 0 = 1005, and 4S + R = 1025 needs 16 bits.  B is
     idempotent, so the walk squares B to B^2 and B^4, steps to B^5 and
     repeats (p = 1, c = 0): three products of rebased fields [[10, 15],
-    [15, 10]], summing to 30.  P_2 packs its own two products: M spans
-    2000 and H none, so M otimes B sums 2005 (16 bits) and H otimes B 5
-    (8 bits).  X_2 = [[-1000, -995], [0, 0]] spans 1000 and G_2 = H none,
-    so serving sums 1000 + 15 = 1015 and 15, both below R + 4S."""
+    [15, 10]], summing to 30.  P_2 multiplies by B's rebased fields in the
+    walk's layout too: M is clipped at max(H) - min(B) = 5, so it spans
+    1005 and M otimes B sums 1005 + 15 = 1020, and H spans none, so
+    H otimes B sums 15, both below R + 3S.  X_2 = [[-1000, -995], [0, 0]]
+    spans 1000 and G_2 = H none, so serving sums 1000 + 15 = 1015 and 15,
+    both below R + 4S."""
     sums = packed_sums(monkeypatch)
     m = TropicalMatrix([[-1000, 1000], [0, 0]])
     base = SemigroupPair(m, TropicalMatrix([[5, 5], [5, 5]]))
     assert apply(CIRC, base, base).first == TropicalMatrix([[-1000, -995], [0, 0]])
     exponents = ((1 << 60) + 1, (1 << 61) + 3)
     result = periodic_powers(base, exponents)
-    walk, square, serving = [(30, 16)] * 3, [(2005, 16), (5, 8)], [(1015, 16), (15, 16)]
+    walk, square, serving = [(30, 16)] * 3, [(1020, 16), (15, 16)], [(1015, 16), (15, 16)]
     assert sums == walk + square + serving
     assert result == powers(CIRC, base, exponents)
 

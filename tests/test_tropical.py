@@ -217,6 +217,28 @@ def test_random_matrix_contract():
         random_matrix(0, 5, Random(0))
     with pytest.raises(ValueError):
         random_matrix(2, -1, Random(0))
+    # sizes and bounds are ints, not bools or floats
+    for k, n_bound, name in ((True, 3, "k"), (2.0, 3, "k"), (2, True, "n_bound"), (2, 3.0, "n_bound")):
+        with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+            random_matrix(k, n_bound, Random(1))
+
+
+@pytest.mark.parametrize(
+    "n_bound", [0, 1, 2, 3, 7, 8, 1000, 2**31 - 1, 2**31, 2**32, 2**40, 10**30]
+)
+def test_random_matrix_draws_what_randint_would(n_bound):
+    """The sampler's entries are the k*k ``randint(-N, N)`` draws of a twin
+    generator, row-major, and both generators end in the same state: at
+    widths just below, at and past a power of two, where the rejection
+    loop runs most and least, and past 32 and 64 bits."""
+    for k in (1, 3, 10):
+        for seed in (0, 1, 2024, 2**64 + 7):
+            rng, twin = Random(seed), Random(seed)
+            m = random_matrix(k, n_bound, rng)
+            assert [*map(list, m.rows)] == [
+                [twin.randint(-n_bound, n_bound) for _ in range(k)] for _ in range(k)
+            ]
+            assert rng.getstate() == twin.getstate()
 
 
 @given(matrix_triples())
