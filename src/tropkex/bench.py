@@ -74,20 +74,19 @@ class RunConfig:
     def __post_init__(self):
         if not self.k_list:
             raise ValueError("k_list must not be empty")
-        if any(k < 1 for k in self.k_list):
-            raise ValueError("every k must be >= 1")
+        # here rather than in each trial's setup, so a bad k fails before
+        # the trials of the k before it run
+        for k in self.k_list:
+            _check_scalars(k, self.N, self.K, self.op)
         if len(set(self.k_list)) != len(self.k_list):
             raise ValueError(f"k_list repeats a dimension: {self.k_list}")
-        # here rather than in each trial's setup, so a k above the cap fails
-        # before the trials of the smaller k run
-        _check_scalars(max(self.k_list), self.N, self.K, self.op)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError("trials must be an integer >= 1")
 
 
 def measure_alpha(a: TropicalMatrix) -> int:
     """Total bits to represent the matrix: per entry, magnitude bits + sign."""
-    return sum(abs(e).bit_length() + 1 for row in a.rows for e in row)
+    return sum(abs(e).bit_length() + 1 for e in a.entries)
 
 
 def _draw(k: int, config: RunConfig, trial: int):

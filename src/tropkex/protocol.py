@@ -109,12 +109,9 @@ class ProtocolParams:
         if self.M.k != self.k or self.H.k != self.k:
             raise DimensionMismatchError("M and H must be k-by-k")
         for mat in (self.M, self.H):
-            for row in mat.rows:
-                for entry in row:
-                    if abs(entry) > self.N:
-                        raise ValueError(
-                            f"entry {entry} outside [-{self.N}, {self.N}]"
-                        )
+            for entry in mat.entries:
+                if abs(entry) > self.N:
+                    raise ValueError(f"entry {entry} outside [-{self.N}, {self.N}]")
 
     @property
     def base_pair(self) -> SemigroupPair:

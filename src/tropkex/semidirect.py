@@ -64,10 +64,11 @@ from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
     _check_matrices,
-    _flatten,
+    _columns_of,
     _min_plus,
     _min_plus_packed,
     _Packing,
+    _rows_of,
     _wrap_flat,
 )
 
@@ -131,23 +132,17 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
 # the attack's and the fallback pass's are plain, for the k^3 cost AC4 times.
 
 
-def _b_columns(h: TropicalMatrix) -> list[tuple[int, ...]]:
-    # The columns of B = H + I: H's columns with the diagonal clipped at 0.
-    cols = list(zip(*h.rows))
-    for j, col in enumerate(cols):
-        if col[j] > 0:
-            cols[j] = col[:j] + (0,) + col[j + 1 :]
-    return cols
-
-
 def _b_entries(h: TropicalMatrix) -> list[int]:
-    # The entries of B = H + I, flat and row-major: H's rows with the
-    # diagonal clipped at 0.
-    rows = enumerate(h.rows)
-    return [*_flatten(row if row[i] <= 0 else row[:i] + (0,) + row[i + 1 :] for i, row in rows)]
+    # The entries of B = H + I, flat and row-major: H's with the diagonal
+    # clipped at 0.
+    b = [*h.entries]
+    for i in range(0, len(b), h.k + 1):
+        if b[i] > 0:
+            b[i] = 0
+    return b
 
 
-def _min_plus_by_packing(a: list[int], b: list[int], k: int) -> list[int]:
+def _min_plus_by_packing(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
     # The product of two k-by-k matrices given flat and row-major, flat and
     # row-major like ``_min_plus``'s, through the packed kernel: each factor
     # less its least entry, in one layout whose fields hold the sum of the
@@ -163,25 +158,26 @@ def _min_plus_by_packing(a: list[int], b: list[int], k: int) -> list[int]:
 
 def _circ_first(product: Iterable[int], s: TropicalMatrix, h: TropicalMatrix) -> Iterator[int]:
     # (X * B) + S + H, given X * B flat: circ's first component, flat.
-    return map(min, product, _flatten(s.rows), _flatten(h.rows))
+    return map(min, product, s.entries, h.entries)
 
 
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
     # (H * M^T) + (M^T * H) + S: star's first component.  The columns of
     # M^T are the rows of M, and its rows the columns of M.
-    left = _min_plus(h.rows, m.rows)
-    right = _min_plus(m._columns(), h._columns())
-    return _wrap_flat(map(min, left, right, _flatten(s.rows)), m.k)
+    k = m.k
+    left = _min_plus(_rows_of(h.entries, k), [*_rows_of(m.entries, k)])
+    right = _min_plus(_columns_of(m.entries, k), _columns_of(h.entries, k))
+    return _wrap_flat(map(min, left, right, s.entries), k)
 
 
 def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     """First law, circ: see the module docstring."""
     if p.first.k != q.first.k:
         raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
-    h = q.second
-    b_cols = _b_columns(h)
-    first = _wrap_flat(_circ_first(_min_plus(p.first.rows, b_cols), q.first, h), h.k)
-    second = _wrap_flat(map(min, _min_plus(p.second.rows, b_cols), _flatten(h.rows)), h.k)
+    h, k = q.second, q.first.k
+    b_cols = _columns_of(_b_entries(h), k)
+    first = _wrap_flat(_circ_first(_min_plus(_rows_of(p.first.entries, k), b_cols), q.first, h), k)
+    second = _wrap_flat(map(min, _min_plus(_rows_of(p.second.entries, k), b_cols), h.entries), k)
     return _new_pair(first, second)
 
 
@@ -198,7 +194,7 @@ def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> T
         raise DimensionMismatchError(f"pair dimension mismatch: {m.k} vs {q.k}")
     if op is _CIRC:
         h = q.second
-        product = _min_plus_by_packing([*_flatten(m.rows)], _b_entries(h), h.k)
+        product = _min_plus_by_packing(m.entries, _b_entries(h), h.k)
         return _wrap_flat(_circ_first(product, q.first, h), h.k)
     if op is _STAR:
         return _star_first(m, q.first, q.second)
@@ -355,9 +351,9 @@ def periodic_powers(
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
     k, m, h = base.k, base.first, base.second
     if top > 1:
-        b, h_entries = _b_entries(h), [*_flatten(h.rows)]
+        b, h_entries = _b_entries(h), h.entries
         cap = max(h_entries) - min(b)  # an entry of M above it never reaches X_2
-        m_entries = [e if e < cap else cap for e in _flatten(m.rows)]
+        m_entries = [e if e < cap else cap for e in m.entries]
         m_least, h_least = min(m_entries), min(h_entries)
         lift = 2 * (max(b) - min(b))  # 2S
         reach = max(h_entries) - min(m_least, h_least) - min(b)  # R

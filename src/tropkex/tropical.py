@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import chain
 from operator import add, le
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionMismatchError(ValueError):
@@ -49,15 +49,16 @@ class ChainOrdering(Enum):
 class TropicalMatrix:
     """An immutable k-by-k integer matrix under (min, +) arithmetic.
 
-    ``rows`` is a tuple of k tuples of k ints.  Instances are values:
+    ``entries`` is a tuple of its k*k ints, row-major, and ``rows`` a view
+    of them as a tuple of k tuples of k ints.  Instances are values:
     equality and hashing are structural, all operations return new
     matrices, and instances may be shared freely across threads.
     """
 
-    __slots__ = ("k", "rows")
+    __slots__ = ("k", "entries")
 
     k: int
-    rows: tuple[tuple[int, ...], ...]
+    entries: tuple[int, ...]
 
     def __init__(self, rows: Iterable[Iterable[int]]):
         rows = tuple(tuple(row) for row in rows)
@@ -71,7 +72,11 @@ class TropicalMatrix:
                 if type(entry) is not int:  # bools and other int subclasses may not write as ints
                     raise TypeError(f"entries must be int, not {type(entry).__name__}")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "entries", tuple(_flatten(rows)))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_rows_of(self.entries, self.k))
 
     def __setattr__(self, name, value):
         raise AttributeError("TropicalMatrix is immutable")
@@ -79,10 +84,10 @@ class TropicalMatrix:
     def __eq__(self, other):
         if not isinstance(other, TropicalMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.entries)
 
     def __repr__(self):
         body = ", ".join(repr(list(row)) for row in self.rows)
@@ -96,26 +101,24 @@ class TropicalMatrix:
                 f"dimension mismatch: {self.k}x{self.k} vs {other.k}x{other.k}"
             )
 
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(zip(*self.rows))
-
     def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise minimum of two matrices of the same size."""
         self._check_dim(other)
-        return _wrap_flat(map(min, _flatten(self.rows), _flatten(other.rows)), self.k)
+        return _wrap_flat(map(min, self.entries, other.entries), self.k)
 
     def otimes(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Min-plus matrix product: result[i][j] = min over l of a[i][l] + b[l][j]."""
         self._check_dim(other)
-        return _wrap_flat(_min_plus(self.rows, other._columns()), self.k)
+        k = self.k
+        return _wrap_flat(_min_plus(_rows_of(self.entries, k), _columns_of(other.entries, k)), k)
 
     def transpose(self) -> "TropicalMatrix":
-        return _wrap_flat(_flatten(self._columns()), self.k)
+        return _wrap_flat(_flatten(_columns_of(self.entries, self.k)), self.k)
 
     def leq(self, other: "TropicalMatrix") -> bool:
         """True iff self oplus other == self, i.e. entrywise self <= other."""
         self._check_dim(other)
-        return _rows_leq(self.rows, other.rows)
+        return all(map(le, self.entries, other.entries))
 
 
 def _check_matrices(record, *names: str) -> None:
@@ -127,30 +130,40 @@ def _check_matrices(record, *names: str) -> None:
 
 
 # The one unchecked constructor, for results built by the kernels, the
-# parser and the sampler: k*k ints in row-major order, which zip cuts into
-# rows k at a time from one iterator.  Skips validation (which would
-# dominate the hot loops) and sets the slots through their descriptors,
-# past the immutability guard in __setattr__.
+# parser and the sampler: k*k ints in row-major order.  Skips validation
+# (which would dominate the hot loops) and sets the slots through their
+# descriptors, past the immutability guard in __setattr__.
 _new_matrix = object.__new__
 _set_k = TropicalMatrix.k.__set__
-_set_rows = TropicalMatrix.rows.__set__
+_set_entries = TropicalMatrix.entries.__set__
 
 
 def _wrap_flat(entries: Iterable[int], k: int) -> TropicalMatrix:
     m = _new_matrix(TropicalMatrix)
     _set_k(m, k)
-    _set_rows(m, tuple(zip(*[iter(entries)] * k)))
+    _set_entries(m, tuple(entries))
     return m
 
 
 _flatten = chain.from_iterable
 
 
+def _rows_of(entries: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
+    # The rows of k*k row-major entries, cut lazily: zip takes k at a time
+    # from one iterator.
+    return zip(*[iter(entries)] * k)
+
+
+def _columns_of(entries: Sequence[int], k: int) -> list[Sequence[int]]:
+    # The columns of k*k row-major entries, each one slice.
+    return [entries[j::k] for j in range(k)]
+
+
 def _min_plus(rows, cols) -> list[int]:
     # The package's one k^3 min-plus product: entry (i, j) is the minimum
-    # of rows[i][l] + cols[j][l] over l, in row-major order, flat so that
-    # callers fold further entrywise minima into one pass before the single
-    # cut into rows in ``_wrap_flat``.
+    # of rows[i][l] + cols[j][l] over l, flat and row-major like a matrix's
+    # ``entries``, so callers fold further entrywise minima into one pass.
+    # ``rows`` is read once and ``cols`` once per row.
     _min, _map, _add = min, map, add
     return [_min(_map(_add, row, col)) for row in rows for col in cols]
 
@@ -247,13 +260,6 @@ def _min_plus_packed(x: int, tiles: list[int], packing: _Packing) -> int:
     return acc
 
 
-def _rows_leq(x_rows, y_rows) -> bool:
-    # Entrywise x <= y in one pass over the flattened rows, with no Python
-    # frame or iterator per row: the attack compares once per pair
-    # application, where per-row costs are a visible share at small k.
-    return all(map(le, _flatten(x_rows), _flatten(y_rows)))
-
-
 _LESS, _EQUAL, _GREATER, _INCOMPARABLE = (
     ChainOrdering.LESS, ChainOrdering.EQUAL, ChainOrdering.GREATER, ChainOrdering.INCOMPARABLE
 )
@@ -267,12 +273,12 @@ def chain_compare(x: TropicalMatrix, y: TropicalMatrix) -> ChainOrdering:
     common chain, not as a value to coerce.
     """
     x._check_dim(y)
-    x_rows, y_rows = x.rows, y.rows
-    if x_rows == y_rows:
+    x_entries, y_entries = x.entries, y.entries
+    if x_entries == y_entries:
         return _EQUAL
-    if _rows_leq(x_rows, y_rows):
+    if all(map(le, x_entries, y_entries)):
         return _LESS
-    if _rows_leq(y_rows, x_rows):
+    if all(map(le, y_entries, x_entries)):
         return _GREATER
     return _INCOMPARABLE
 

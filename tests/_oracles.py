@@ -28,14 +28,14 @@ def naive_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
 
 
 def naive_otimes(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    k = a.k
+    k, a_rows, b_rows = a.k, a.rows, b.rows  # ``rows`` builds a new view per read
     rows = []
     for i in range(k):
         row = []
         for j in range(k):
             best = None
             for l in range(k):
-                value = a.rows[i][l] + b.rows[l][j]
+                value = a_rows[i][l] + b_rows[l][j]
                 if best is None or value < best:
                     best = value
             row.append(best)
@@ -44,9 +44,8 @@ def naive_otimes(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
 
 
 def naive_transpose(a: TropicalMatrix) -> TropicalMatrix:
-    return TropicalMatrix(
-        [[a.rows[j][i] for j in range(a.k)] for i in range(a.k)]
-    )
+    rows = a.rows
+    return TropicalMatrix([[rows[j][i] for j in range(a.k)] for i in range(a.k)])
 
 
 def naive_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -126,7 +125,8 @@ def identity_oplus(h: TropicalMatrix) -> TropicalMatrix:
 
 def _relative(w: TropicalMatrix) -> tuple:
     # w written relative to its own (0, 0) entry: equal for scalar shifts of w
-    return tuple(tuple(x - w.rows[0][0] for x in row) for row in w.rows)
+    rows = w.rows
+    return tuple(tuple(x - rows[0][0] for x in row) for row in rows)
 
 
 def matrix_period(b: TropicalMatrix) -> tuple[int, int]:

@@ -44,6 +44,11 @@ def test_run_config_validation():
         RunConfig(k_list=(5, MAX_K + 1))
     with pytest.raises(ValueError):
         RunConfig(k_list=(3, 3))
+    # every k and the trial count are ints, not floats or bools
+    for bad in ({"k_list": (3, 2.5)}, {"k_list": (2, True)}, {"k_list": (2,), "trials": True},
+                {"k_list": (2,), "trials": 1.5}):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
 
 
 def test_run_experiment_degenerate_all_zero():

@@ -366,6 +366,18 @@ def test_walk_tail_at_benchmark_size(monkeypatch):
     assert passes == []
 
 
+@pytest.mark.parametrize("k", (5, 20))
+def test_walk_certifies_around_benchmark_size(k, monkeypatch):
+    """As at k = 10 above: an exchange drawn the way ``tropkex exchange``
+    draws it, one ``Random(seed)`` for the params and both exponents,
+    makes no fallback pass at k = 5 or 20 over 100 seeds."""
+    passes = count_fallbacks(monkeypatch)
+    for seed in range(100):
+        rng = Random(seed)
+        run_exchange(setup(k, 1000, 200, CIRC, rng), rng)
+    assert passes == []
+
+
 @pytest.mark.parametrize("k", (3, 5))
 def test_wide_entry_exchange_matches_the_pass(k, monkeypatch):
     """Entries up to 10^30 put the packed walk's fields past 64 bits: the

@@ -1,5 +1,6 @@
 import json
 import sys
+from itertools import chain
 from random import Random
 
 import pytest
@@ -15,10 +16,18 @@ from tropkex import (
     matrix_to_json,
     random_matrix,
 )
-from tropkex.semidirect import _min_plus_by_packing
+from tropkex.protocol import setup
+from tropkex.semidirect import (
+    SemigroupOpKind,
+    _min_plus_by_packing,
+    op_circ,
+    op_star,
+    periodic_powers,
+    product_first,
+)
 from tropkex.tropical import _Packing
 
-from _oracles import naive_otimes, random_mat
+from _oracles import count_fallbacks, naive_otimes, random_mat
 
 
 @st.composite
@@ -193,16 +202,38 @@ def test_construction_validation():
         TropicalMatrix([["3"]])
 
 
-def test_immutability_and_value_semantics():
+def test_immutability_and_value_semantics(monkeypatch):
     m = TropicalMatrix([[1, 2], [3, 4]])
-    with pytest.raises(AttributeError):
-        m.k = 3
+    for name in ("k", "entries", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, 3)
     same = TropicalMatrix([[1, 2], [3, 4]])
     assert m == same
     assert hash(m) == hash(same)
     assert m != TropicalMatrix([[1, 2], [3, 5]])
     assert m != 17
     assert len({m, same}) == 1
+    # one layout, whichever code made the matrix: ``entries`` flat and
+    # row-major, ``rows`` a view of them
+    assert TropicalMatrix.__slots__ == ("k", "entries")
+    passes = count_fallbacks(monkeypatch)
+    params = setup(3, 1000, 40, SemigroupOpKind.CIRC, Random(7))
+    a, b, p = params.M, params.H, params.base_pair
+    served = periodic_powers(p, ((1 << 39) + 5,))[0]  # unpacked off the walk's layout
+    assert passes == []
+    circ, star = op_circ(p, p), op_star(p, p)
+    made = [
+        m, a.oplus(b), a.otimes(b), a.transpose(), circ.first, circ.second, star.first, star.second,
+        product_first(SemigroupOpKind.CIRC, a, p), product_first(SemigroupOpKind.STAR, a, p),
+        matrix_from_json(matrix_to_json(b)), random_matrix(4, 100, Random(1)),
+        served.first, served.second,
+    ]
+    for x in made:
+        assert type(x.entries) is tuple and len(x.entries) == x.k * x.k
+        assert all(type(e) is int for e in x.entries)
+        assert x.entries == tuple(chain.from_iterable(x.rows))
+        again = TropicalMatrix(x.rows)
+        assert again == x and hash(again) == hash(x)
 
 
 def test_random_matrix_contract():
