@@ -10,7 +10,6 @@ first components form a non-increasing chain under the min-plus order.
 from random import Random
 
 from tropkex import (
-    OpCounter,
     SemigroupOpKind,
     SemigroupPair,
     TropicalMatrix,
@@ -33,18 +32,25 @@ r = op_star(p, q)
 print("star: ([2],[5]) * ([1],[3]) =", (r.first.rows, r.second.rows))
 print()
 
-print("=== least-bit-first powering, with an operation counter ===")
+print("=== least-bit-first powering and its cost ===")
+
+
+def cost(e):
+    # applications for base^e: (bit_length(e) - 1) squarings, then
+    # (popcount(e) - 1) products of the squares at the set bits
+    return (e.bit_length() - 1) + (e.bit_count() - 1)
+
+
 base = SemigroupPair(TropicalMatrix([[10]]), TropicalMatrix([[-3]]))
-counter = OpCounter()
-p13 = power(SemigroupOpKind.CIRC, base, 13, counter)
-print("base^13 first component:", p13.first.rows, " using", counter.count, "applications")
-
+p13 = power(SemigroupOpKind.CIRC, base, 13)
+print("base^13 first component:", p13.first.rows, " using", cost(13), "applications")
 print("  13 = 0b1101: 3 squarings, then 2 products of the squares at the set bits")
+print("base^11 alone: 11 = 0b1011, another", cost(11), "applications")
 
-counter = OpCounter()
-again13, p11 = powers(SemigroupOpKind.CIRC, base, (13, 11), counter)
-print("base^13 and base^11 in one pass share the squarings:", counter.count,
-      "applications, not 5 + 5")
+again13, p11 = powers(SemigroupOpKind.CIRC, base, (13, 11))
+shared = cost(13) + (11).bit_count() - 1
+print("base^13 and base^11 in one pass share the 3 squarings:", shared,
+      "applications, not", cost(13), "+", cost(11))
 assert again13 == p13
 print()
 

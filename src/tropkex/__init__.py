@@ -12,7 +12,6 @@ from .tropical import (
     random_matrix,
 )
 from .semidirect import (
-    OpCounter,
     SemigroupOpKind,
     SemigroupPair,
     apply,

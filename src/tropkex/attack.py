@@ -18,8 +18,9 @@ so the attack does not care.
 
 Descending the stored squares, the whole recovery takes at most 2K pair
 applications (t to double, t to descend); a reference variant that
-powers every candidate from scratch stays within 2K^2 + K.  Both
-figures are enforced on the measured counters, not estimated.
+powers every candidate from scratch stays within 2K^2 + K.  Each phase
+counts the applications it makes, and the tests check those counts
+against the ones they take by wrapping the pair laws.
 
 The recovery is reliable over circ.  Over star with k >= 2 the squares
 and candidate products are bracketing-dependent (star is not
@@ -34,13 +35,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .protocol import ProtocolParams, Transcript, derive_shared_key
-from .semidirect import (
-    OpCounter,
-    SemigroupOpKind,
-    SemigroupPair,
-    apply,
-    power,
-)
+from .semidirect import SemigroupOpKind, SemigroupPair, apply, power
 from .tropical import ChainOrdering, TropicalMatrix, chain_compare, matrix_to_json
 
 
@@ -70,16 +65,15 @@ class AttackResult:
 
 
 def doubling_phase(
-    params: ProtocolParams,
-    target: TropicalMatrix,
-    counter: OpCounter | None = None,
+    params: ProtocolParams, target: TropicalMatrix
 ) -> tuple[SemigroupPair, ...]:
     """Square (M, H) until the chain reaches the target or goes below it.
 
     Returns the ladder of squares up to the least t with M_{2^t} <= target:
     ``squares[i]`` is (M, H)^(2^i), so ``squares[0]`` is the base and t is
-    ``len(squares) - 1``.  Honest targets satisfy t <= K because the
-    hidden exponent is below 2^K, so the phase costs at most K
+    ``len(squares) - 1``, which is also the number of applications made,
+    one per square past the base.  Honest targets satisfy t <= K because
+    the hidden exponent is below 2^K, so the phase costs at most K
     applications.  A target of the wrong size fails in ``chain_compare``
     at level 0, before any application.
 
@@ -100,7 +94,7 @@ def doubling_phase(
                     f"chain never descended to the target within 2^{K}; "
                     "the transcript is malformed or the bound is wrong"
                 )
-            square = apply(op, square, square, counter)
+            square = apply(op, square, square)
             if stationary_exit and square.first == squares[-1].first:
                 raise ExponentNotFoundError(
                     f"chain is constant from index 2^{level} on and still above "
@@ -121,9 +115,8 @@ def _bisect_chain(
     op: SemigroupOpKind,
     squares: tuple[SemigroupPair, ...],
     target: TropicalMatrix,
-    counter: OpCounter | None,
     cached: bool,
-) -> tuple[int, SemigroupPair]:
+) -> tuple[int, SemigroupPair, int]:
     """Find the least exponent whose first component equals the target.
 
     Precondition, established by ``doubling_phase``, with t the top level
@@ -140,17 +133,23 @@ def _bisect_chain(
     at most t in all.  Otherwise every candidate is powered from scratch
     (at most 2t^2 in all), which exists as the reference cost baseline
     and returns the same m'.  Returns m' with its pair, so callers get
-    (A, P_E) without re-running the powering.
+    (A, P_E) without re-running the powering, and the applications made:
+    one per candidate and one for the final product when cached, else
+    bit_length(e) + popcount(e) - 2 per exponent e powered (``power``'s
+    cost).
     """
     base, t = squares[0], len(squares) - 1
     e = 1 << t >> 1  # 2^(t-1), or 0 when t == 0
     acc = squares[t - 1] if t else None
+    applications = 0
     for i in range(t - 2, -1, -1):
         step = 1 << i
         if cached:
-            candidate = apply(op, acc, squares[i], counter)
+            candidate = apply(op, acc, squares[i])
+            applications += 1
         else:
-            candidate = power(op, base, e + step, counter)
+            candidate = power(op, base, e + step)
+            applications += _power_cost(e + step)
         relation = chain_compare(candidate.first, target)
         if relation is ChainOrdering.GREATER:
             acc, e = candidate, e + step
@@ -162,27 +161,33 @@ def _bisect_chain(
     if not t:
         pair = base
     elif cached:
-        pair = apply(op, acc, base, counter)
+        pair = apply(op, acc, base)
+        applications += 1
     else:
-        pair = power(op, base, m_prime, counter)
+        pair = power(op, base, m_prime)
+        applications += _power_cost(m_prime)
     if pair.first != target:
         raise ExponentNotFoundError(
             "no exponent up to the doubling bound has the target as first "
             "component; the target is not on this chain"
         )
-    return m_prime, pair
+    return m_prime, pair, applications
+
+
+def _power_cost(e: int) -> int:
+    # Applications ``power`` makes for base^e: see ``semidirect.powers``.
+    return e.bit_length() + e.bit_count() - 2
 
 
 def find_chain_exponent(
-    params: ProtocolParams,
-    target: TropicalMatrix,
-    counter: OpCounter | None = None,
-    cached: bool = True,
-) -> tuple[int, int, SemigroupPair]:
-    """Both attack phases in sequence: returns (m', t, (M, H)^{m'})."""
-    squares = doubling_phase(params, target, counter)
-    m_prime, pair = _bisect_chain(params.op, squares, target, counter, cached)
-    return m_prime, len(squares) - 1, pair
+    params: ProtocolParams, target: TropicalMatrix, cached: bool = True
+) -> tuple[int, int, SemigroupPair, int]:
+    """Both attack phases in sequence: returns (m', t, (M, H)^{m'}) and the
+    applications made, t to double plus the search's."""
+    squares = doubling_phase(params, target)
+    t = len(squares) - 1
+    m_prime, pair, searched = _bisect_chain(params.op, squares, target, cached)
+    return m_prime, t, pair, t + searched
 
 
 def recover_key_targeting(
@@ -203,12 +208,11 @@ def recover_key_targeting(
         searched, other = transcript.bob_message, transcript.alice_message
     else:
         raise ValueError(f"target must be 'alice' or 'bob', got {target!r}")
-    counter = OpCounter()
-    m_prime, t, eve_pair = find_chain_exponent(params, searched, counter, cached)
+    m_prime, t, eve_pair, applications = find_chain_exponent(params, searched, cached)
     return AttackResult(
         m_prime=m_prime,
         t=t,
-        op_count=counter.count,
+        op_count=applications,
         eve_pair=eve_pair,
         recovered_key=derive_shared_key(params, eve_pair, other),
     )

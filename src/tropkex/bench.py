@@ -82,6 +82,8 @@ class RunConfig:
             raise ValueError(f"k_list repeats a dimension: {self.k_list}")
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError("trials must be an integer >= 1")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an integer")
 
 
 def measure_alpha(a: TropicalMatrix) -> int:
@@ -108,7 +110,7 @@ def _run_trial(k: int, config: RunConfig, trial: int):
     gc.disable()
     try:
         start = time.perf_counter()
-        m_prime, _, eve_pair = find_chain_exponent(params, alice.public_message)
+        m_prime, _, eve_pair, _ = find_chain_exponent(params, alice.public_message)
         found = time.perf_counter()
         recovered = derive_shared_key(params, eve_pair, bob.public_message)
         done = time.perf_counter()

@@ -142,6 +142,8 @@ class Transcript:
     bob_message: TropicalMatrix
 
     def __post_init__(self):
+        if not isinstance(self.params, ProtocolParams):
+            raise TypeError(f"'params' must be a ProtocolParams, not {type(self.params).__name__}")
         _check_matrices(self, "alice_message", "bob_message")
         for name in ("alice_message", "bob_message"):
             if (n := getattr(self, name).k) != self.params.k:

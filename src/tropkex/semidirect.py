@@ -46,12 +46,13 @@ docstring has the schedule, the proof and the packed layout.  There is
 no identity pair (the semiring has no multiplicative identity matrix),
 so exponents start at 1.
 
-Every counted application goes through ``apply``, which picks the law and
-increments an optional ``OpCounter`` by exactly one.  The attack's cost
-guarantees are stated in these counts, so they are measured, never
-estimated.  ``product_first`` computes only the first component of a
-product, which is all a party needs to derive the shared key; under
-circ it multiplies on the packed kernel.
+``apply`` is one pair application under either law; it looks ``op_circ``
+and ``op_star`` up at call time, so a wrapper installed on either module
+attribute sees every application.  The attack's cost guarantees are
+stated in applications, which each phase counts where it makes them.
+``product_first`` computes only the first component of a product, which
+is all a party needs to derive the shared key; under circ it multiplies
+on the packed kernel.
 """
 
 from __future__ import annotations
@@ -100,18 +101,6 @@ class SemigroupPair:
     @property
     def k(self) -> int:
         return self.first.k
-
-
-class OpCounter:
-    """Mutable tally of pair-operation applications, owned by the caller."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def __repr__(self):
-        return f"OpCounter(count={self.count})"
 
 
 _new_pair_object = object.__new__
@@ -201,31 +190,19 @@ def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> T
     raise ValueError(f"unknown operation kind: {op!r}")
 
 
-def apply(
-    op: SemigroupOpKind,
-    p: SemigroupPair,
-    q: SemigroupPair,
-    counter: OpCounter | None = None,
-) -> SemigroupPair:
-    """One pair application under ``op``, bumping ``counter`` by one."""
+def apply(op: SemigroupOpKind, p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
+    """One pair application under ``op``."""
     # op_circ / op_star are looked up at call time, so a wrapper installed
     # on the module attribute sees every application.
     if op is _CIRC:
-        combine = op_circ
-    elif op is _STAR:
-        combine = op_star
-    else:
-        raise ValueError(f"unknown operation kind: {op!r}")
-    if counter is not None:
-        counter.count += 1
-    return combine(p, q)
+        return op_circ(p, q)
+    if op is _STAR:
+        return op_star(p, q)
+    raise ValueError(f"unknown operation kind: {op!r}")
 
 
 def powers(
-    op: SemigroupOpKind,
-    base: SemigroupPair,
-    exponents: Sequence[int],
-    counter: OpCounter | None = None,
+    op: SemigroupOpKind, base: SemigroupPair, exponents: Sequence[int]
 ) -> tuple[SemigroupPair, ...]:
     """base^e for every e in ``exponents``, in one least-bit-first pass.
 
@@ -247,23 +224,18 @@ def powers(
     square = base
     for i in range(max(exponents, default=0).bit_length()):
         if i:
-            square = apply(op, square, square, counter)
+            square = apply(op, square, square)
         for j, e in enumerate(exponents):
             if e >> i & 1:
                 acc = accs[j]
-                accs[j] = square if acc is None else apply(op, acc, square, counter)
+                accs[j] = square if acc is None else apply(op, acc, square)
     return tuple(accs)
 
 
-def power(
-    op: SemigroupOpKind,
-    base: SemigroupPair,
-    e: int,
-    counter: OpCounter | None = None,
-) -> SemigroupPair:
+def power(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     """base^e: ``powers`` with one exponent, so (bit_length(e) - 1) +
     (popcount(e) - 1) applications."""
-    return powers(op, base, (e,), counter)[0]
+    return powers(op, base, (e,))[0]
 
 
 def periodic_powers(

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive (triple loops, step-by-step folds,
 direct formula transcription) and shares no arithmetic code with the
-implementation under test; ``count_products`` only wraps the library's
+implementation under test.  The helpers compute on lists of rows and
+build one checked ``TropicalMatrix`` per matrix they return.
+``count_products`` and ``count_applications`` only wrap the library's
 kernels to count their calls.
 """
 
 from random import Random
 
-from tropkex import OpCounter, SemigroupOpKind, SemigroupPair, TropicalMatrix, semidirect
+from tropkex import SemigroupOpKind, SemigroupPair, TropicalMatrix, semidirect
 
 
 def random_mat(rng: Random, k: int, bound: int = 50) -> TropicalMatrix:
@@ -21,86 +23,90 @@ def random_pair(rng: Random, k: int, bound: int = 50) -> SemigroupPair:
     return SemigroupPair(random_mat(rng, k, bound), random_mat(rng, k, bound))
 
 
+# Matrices as lists of rows, pairs as (first, second) tuples of them.
+
+
+def _oplus(a: list, b: list) -> list:
+    return [[min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _otimes(a: list, b: list) -> list:
+    k = len(a)
+    return [[min(a[i][l] + b[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+
+
+def _transpose(a: list) -> list:
+    return [list(column) for column in zip(*a)]
+
+
+def _circ(p: tuple, q: tuple) -> tuple:
+    (m, g), (s, h) = p, q
+    first = _oplus(_oplus(m, s), _oplus(h, _otimes(m, h)))
+    second = _oplus(g, _oplus(h, _otimes(g, h)))
+    return first, second
+
+
+def _star(p: tuple, q: tuple) -> tuple:
+    (m, g), (s, h) = p, q
+    mt = _transpose(m)
+    return _oplus(_oplus(_otimes(h, mt), _otimes(mt, h)), s), _otimes(g, h)
+
+
+def _law(op: SemigroupOpKind):
+    return _circ if op is SemigroupOpKind.CIRC else _star
+
+
+def _unpair(p: SemigroupPair) -> tuple:
+    return p.first.rows, p.second.rows
+
+
+def _pair(p: tuple) -> SemigroupPair:
+    return SemigroupPair(TropicalMatrix(p[0]), TropicalMatrix(p[1]))
+
+
 def naive_oplus(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    return TropicalMatrix(
-        [[min(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-    )
+    return TropicalMatrix(_oplus(a.rows, b.rows))
 
 
 def naive_otimes(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
-    k, a_rows, b_rows = a.k, a.rows, b.rows  # ``rows`` builds a new view per read
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            best = None
-            for l in range(k):
-                value = a_rows[i][l] + b_rows[l][j]
-                if best is None or value < best:
-                    best = value
-            row.append(best)
-        rows.append(row)
-    return TropicalMatrix(rows)
-
-
-def naive_transpose(a: TropicalMatrix) -> TropicalMatrix:
-    rows = a.rows
-    return TropicalMatrix([[rows[j][i] for j in range(a.k)] for i in range(a.k)])
-
-
-def naive_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
-    m, g = p.first, p.second
-    s, h = q.first, q.second
-    first = naive_oplus(naive_oplus(m, s), naive_oplus(h, naive_otimes(m, h)))
-    second = naive_oplus(g, naive_oplus(h, naive_otimes(g, h)))
-    return SemigroupPair(first, second)
-
-
-def naive_star(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
-    m, g = p.first, p.second
-    s, h = q.first, q.second
-    mt = naive_transpose(m)
-    first = naive_oplus(
-        naive_oplus(naive_otimes(h, mt), naive_otimes(mt, h)), s
-    )
-    second = naive_otimes(g, h)
-    return SemigroupPair(first, second)
+    return TropicalMatrix(_otimes(a.rows, b.rows))
 
 
 def naive_apply(op: SemigroupOpKind, p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
-    if op is SemigroupOpKind.CIRC:
-        return naive_circ(p, q)
-    return naive_star(p, q)
+    return _pair(_law(op)(_unpair(p), _unpair(q)))
 
 
 def fold_right(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     """base combined e times, new factor on the right: ((b b) b) b ..."""
-    acc = base
+    combine, b = _law(op), _unpair(base)
+    acc = b
     for _ in range(e - 1):
-        acc = naive_apply(op, acc, base)
-    return acc
+        acc = combine(acc, b)
+    return _pair(acc)
 
 
 def fold_left(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     """base combined e times, new factor on the left: b (b (b b)) ..."""
-    acc = base
+    combine, b = _law(op), _unpair(base)
+    acc = b
     for _ in range(e - 1):
-        acc = naive_apply(op, base, acc)
-    return acc
+        acc = combine(b, acc)
+    return _pair(acc)
 
 
 def ladder_power(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     """base^e from the ladder of squares base^(2^i), combined in ascending
     bit order with the new factor on the right: the bracketing ``power``
     promises, which matters under star."""
-    squares = [base]
+    combine = _law(op)
+    squares = [_unpair(base)]
     while len(squares) < e.bit_length():
-        squares.append(naive_apply(op, squares[-1], squares[-1]))
+        squares.append(combine(squares[-1], squares[-1]))
     acc = None
     for i, square in enumerate(squares):
         if e >> i & 1:
-            acc = square if acc is None else naive_apply(op, acc, square)
-    return acc
+            acc = square if acc is None else combine(acc, square)
+    return _pair(acc)
 
 
 def chain_fold(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
@@ -115,35 +121,37 @@ def chain_fold(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPai
     return fold_left(op, base, e)
 
 
+def _identity_oplus(h: list) -> list:
+    return [[min(x, 0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(h)]
+
+
 def identity_oplus(h: TropicalMatrix) -> TropicalMatrix:
     """I oplus h, I the min-plus identity (0 on the diagonal, +inf off it):
     h with its diagonal clipped at 0."""
-    return TropicalMatrix(
-        [[min(x, 0) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(h.rows)]
-    )
+    return TropicalMatrix(_identity_oplus(h.rows))
 
 
-def _relative(w: TropicalMatrix) -> tuple:
+def _relative(w: list) -> tuple:
     # w written relative to its own (0, 0) entry: equal for scalar shifts of w
-    rows = w.rows
-    return tuple(tuple(x - rows[0][0] for x in row) for row in rows)
+    return tuple(tuple(x - w[0][0] for x in row) for row in w)
 
 
 def matrix_period(b: TropicalMatrix) -> tuple[int, int]:
     """(n, p) of the first repeat up to a scalar shift among b, b^2, ...
 
-    Multiplies by b with ``naive_otimes`` one step at a time, writes each
+    Multiplies by b with a naive product one step at a time, writes each
     power relative to its own (0, 0) entry, and stops at the first j whose
     power already occurred at some n; p = j - n.
     """
     first_index = {}
+    b = b.rows
     acc, j = b, 1
     while True:
         state = _relative(acc)
         if state in first_index:
             return first_index[state], j - first_index[state]
         first_index[state] = j
-        acc, j = naive_otimes(acc, b), j + 1
+        acc, j = _otimes(acc, b), j + 1
 
 
 def pass_products(exponents) -> int:
@@ -157,7 +165,7 @@ def periodic_cost(base: SemigroupPair, exponents) -> int:
     pass it falls back to.
 
     Replays the walk's schedule over the powers W_j of B = I oplus H with
-    ``naive_otimes``, one product per step.  From W_1 = B it squares while
+    a naive product, one product per step.  From W_1 = B it squares while
     j < 2k, and whenever the segment of powers made since the last
     squaring holds k + 1 with no two equal up to a scalar shift; otherwise
     it multiplies by B.  It stops at a repeat W_j = W_n + c inside a
@@ -178,7 +186,7 @@ def periodic_cost(base: SemigroupPair, exponents) -> int:
     needed = {e - 2 for e in exponents if e > 2}
     if not needed:
         return serving
-    b = identity_oplus(base.second)
+    b = _identity_oplus(base.second.rows)
     segment = {}  # the powers made since the last squaring, by index
     w, j, spent = b, 1, 0
     while True:
@@ -193,9 +201,9 @@ def periodic_cost(base: SemigroupPair, exponents) -> int:
         if spent + serving >= budget or (squaring and 2 * j > min(needed)):
             return spent + budget
         if squaring:
-            w, j, segment = naive_otimes(w, w), 2 * j, {}
+            w, j, segment = _otimes(w, w), 2 * j, {}
         else:
-            w, j = naive_otimes(w, b), j + 1
+            w, j = _otimes(w, b), j + 1
         spent += 1
 
 
@@ -211,7 +219,16 @@ def period_six_pair() -> SemigroupPair:
     return SemigroupPair(m, TropicalMatrix(h))
 
 
-def count_products(monkeypatch) -> OpCounter:
+class Tally:
+    """A count the wrappers below raise as the library runs."""
+
+    __slots__ = ("count",)
+
+    def __init__(self):
+        self.count = 0
+
+
+def count_products(monkeypatch) -> Tally:
     """Count k^3 products from here on, by wrapping the library's own
     entry points: two per pair application (``op_circ``, which calls the
     plain product kernel directly), one per packed product
@@ -219,7 +236,7 @@ def count_products(monkeypatch) -> OpCounter:
     over the powers of B, its serving step, P_2 and ``product_first``
     under circ call).  Nothing else on a circ path makes a product:
     ``TropicalMatrix.otimes`` serves only star."""
-    tally = OpCounter()
+    tally = Tally()
     op_circ, packed = semidirect.op_circ, semidirect._min_plus_packed
 
     def counted_circ(p, q):
@@ -232,6 +249,22 @@ def count_products(monkeypatch) -> OpCounter:
 
     monkeypatch.setattr(semidirect, "op_circ", counted_circ)
     monkeypatch.setattr(semidirect, "_min_plus_packed", counted_packed)
+    return tally
+
+
+def count_applications(monkeypatch) -> Tally:
+    """Count pair applications from here on, one per call of
+    ``semidirect.op_circ`` or ``semidirect.op_star``, which ``apply`` looks
+    up at call time."""
+    tally = Tally()
+    for name in ("op_circ", "op_star"):
+        law = getattr(semidirect, name)
+
+        def counted(p, q, law=law):
+            tally.count += 1
+            return law(p, q)
+
+        monkeypatch.setattr(semidirect, name, counted)
     return tally
 
 

@@ -8,7 +8,6 @@ from tropkex import (
     ChainViolationError,
     DimensionMismatchError,
     ExponentNotFoundError,
-    OpCounter,
     ProtocolParams,
     SemigroupOpKind,
     SemigroupPair,
@@ -26,7 +25,7 @@ from tropkex import (
 from tropkex.attack import _bisect_chain
 from tropkex.protocol import MAX_EXPONENT_BITS
 
-from _oracles import chain_fold, naive_apply
+from _oracles import chain_fold, count_applications, naive_apply
 
 CIRC = SemigroupOpKind.CIRC
 STAR = SemigroupOpKind.STAR
@@ -47,52 +46,53 @@ def params_1x1(m, h, K=8):
 
 
 def _bisect(squares, target):
-    m_prime, _ = _bisect_chain(CIRC, squares, target, None, True)
+    m_prime, _, _ = _bisect_chain(CIRC, squares, target, True)
     return m_prime
 
 
-def test_doubling_phase_examples():
+def test_doubling_phase_examples(monkeypatch):
     # chain firsts at powers of two: 10, -3, -9; stop once at or below -9
-    counter = OpCounter()
-    squares = doubling_phase(params_1x1(10, -3), m1(-9), counter)
-    assert counter.count == 2
+    applications = count_applications(monkeypatch)
+    squares = doubling_phase(params_1x1(10, -3), m1(-9))
+    assert applications.count == 2
     assert [s.first.rows[0][0] for s in squares] == [10, -3, -9]
     assert squares[0] == SemigroupPair(m1(10), m1(-3))
+    applications.count = 0
     assert all(squares[i + 1] == apply(CIRC, squares[i], squares[i]) for i in range(len(squares) - 1))
 
     # a plateau instance: chain is 5, 0, 0, ... so level 1 already matches
     assert len(doubling_phase(params_1x1(5, 0), m1(0))) == 2  # t == 1
 
     # the target equal to M itself stops immediately
-    counter = OpCounter()
-    squares = doubling_phase(params_1x1(10, -3), m1(10), counter)
-    assert counter.count == 0
+    applications.count = 0
+    squares = doubling_phase(params_1x1(10, -3), m1(10))
+    assert applications.count == 0
     assert squares == (SemigroupPair(m1(10), m1(-3)),)
 
 
-def test_doubling_phase_unreachable_target():
+def test_doubling_phase_unreachable_target(monkeypatch):
     # plateau chain 5, 0, 0, ... never descends to -10**9; the second
     # square equals the first, so doubling stops there
-    counter = OpCounter()
+    applications = count_applications(monkeypatch)
     with pytest.raises(ExponentNotFoundError):
-        doubling_phase(params_1x1(5, 0, K=6), m1(-(10**9)), counter)
-    assert counter.count == 2
+        doubling_phase(params_1x1(5, 0, K=6), m1(-(10**9)))
+    assert applications.count == 2
 
     # strictly descending chain 10, -3, -6, ...: never stationary, so
     # the budget is consumed, never exceeded
-    counter = OpCounter()
+    applications.count = 0
     with pytest.raises(ExponentNotFoundError):
-        doubling_phase(params_1x1(10, -3, K=6), m1(-(10**9)), counter)
-    assert counter.count == 6
+        doubling_phase(params_1x1(10, -3, K=6), m1(-(10**9)))
+    assert applications.count == 6
 
 
-def test_doubling_phase_stationary_chain_exits_early():
+def test_doubling_phase_stationary_chain_exits_early(monkeypatch):
     # chain 1, 0, 0, ...: without the stationary exit doubling would run
     # all MAX_EXPONENT_BITS levels before giving up
-    counter = OpCounter()
+    applications = count_applications(monkeypatch)
     with pytest.raises(ExponentNotFoundError):
-        doubling_phase(params_1x1(1, 0, K=MAX_EXPONENT_BITS), m1(-1), counter)
-    assert counter.count <= 3
+        doubling_phase(params_1x1(1, 0, K=MAX_EXPONENT_BITS), m1(-1))
+    assert applications.count <= 3
 
 
 def test_doubling_phase_incomparable_target():
@@ -103,12 +103,12 @@ def test_doubling_phase_incomparable_target():
         doubling_phase(params_of(m, h), off_chain)
 
 
-def test_doubling_phase_input_checks():
+def test_doubling_phase_input_checks(monkeypatch):
     # a wrong-size target is refused before any application
-    counter = OpCounter()
+    applications = count_applications(monkeypatch)
     with pytest.raises(DimensionMismatchError):
-        doubling_phase(params_1x1(0, 0, K=4), TropicalMatrix([[0, 0], [0, 0]]), counter)
-    assert counter.count == 0
+        doubling_phase(params_1x1(0, 0, K=4), TropicalMatrix([[0, 0], [0, 0]]))
+    assert applications.count == 0
 
 
 def test_binary_search_examples():
@@ -135,7 +135,8 @@ def _search_oracle_params():
 
 
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "reference"])
-def test_search_finds_least_matching_exponent(cached):
+def test_search_finds_least_matching_exponent(cached, monkeypatch):
+    applications = count_applications(monkeypatch)
     for params in _search_oracle_params():
         base = params.base_pair
         # chain_fold's recursion, one step per exponent
@@ -145,12 +146,13 @@ def test_search_finds_least_matching_exponent(cached):
             pair = naive_apply(CIRC, pair, base)
         assert chain[-1] == chain_fold(CIRC, base, len(chain)).first
         for target in set(chain):
-            counter = OpCounter()
-            m_prime, t, found = find_chain_exponent(params, target, counter, cached)
+            applications.count = 0
+            m_prime, t, found, reported = find_chain_exponent(params, target, cached)
             assert m_prime == chain.index(target) + 1
             assert found.first == target
+            assert reported == applications.count
             if cached:
-                assert counter.count <= 2 * t
+                assert applications.count <= 2 * t
 
 
 def test_binary_search_no_match():
@@ -161,7 +163,7 @@ def test_binary_search_no_match():
         _bisect(squares, m1(-7))
 
 
-def test_worst_case_at_the_exponent_cap():
+def test_worst_case_at_the_exponent_cap(monkeypatch):
     """The most a recovery can cost at K = MAX_EXPONENT_BITS.  On the 1x1
     chain 10, -3, -6, ..., X_m = -3(m - 1) for m >= 2, so X_(2^l) =
     -3(2^l - 1): a target just below X_(2^4095), off the chain, needs all
@@ -172,11 +174,12 @@ def test_worst_case_at_the_exponent_cap():
         -3 * 2**4096 - 10**6: MAX_EXPONENT_BITS,
     }
     params = params_1x1(10, -3, K=MAX_EXPONENT_BITS)
-    for target, applications in cases.items():
-        counter = OpCounter()
+    applications = count_applications(monkeypatch)
+    for target, expected in cases.items():
+        applications.count = 0
         with pytest.raises(ExponentNotFoundError):
-            find_chain_exponent(params, m1(target), counter)
-        assert counter.count == applications
+            find_chain_exponent(params, m1(target))
+        assert applications.count == expected
 
 
 def test_binary_search_incomparable_probe():
@@ -323,15 +326,17 @@ def test_star_attack_can_fail_off_chain_for_k_at_least_2():
         recover_key_targeting(transcript, "alice")
 
 
-def test_find_chain_exponent_counter_totals():
+def test_find_chain_exponent_counter_totals(monkeypatch):
     rng = Random(39)
     params = setup(3, 50, 16, CIRC, rng)
     transcript, _ = run_exchange(params, rng)
-    counter = OpCounter()
-    m_prime, t, pair = find_chain_exponent(params, transcript.alice_message, counter)
+    applications = count_applications(monkeypatch)
+    m_prime, t, pair, reported = find_chain_exponent(params, transcript.alice_message)
     assert pair.first == transcript.alice_message
+    assert reported == applications.count
+    applications.count = 0
     result = recover_key_targeting(transcript, "alice")
-    assert result.op_count == counter.count
+    assert result.op_count == applications.count == reported
     assert (result.m_prime, result.t) == (m_prime, t)
 
 

@@ -44,9 +44,10 @@ def test_run_config_validation():
         RunConfig(k_list=(5, MAX_K + 1))
     with pytest.raises(ValueError):
         RunConfig(k_list=(3, 3))
-    # every k and the trial count are ints, not floats or bools
+    # every k, the trial count and the seed are ints, not floats, bools or strings
     for bad in ({"k_list": (3, 2.5)}, {"k_list": (2, True)}, {"k_list": (2,), "trials": True},
-                {"k_list": (2,), "trials": 1.5}):
+                {"k_list": (2,), "trials": 1.5}, {"k_list": (2,), "seed": "x"},
+                {"k_list": (2,), "seed": True}, {"k_list": (2,), "seed": 1.5}):
         with pytest.raises(ValueError):
             RunConfig(**bad)
 

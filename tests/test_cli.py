@@ -31,7 +31,7 @@ from tropkex import (
     transcript_from_json,
     transcript_to_json,
 )
-from tropkex import cli, protocol
+from tropkex import attack, cli, protocol, semidirect
 from tropkex.cli import EXIT_ATTACK, EXIT_FORMAT, EXIT_IO, EXIT_OK, EXIT_USAGE, cli_main
 from tropkex.protocol import MAX_EXPONENT_BITS, MAX_K
 from tropkex.semidirect import product_first
@@ -104,6 +104,49 @@ def test_exchange_and_attack_pipeline(tmp_path):
     nc = json.loads(nc_res.read_text())
     assert matrix_from_json(nc["recovered_key"]) == alice_key
     assert nc["op_count"] <= 2 * 10**2 + 10
+
+
+def test_attack_counts_match_traced_op_circ_calls(tmp_path, monkeypatch):
+    """The counts ``attack`` writes are the op_circ calls each phase makes,
+    counted from outside the library: t those inside ``doubling_phase``,
+    op_count those inside ``find_chain_exponent``, for both targets, with
+    and without the square cache."""
+    calls = {"doubling_phase": 0, "find_chain_exponent": 0}
+    running = []  # the wrapped phases now on the stack
+
+    def spanned(fn):
+        def wrapper(*args, **kwargs):
+            running.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+
+        return wrapper
+
+    op_circ = semidirect.op_circ
+
+    def counted_circ(p, q):
+        for name in running:
+            calls[name] += 1
+        return op_circ(p, q)
+
+    monkeypatch.setattr(semidirect, "op_circ", counted_circ)
+    for name in calls:
+        monkeypatch.setattr(attack, name, spanned(getattr(attack, name)))
+    transcript_path, result_path = tmp_path / "tr.json", tmp_path / "res.json"
+    for k in range(2, 6):
+        rng = Random(k)
+        transcript, _ = run_exchange(setup(k, 100, 32, SemigroupOpKind.CIRC, rng), rng)
+        transcript_path.write_text(json.dumps(transcript_to_json(transcript)))
+        for target in ("alice", "bob"):
+            for flags in ((), ("--no-cache",)):
+                calls.update(dict.fromkeys(calls, 0))
+                argv = ("attack", "--transcript", str(transcript_path), "--target", target)
+                assert run_cli(*argv, *flags, "--out", str(result_path)) == EXIT_OK
+                written = json.loads(result_path.read_text())
+                assert written["t"] == calls["doubling_phase"] > 0
+                assert written["op_count"] == calls["find_chain_exponent"] > written["t"]
 
 
 def test_exchange_from_gen_params(tmp_path):

@@ -111,6 +111,11 @@ def test_records_refuse_fields_that_are_not_matrices():
     ):
         with pytest.raises(TypeError, match=f"^'{name}' must be a TropicalMatrix, not list$"):
             call()
+    # so are params that are not a ProtocolParams, before the messages' sizes are read
+    pair = SemigroupPair(zero, zero)
+    for bad in (None, "x", pair):
+        with pytest.raises(TypeError, match=f"^'params' must be a ProtocolParams, not {type(bad).__name__}$"):
+            Transcript(bad, zero, zero)
 
 
 def test_run_parties_k1_forces_exponent_one():
