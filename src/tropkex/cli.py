@@ -205,11 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="alice",
         help="whose public message to search for",
     )
-    p_at.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="reference variant: power every candidate from scratch",
-    )
 
     p_bench = sub.add_parser("bench", help="run the experiment grid")
     p_bench.add_argument(
@@ -255,9 +250,7 @@ def _cmd_exchange(args) -> int:
 
 def _cmd_attack(args) -> int:
     transcript = transcript_from_json(_load_json(args.transcript))
-    result = recover_key_targeting(
-        transcript, args.target, cached=not args.no_cache
-    )
+    result = recover_key_targeting(transcript, args.target)
     _emit((_json_text(attack_result_to_json(result)), args.out))
     return EXIT_OK
 

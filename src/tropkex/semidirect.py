@@ -65,7 +65,6 @@ from .tropical import (
     DimensionMismatchError,
     TropicalMatrix,
     _check_matrices,
-    _columns_of,
     _min_plus,
     _min_plus_packed,
     _Packing,
@@ -151,11 +150,10 @@ def _circ_first(product: Iterable[int], s: TropicalMatrix, h: TropicalMatrix) ->
 
 
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
-    # (H * M^T) + (M^T * H) + S: star's first component.  The columns of
-    # M^T are the rows of M, and its rows the columns of M.
-    k = m.k
-    left = _min_plus(_rows_of(h.entries, k), [*_rows_of(m.entries, k)])
-    right = _min_plus(_columns_of(m.entries, k), _columns_of(h.entries, k))
+    # (H * M^T) + (M^T * H) + S: star's first component, with M^T made once.
+    k, mt = m.k, m.transpose().entries
+    left = _min_plus(_rows_of(h.entries, k), mt, k)
+    right = _min_plus(_rows_of(mt, k), h.entries, k)
     return _wrap_flat(map(min, left, right, s.entries), k)
 
 
@@ -164,9 +162,9 @@ def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     if p.first.k != q.first.k:
         raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
     h, k = q.second, q.first.k
-    b_cols = _columns_of(_b_entries(h), k)
-    first = _wrap_flat(_circ_first(_min_plus(_rows_of(p.first.entries, k), b_cols), q.first, h), k)
-    second = _wrap_flat(map(min, _min_plus(_rows_of(p.second.entries, k), b_cols), h.entries), k)
+    b = _b_entries(h)
+    first = _wrap_flat(_circ_first(_min_plus(_rows_of(p.first.entries, k), b, k), q.first, h), k)
+    second = _wrap_flat(map(min, _min_plus(_rows_of(p.second.entries, k), b, k), h.entries), k)
     return _new_pair(first, second)
 
 

@@ -95,22 +95,20 @@ def test_exchange_and_attack_pipeline(tmp_path):
     ) == EXIT_OK
     assert matrix_from_json(json.loads(bob_res.read_text())["recovered_key"]) == alice_key
 
-    # the reference variant without the square cache agrees too
-    nc_res = tmp_path / "res_nc.json"
-    assert run_cli(
-        "attack", "--transcript", str(transcript_path), "--no-cache",
-        "--out", str(nc_res),
-    ) == EXIT_OK
-    nc = json.loads(nc_res.read_text())
-    assert matrix_from_json(nc["recovered_key"]) == alice_key
-    assert nc["op_count"] <= 2 * 10**2 + 10
+    # the reference variant without the square cache agrees too; it is the
+    # library's alone, as its cost grows with K^2
+    nc = attack.recover_key_targeting(transcript, "alice", cached=False)
+    assert nc.recovered_key == alice_key
+    assert nc.op_count <= 2 * 10**2 + 10
+    assert run_cli("attack", "--transcript", str(transcript_path), "--no-cache") == EXIT_USAGE
 
 
 def test_attack_counts_match_traced_op_circ_calls(tmp_path, monkeypatch):
     """The counts ``attack`` writes are the op_circ calls each phase makes,
     counted from outside the library: t those inside ``doubling_phase``,
-    op_count those inside ``find_chain_exponent``, for both targets, with
-    and without the square cache."""
+    op_count those inside ``find_chain_exponent``, for both targets; and
+    the same for the reference variant without the square cache, which
+    only the library offers."""
     calls = {"doubling_phase": 0, "find_chain_exponent": 0}
     running = []  # the wrapped phases now on the stack
 
@@ -140,13 +138,16 @@ def test_attack_counts_match_traced_op_circ_calls(tmp_path, monkeypatch):
         transcript, _ = run_exchange(setup(k, 100, 32, SemigroupOpKind.CIRC, rng), rng)
         transcript_path.write_text(json.dumps(transcript_to_json(transcript)))
         for target in ("alice", "bob"):
-            for flags in ((), ("--no-cache",)):
-                calls.update(dict.fromkeys(calls, 0))
-                argv = ("attack", "--transcript", str(transcript_path), "--target", target)
-                assert run_cli(*argv, *flags, "--out", str(result_path)) == EXIT_OK
-                written = json.loads(result_path.read_text())
-                assert written["t"] == calls["doubling_phase"] > 0
-                assert written["op_count"] == calls["find_chain_exponent"] > written["t"]
+            calls.update(dict.fromkeys(calls, 0))
+            argv = ("attack", "--transcript", str(transcript_path), "--target", target)
+            assert run_cli(*argv, "--out", str(result_path)) == EXIT_OK
+            written = json.loads(result_path.read_text())
+            assert written["t"] == calls["doubling_phase"] > 0
+            assert written["op_count"] == calls["find_chain_exponent"] > written["t"]
+            calls.update(dict.fromkeys(calls, 0))
+            reference = attack.recover_key_targeting(transcript, target, cached=False)
+            assert reference.t == calls["doubling_phase"] > 0
+            assert reference.op_count == calls["find_chain_exponent"] > reference.t
 
 
 def test_exchange_from_gen_params(tmp_path):

@@ -10,13 +10,15 @@ from tropkex import (
     ChainOrdering,
     DimensionMismatchError,
     FormatError,
+    SemigroupPair,
     TropicalMatrix,
     chain_compare,
     matrix_from_json,
     matrix_to_json,
     random_matrix,
 )
-from tropkex.protocol import setup
+from tropkex import tropical
+from tropkex.protocol import MAX_K, setup
 from tropkex.semidirect import (
     SemigroupOpKind,
     _min_plus_by_packing,
@@ -27,7 +29,7 @@ from tropkex.semidirect import (
 )
 from tropkex.tropical import _Packing
 
-from _oracles import count_fallbacks, naive_otimes, random_mat
+from _oracles import count_fallbacks, naive_apply, naive_otimes, random_mat
 
 
 @st.composite
@@ -138,6 +140,62 @@ def test_otimes_matches_naive_oracle():
         expected = naive_otimes(a, b)
         assert a.otimes(b) == expected
         assert _packed_otimes(a, b) == expected
+
+
+def _wide(rng, offset):
+    # offset plus a value of either sign: small, past 2^64, or near 4 000
+    # bits, so that sums cancel the offsets and the minimum turns on the rest
+    scale = rng.choice((50, 2**70, 2**3999))
+    return offset + rng.randint(-scale, scale)
+
+
+def _wide_matrix(rng, k, offset):
+    return TropicalMatrix([[_wide(rng, offset) for _ in range(k)] for _ in range(k)])
+
+
+def test_min_plus_matches_triple_loop_at_every_k():
+    """The plain kernel against the triple loop at every k up to MAX_K, on
+    entries of mixed sign and magnitude up to ~4 000 bits; at a few k also
+    ``otimes`` and both components of ``op_circ`` and ``op_star``."""
+    rng = Random(2601)
+    offset = 2**3990
+    for k in range(1, MAX_K + 1):
+        a, b = _wide_matrix(rng, k, offset), _wide_matrix(rng, k, -offset)
+        product = tropical._min_plus(zip(*[iter(a.entries)] * k), b.entries, k)
+        assert product == list(naive_otimes(a, b).entries), k
+    for k in (1, 2, 3, 7, 16):
+        a, b = _wide_matrix(rng, k, offset), _wide_matrix(rng, k, -offset)
+        assert a.otimes(b) == naive_otimes(a, b)
+        p, q = (SemigroupPair(_wide_matrix(rng, k, 0), _wide_matrix(rng, k, 0)) for _ in range(2))
+        for op, law in ((SemigroupOpKind.CIRC, op_circ), (SemigroupOpKind.STAR, op_star)):
+            assert law(p, q) == naive_apply(op, p, q), (op, k)  # both components
+
+
+def test_min_plus_kernel_is_built_once_per_k(monkeypatch):
+    """One kernel per k, kept for every later product; a k that is not an
+    int of at least 1 is refused before any source text is made, even
+    where it equals a k whose kernel is already built (True, 2.0)."""
+    built = []
+    source = tropical._kernel_source
+    monkeypatch.setattr(tropical, "_kernel_source", lambda k: built.append(k) or source(k))
+    tropical._kernel.cache_clear()
+    kernel = tropical._kernel(3)
+    assert tropical._kernel(3) is kernel
+    a = TropicalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert a.otimes(a) == a.otimes(a) == naive_otimes(a, a)
+    assert built == [3]
+    for k in (1, 2):  # built, so True and 2.0 each meet an equal key
+        tropical._kernel(k)
+    built.clear()
+    for bad, error in (
+        (True, TypeError), (False, TypeError), (2.0, TypeError), ("3", TypeError),
+        (None, TypeError), (0, ValueError), (-4, ValueError),
+    ):
+        with pytest.raises(error):
+            tropical._kernel(bad)
+        with pytest.raises(error):
+            tropical._min_plus([], [], bad)
+    assert built == []
 
 
 def test_transpose():
