@@ -11,6 +11,11 @@ X oplus (X otimes H), circ is the paper's
 (M oplus S oplus H oplus (M otimes H), G oplus H oplus (G otimes H)).
 For both laws the first component of a product never depends on G, which
 is what lets the key-exchange parties publish first components only.
+On the plain kernel each component is one call of ``tropical._min_plus``
+with the law's oplus terms as its floors, so no entrywise pass follows
+the products: circ's first component is M * B with floors S and H, its
+second G * B with floor H, and star's first is H * M^T with floor S,
+then M^T * H with that product as its floor.
 
 circ is an honest semigroup operation: its first component applies the
 map X -> (X * B) + H to M and adds S, and that family of maps is closed
@@ -59,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .tropical import (
     DimensionMismatchError,
@@ -68,7 +73,6 @@ from .tropical import (
     _min_plus,
     _min_plus_packed,
     _Packing,
-    _rows_of,
     _wrap_flat,
 )
 
@@ -144,27 +148,25 @@ def _min_plus_by_packing(a: Sequence[int], b: Sequence[int], k: int) -> list[int
     return [f + least for f in packing.fields(_min_plus_packed(x, tiles, packing))]
 
 
-def _circ_first(product: Iterable[int], s: TropicalMatrix, h: TropicalMatrix) -> Iterator[int]:
-    # (X * B) + S + H, given X * B flat: circ's first component, flat.
-    return map(min, product, s.entries, h.entries)
-
-
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
-    # (H * M^T) + (M^T * H) + S: star's first component, with M^T made once.
+    # (H * M^T) + (M^T * H) + S: star's first component, with M^T made once
+    # and each product one kernel call, the first with S as its floor and
+    # the second with the first's result as its floor.
     k, mt = m.k, m.transpose().entries
-    left = _min_plus(_rows_of(h.entries, k), mt, k)
-    right = _min_plus(_rows_of(mt, k), h.entries, k)
-    return _wrap_flat(map(min, left, right, s.entries), k)
+    left = _min_plus(h.entries, mt, k, s.entries)
+    return _wrap_flat(_min_plus(mt, h.entries, k, left), k)
 
 
 def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     """First law, circ: see the module docstring."""
     if p.first.k != q.first.k:
         raise DimensionMismatchError(f"pair dimension mismatch: {p.k} vs {q.k}")
+    # One kernel call per component, the law's oplus terms as its floors:
+    # (M * B) + S + H and (G * B) + H.
     h, k = q.second, q.first.k
     b = _b_entries(h)
-    first = _wrap_flat(_circ_first(_min_plus(_rows_of(p.first.entries, k), b, k), q.first, h), k)
-    second = _wrap_flat(map(min, _min_plus(_rows_of(p.second.entries, k), b, k), h.entries), k)
+    first = _wrap_flat(_min_plus(p.first.entries, b, k, q.first.entries, h.entries), k)
+    second = _wrap_flat(_min_plus(p.second.entries, b, k, h.entries), k)
     return _new_pair(first, second)
 
 
@@ -182,7 +184,8 @@ def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> T
     if op is _CIRC:
         h = q.second
         product = _min_plus_by_packing(m.entries, _b_entries(h), h.k)
-        return _wrap_flat(_circ_first(product, q.first, h), h.k)
+        # (M * B) + S + H: the packed kernel takes no floors
+        return _wrap_flat(map(min, product, q.first.entries, h.entries), h.k)
     if op is _STAR:
         return _star_first(m, q.first, q.second)
     raise ValueError(f"unknown operation kind: {op!r}")

@@ -8,15 +8,19 @@ of (+, *).  Entries are plain Python ints, so values hundreds of bits wide
 point is deliberately never used: the attack relies on exact order
 comparisons, and a rounded entry could fake or hide an order relation.
 
-The plain product kernel is generated as Python source, once per k, and
-kept: it unpacks the right factor into k^2 local names and writes each
-entry out as one ``min`` call over its k sums.  A generic loop spends an
-interpreted call or iterator step per entry on top of those k adds,
-which at small k costs as much as the adds themselves; unrolled, only
-the adds and the ``min`` remain, on the same plain ints, so the results
-are those of the triple loop at any entry size.  Generating a kernel
-costs about 0.3 ms at k = 5, 0.8 ms at k = 10 and 6 ms at k = 30 (Python
-3.11 on a 2-vCPU VM), once per k in a process.
+The plain product kernel is generated as Python source, once per k and
+number of "floors", and kept: it unpacks the right factor into k^2 local
+names and writes each entry out as one ``min`` call over its k sums and
+the same entry of each floor.  The floors are a pair law's oplus terms,
+so each component of a law is one kernel call with no entrywise pass
+after it.  A generic loop spends an interpreted call or iterator step
+per entry on top of those k adds, which at small k costs as much as the
+adds themselves; unrolled, only the adds and the ``min`` remain, on the
+same plain ints, so the results are those of the triple loop at any
+entry size.  Generating a kernel costs about 0.2 ms at k = 5, 0.5 ms at
+k = 10 and 4-8 ms at k = 30, with or without floors (Python 3.11 on a
+2-vCPU VM), and a process builds at most three per k: one for each
+number of floors the laws use, 0, 1 or 2.
 Besides it there is a packed kernel for matrices of bounded span, each
 held as one int of fixed-width fields: exact integer arithmetic too,
 under the width condition its docstring proves.
@@ -121,7 +125,7 @@ class TropicalMatrix:
         """Min-plus matrix product: result[i][j] = min over l of a[i][l] + b[l][j]."""
         self._check_dim(other)
         k = self.k
-        return _wrap_flat(_min_plus(_rows_of(self.entries, k), other.entries, k), k)
+        return _wrap_flat(_min_plus(self.entries, other.entries, k), k)
 
     def transpose(self) -> "TropicalMatrix":
         return _wrap_flat(_flatten(zip(*_rows_of(self.entries, self.k))), self.k)
@@ -165,58 +169,84 @@ def _rows_of(entries: Sequence[int], k: int) -> Iterator[tuple[int, ...]]:
     return zip(*[iter(entries)] * k)
 
 
-def _min_plus(rows: Iterable[Sequence[int]], b: Sequence[int], k: int) -> list[int]:
-    # The package's one plain k^3 min-plus product: entry (i, j) is the
-    # minimum of rows[i][l] + b[l k + j] over l, for k rows of k ints and
-    # the right factor b flat and row-major.  The result is flat and
-    # row-major like a matrix's ``entries``, so callers fold further
-    # entrywise minima into one pass.  ``rows`` is read once.  It runs the
-    # kernel generated for k, unrolled so that no interpreted call or
-    # iterator step is spent per entry besides its adds and one ``min``;
-    # the first product at each k pays for generating it, once.
-    return _kernel(k)(rows, b)
+def _min_plus(a: Sequence[int], b: Sequence[int], k: int, *floors: Sequence[int]) -> list[int]:
+    # The package's one plain k^3 min-plus product, with the law's oplus
+    # terms folded in: entry (i, j) is the minimum of a[i k + l] + b[l k + j]
+    # over l and of floor[i k + j] for each floor.  a, b, every floor and
+    # the result are k*k ints, flat and row-major like a matrix's
+    # ``entries``, and a and the floors are each read once.  It runs the
+    # kernel generated for k and the number of floors, unrolled within a
+    # row so that no interpreted call or iterator step is spent per entry
+    # besides its adds and one ``min``; the first product at each (k,
+    # floors) pays for generating it, once (see the module docstring).
+    # The floor count is the law's own arity: ``otimes`` passes none,
+    # circ's components two and one, star's products one each.
+    return _kernel(k, len(floors))(a, b, *floors)
 
 
 # typed: True and 2.0 hash and compare equal to the ints 1 and 2, and only
 # a typed cache promises to key them apart, so that each meets the check.
 @lru_cache(maxsize=None, typed=True)
-def _kernel(k: int) -> Callable[[Iterable[Sequence[int]], Sequence[int]], list[int]]:
-    # The min-plus product for one k, generated once and kept: see
-    # ``_kernel_source``.  k is checked before any source text is made.
+def _kernel(k: int, floors: int) -> Callable[..., list[int]]:
+    # The min-plus product for one k and number of floors, generated once
+    # and kept: see ``_kernel_source``.  k is checked before any source
+    # text is made.
     if type(k) is not int:
         raise TypeError(f"k must be int, not {type(k).__name__}")
     if k < 1:
         raise ValueError("k must be >= 1")
     namespace: dict = {}
-    exec(compile(_kernel_source(k), f"<min-plus kernel k={k}>", "exec"), namespace)
-    return namespace[f"min_plus_{k}"]
+    name = f"min_plus_{k}_{floors}"
+    exec(compile(_kernel_source(k, floors), f"<min-plus kernel {name}>", "exec"), namespace)
+    return namespace[name]
 
 
-def _kernel_source(k: int) -> str:
-    # The text of the product for one k.  For k = 2:
+def _kernel_source(k: int, floors: int) -> str:
+    # The text of the product for one k and number of floors.  One zip
+    # cuts each row of a together with the same row of every floor, as
+    # one flat tuple.  For k = 2 and no floors:
     #
-    #     def min_plus_2(rows, b):
+    #     def min_plus_2_0(a, b):
     #         b0, b1, b2, b3, = b
+    #         a = iter(a)
     #         out = []
     #         extend = out.extend
-    #         for a0, a1, in rows:
+    #         for a0, a1, in zip(a, a):
     #             extend((min(a0 + b0, a1 + b2), min(a0 + b1, a1 + b3),))
     #         return out
     #
-    # At k = 1 an entry is the bare sum: min of one argument is an error.
+    # and for k = 2 and two floors:
+    #
+    #     def min_plus_2_2(a, b, f0, f1):
+    #         b0, b1, b2, b3, = b
+    #         a, f0, f1 = iter(a), iter(f0), iter(f1)
+    #         out = []
+    #         extend = out.extend
+    #         for a0, a1, f0_0, f0_1, f1_0, f1_1, in zip(a, a, f0, f0, f1, f1):
+    #             extend((min(a0 + b0, a1 + b2, f0_0, f1_0), min(a0 + b1, a1 + b3, f0_1, f1_1),))
+    #         return out
+    #
+    # At k = 1 with no floors an entry is the bare sum: min of one
+    # argument is an error.
+    floor_names = [f"f{n}" for n in range(floors)]
+    cut = ["a", *floor_names]  # read k at a time by one zip
+
     def entry(j: int) -> str:
-        sums = ", ".join(f"a{l} + b{l * k + j}" for l in range(k))
-        return f"min({sums})" if k > 1 else sums
+        terms = [*(f"a{l} + b{l * k + j}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors))]
+        return f"min({', '.join(terms)})" if len(terms) > 1 else terms[0]
 
     names = ", ".join(f"b{i}" for i in range(k * k))
-    row = ", ".join(f"a{l}" for l in range(k))
+    row = ", ".join(
+        [*(f"a{l}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors) for j in range(k))]
+    )
     entries = ", ".join(map(entry, range(k)))
     return (
-        f"def min_plus_{k}(rows, b):\n"
+        f"def min_plus_{k}_{floors}({', '.join(['a', 'b', *floor_names])}):\n"
         f"    {names}, = b\n"
+        f"    {', '.join(cut)} = {', '.join(f'iter({s})' for s in cut)}\n"
         f"    out = []\n"
         f"    extend = out.extend\n"
-        f"    for {row}, in rows:\n"
+        f"    for {row}, in zip({', '.join(s for s in cut for _ in range(k))}):\n"
         f"        extend(({entries},))\n"
         f"    return out\n"
     )

@@ -1,6 +1,8 @@
+import inspect
 import json
 import sys
 from itertools import chain
+from operator import ne
 from random import Random
 
 import pytest
@@ -153,16 +155,37 @@ def _wide_matrix(rng, k, offset):
     return TropicalMatrix([[_wide(rng, offset) for _ in range(k)] for _ in range(k)])
 
 
+def _floors_around(rng, expected, count):
+    # count floors for a product whose true entries are ``expected``: each
+    # floor entry lies above, on or below its entry, by up to ~4 000 bits,
+    # so that some floors win over the sums, some tie and some lose
+    def around(e):
+        return e + rng.choice((-1, 0, 1)) * rng.randint(1, 2 ** rng.choice((6, 70, 3999)))
+
+    return [[around(e) for e in expected] for _ in range(count)]
+
+
 def test_min_plus_matches_triple_loop_at_every_k():
-    """The plain kernel against the triple loop at every k up to MAX_K, on
-    entries of mixed sign and magnitude up to ~4 000 bits; at a few k also
-    ``otimes`` and both components of ``op_circ`` and ``op_star``."""
+    """The plain kernel against the triple loop at every k up to MAX_K,
+    with no floor, one and two, on entries of mixed sign and magnitude up
+    to ~4 000 bits; at a few k also ``otimes`` and both components of
+    ``op_circ`` and ``op_star``."""
     rng = Random(2601)
     offset = 2**3990
+    wins = {1: 0, 2: 0}  # entries a floor sets, by number of floors
+    losses = {1: 0, 2: 0}  # entries a sum sets below every floor
     for k in range(1, MAX_K + 1):
-        a, b = _wide_matrix(rng, k, offset), _wide_matrix(rng, k, -offset)
-        product = tropical._min_plus(zip(*[iter(a.entries)] * k), b.entries, k)
-        assert product == list(naive_otimes(a, b).entries), k
+        for count in (0, 1, 2):
+            a, b = _wide_matrix(rng, k, offset), _wide_matrix(rng, k, -offset)
+            sums = naive_otimes(a, b).entries
+            floors = _floors_around(rng, sums, count)
+            expected = [min((e, *column)) for e, *column in zip(sums, *floors)]
+            product = tropical._min_plus(a.entries, b.entries, k, *floors)
+            assert product == expected, (k, count)
+            if count:
+                wins[count] += sum(map(ne, expected, sums))
+                losses[count] += sum(e < min(column) for e, *column in zip(sums, *floors))
+    assert all(wins.values()) and all(losses.values()), (wins, losses)
     for k in (1, 2, 3, 7, 16):
         a, b = _wide_matrix(rng, k, offset), _wide_matrix(rng, k, -offset)
         assert a.otimes(b) == naive_otimes(a, b)
@@ -172,30 +195,53 @@ def test_min_plus_matches_triple_loop_at_every_k():
 
 
 def test_min_plus_kernel_is_built_once_per_k(monkeypatch):
-    """One kernel per k, kept for every later product; a k that is not an
-    int of at least 1 is refused before any source text is made, even
-    where it equals a k whose kernel is already built (True, 2.0)."""
+    """One kernel per (k, number of floors), kept for every later product;
+    a k that is not an int of at least 1 is refused before any source text
+    is made, even where it equals a k whose kernel is already built (True,
+    2.0)."""
     built = []
     source = tropical._kernel_source
-    monkeypatch.setattr(tropical, "_kernel_source", lambda k: built.append(k) or source(k))
+    monkeypatch.setattr(
+        tropical, "_kernel_source", lambda k, floors: built.append((k, floors)) or source(k, floors)
+    )
     tropical._kernel.cache_clear()
-    kernel = tropical._kernel(3)
-    assert tropical._kernel(3) is kernel
+    kernel = tropical._kernel(3, 0)
+    assert tropical._kernel(3, 0) is kernel
+    assert tropical._kernel(3, 2) is not kernel
     a = TropicalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert a.otimes(a) == a.otimes(a) == naive_otimes(a, a)
-    assert built == [3]
+    p = SemigroupPair(a, a.transpose())
+    for op, law in ((SemigroupOpKind.CIRC, op_circ), (SemigroupOpKind.STAR, op_star)):
+        assert law(p, p) == law(p, p) == naive_apply(op, p, p)
+    assert built == [(3, 0), (3, 2), (3, 1)]
     for k in (1, 2):  # built, so True and 2.0 each meet an equal key
-        tropical._kernel(k)
+        for floors in (0, 2):
+            tropical._kernel(k, floors)
     built.clear()
     for bad, error in (
         (True, TypeError), (False, TypeError), (2.0, TypeError), ("3", TypeError),
         (None, TypeError), (0, ValueError), (-4, ValueError),
     ):
-        with pytest.raises(error):
-            tropical._kernel(bad)
-        with pytest.raises(error):
-            tropical._min_plus([], [], bad)
+        for floors in (0, 2):
+            with pytest.raises(error):
+                tropical._kernel(bad, floors)
+            with pytest.raises(error):
+                tropical._min_plus([], [], bad, *[[]] * floors)
     assert built == []
+
+
+def test_kernel_source_comment_is_what_the_generator_emits():
+    """The two examples in ``_kernel_source``'s comment are its own text
+    at k = 2, with no floors and with two floors."""
+    blocks, block = [], []
+    for line in inspect.getsource(tropical._kernel_source).splitlines():
+        text = line.strip()
+        if text.startswith("#     "):
+            block.append(text[6:])
+        elif block:
+            blocks.append("\n".join(block) + "\n")
+            block = []
+    assert blocks == [tropical._kernel_source(2, 0), tropical._kernel_source(2, 2)]
 
 
 def test_transpose():
