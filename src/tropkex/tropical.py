@@ -10,17 +10,21 @@ comparisons, and a rounded entry could fake or hide an order relation.
 
 The plain product kernel is generated as Python source, once per k and
 number of "floors", and kept: it unpacks the right factor into k^2 local
-names and writes each entry out as one ``min`` call over its k sums and
-the same entry of each floor.  The floors are a pair law's oplus terms,
-so each component of a law is one kernel call with no entrywise pass
-after it.  A generic loop spends an interpreted call or iterator step
-per entry on top of those k adds, which at small k costs as much as the
-adds themselves; unrolled, only the adds and the ``min`` remain, on the
-same plain ints, so the results are those of the triple loop at any
-entry size.  Generating a kernel costs about 0.2 ms at k = 5, 0.5 ms at
-k = 10 and 4-8 ms at k = 30, with or without floors (Python 3.11 on a
-2-vCPU VM), and a process builds at most three per k: one for each
-number of floors the laws use, 0, 1 or 2.
+names and writes each entry out as a running minimum, its first sum and
+then one inline compare for each later sum and for the same entry of
+each floor.  The floors are a pair law's oplus terms, so each component
+of a law is one kernel call with no entrywise pass after it.  A generic
+loop spends an interpreted call or iterator step per entry on top of
+those k adds, which at small k costs as much as the adds themselves,
+and ending each entry with one ``min`` call made ``otimes`` take 1.3-1.4
+times as long at k = 5 and 10; unrolled into compares, only the adds
+and the compares remain, the same ones ``min`` makes on the same plain
+ints, so the results are those of the triple loop at any entry size.
+Generating a kernel costs about 0.3-0.4 ms at k = 5, 1.0-1.2 ms at
+k = 10 and 9 ms at k = 30, and its compile peaks at 0.2, 0.6-0.8 and
+5.4-5.9 MB (0, 1 or 2 floors; Python 3.11 on a 2-vCPU VM).  A process
+builds at most three per k: one for each number of floors the laws use,
+0, 1 or 2.
 Besides it there is a packed kernel for matrices of bounded span, each
 held as one int of fixed-width fields: exact integer arithmetic too,
 under the width condition its docstring proves.
@@ -177,8 +181,8 @@ def _min_plus(a: Sequence[int], b: Sequence[int], k: int, *floors: Sequence[int]
     # ``entries``, and a and the floors are each read once.  It runs the
     # kernel generated for k and the number of floors, unrolled within a
     # row so that no interpreted call or iterator step is spent per entry
-    # besides its adds and one ``min``; the first product at each (k,
-    # floors) pays for generating it, once (see the module docstring).
+    # besides its adds and compares; the first product at each (k, floors)
+    # pays for generating it, once (see the module docstring).
     # The floor count is the law's own arity: ``otimes`` passes none,
     # circ's components two and one, star's products one each.
     return _kernel(k, len(floors))(a, b, *floors)
@@ -204,15 +208,22 @@ def _kernel(k: int, floors: int) -> Callable[..., list[int]]:
 def _kernel_source(k: int, floors: int) -> str:
     # The text of the product for one k and number of floors.  One zip
     # cuts each row of a together with the same row of every floor, as
-    # one flat tuple.  For k = 2 and no floors:
+    # one flat tuple, and each entry is a running minimum: its first sum,
+    # then one compare per later sum and per floor.  For k = 2 and no
+    # floors:
     #
     #     def min_plus_2_0(a, b):
     #         b0, b1, b2, b3, = b
     #         a = iter(a)
     #         out = []
-    #         extend = out.extend
+    #         append = out.append
     #         for a0, a1, in zip(a, a):
-    #             extend((min(a0 + b0, a1 + b2), min(a0 + b1, a1 + b3),))
+    #             m = a0 + b0
+    #             if (x := a1 + b2) < m: m = x
+    #             append(m)
+    #             m = a0 + b1
+    #             if (x := a1 + b3) < m: m = x
+    #             append(m)
     #         return out
     #
     # and for k = 2 and two floors:
@@ -221,33 +232,41 @@ def _kernel_source(k: int, floors: int) -> str:
     #         b0, b1, b2, b3, = b
     #         a, f0, f1 = iter(a), iter(f0), iter(f1)
     #         out = []
-    #         extend = out.extend
+    #         append = out.append
     #         for a0, a1, f0_0, f0_1, f1_0, f1_1, in zip(a, a, f0, f0, f1, f1):
-    #             extend((min(a0 + b0, a1 + b2, f0_0, f1_0), min(a0 + b1, a1 + b3, f0_1, f1_1),))
+    #             m = a0 + b0
+    #             if (x := a1 + b2) < m: m = x
+    #             if (x := f0_0) < m: m = x
+    #             if (x := f1_0) < m: m = x
+    #             append(m)
+    #             m = a0 + b1
+    #             if (x := a1 + b3) < m: m = x
+    #             if (x := f0_1) < m: m = x
+    #             if (x := f1_1) < m: m = x
+    #             append(m)
     #         return out
-    #
-    # At k = 1 with no floors an entry is the bare sum: min of one
-    # argument is an error.
     floor_names = [f"f{n}" for n in range(floors)]
     cut = ["a", *floor_names]  # read k at a time by one zip
 
-    def entry(j: int) -> str:
-        terms = [*(f"a{l} + b{l * k + j}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors))]
-        return f"min({', '.join(terms)})" if len(terms) > 1 else terms[0]
+    def entry(j: int) -> list[str]:
+        first, *rest = (
+            *(f"a{l} + b{l * k + j}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors))
+        )
+        return [f"m = {first}", *(f"if (x := {term}) < m: m = x" for term in rest), "append(m)"]
 
     names = ", ".join(f"b{i}" for i in range(k * k))
     row = ", ".join(
         [*(f"a{l}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors) for j in range(k))]
     )
-    entries = ", ".join(map(entry, range(k)))
+    body = "".join(f"        {line}\n" for j in range(k) for line in entry(j))
     return (
         f"def min_plus_{k}_{floors}({', '.join(['a', 'b', *floor_names])}):\n"
         f"    {names}, = b\n"
         f"    {', '.join(cut)} = {', '.join(f'iter({s})' for s in cut)}\n"
         f"    out = []\n"
-        f"    extend = out.extend\n"
+        f"    append = out.append\n"
         f"    for {row}, in zip({', '.join(s for s in cut for _ in range(k))}):\n"
-        f"        extend(({entries},))\n"
+        f"{body}"
         f"    return out\n"
     )
 

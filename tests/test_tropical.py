@@ -194,6 +194,35 @@ def test_min_plus_matches_triple_loop_at_every_k():
             assert law(p, q) == naive_apply(op, p, q), (op, k)  # both components
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10])
+def test_min_plus_each_term_wins_in_turn(k):
+    """Each term of every entry, each sum l and each floor, is made the
+    entry's unique minimum in turn, with the winning values distinct
+    along every row and column: so a compare dropped from the kernel, or
+    one that reads the wrong a, b or floor name, gives a wrong entry,
+    which random operands need not show."""
+    rng = Random(2800 + k)
+    big = 10**9  # every losing term lies at least this far above the winner
+
+    def distinct():
+        return rng.sample(range(-1000, 1000), k * k)
+
+    for count in (0, 1, 2):
+        for winner in range(k + count):
+            a, b, floors = [big + e for e in distinct()], distinct(), []
+            if winner < k:  # sum l = winner: a's column l drops below every other
+                a[winner::k] = distinct()[:k]
+            for n in range(count):
+                floors.append(distinct() if winner == k + n else [3 * big + e for e in distinct()])
+            sums = naive_otimes(*(TropicalMatrix(zip(*[iter(m)] * k)) for m in (a, b))).entries
+            expected = [min((e, *column)) for e, *column in zip(sums, *floors)]
+            for index, e in enumerate(expected):  # the term meant to win is the one that does
+                i, j = divmod(index, k)
+                terms = [a[i * k + l] + b[l * k + j] for l in range(k)] + [f[index] for f in floors]
+                assert terms.count(e) == 1 and terms.index(e) == winner
+            assert tropical._min_plus(a, b, k, *floors) == expected, (k, count, winner)
+
+
 def test_min_plus_kernel_is_built_once_per_k(monkeypatch):
     """One kernel per (k, number of floors), kept for every later product;
     a k that is not an int of at least 1 is refused before any source text
