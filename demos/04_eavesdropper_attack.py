@@ -7,9 +7,12 @@ descending the stored squares one bit at a time (binary lifting), which
 finds the least index whose chain element equals the intercepted matrix.
 Any such index works, even when the chain plateaus and it differs from
 the true exponent.  The whole recovery stays within 2K pair operations.
+Between the two phases an exact column-space test refuses most
+off-chain targets, such as a tampered message, after the doubling alone.
 """
 
 import time
+from dataclasses import replace
 from random import Random
 
 from tropkex import SemigroupOpKind, recover_key_targeting, run_exchange, setup
@@ -48,6 +51,30 @@ result = recover_key_targeting(transcript, "alice")
 print(f"true m = 7, recovered m' = {result.m_prime}, "
       f"recovered key {result.recovered_key.rows} == shared key {key.rows}")
 assert result.recovered_key == key
+print()
+
+print("=== a tampered message is refused after the doubling ===")
+from tropkex import ChainViolationError, semidirect
+
+rng = Random(1002)
+params = setup(k=5, N=1000, K=200, op=SemigroupOpKind.CIRC, rng=rng)
+transcript, _ = run_exchange(params, rng)
+entries = [list(row) for row in transcript.alice_message.rows]
+entries[0][0] += 1  # one entry moved by 1: off the chain
+tampered = replace(transcript, alice_message=TropicalMatrix(entries))
+
+calls = []  # pair operations, counted from outside
+op_circ = semidirect.op_circ
+semidirect.op_circ = lambda p, q: calls.append(1) or op_circ(p, q)
+try:
+    recover_key_targeting(tampered, "alice")
+except ChainViolationError as error:
+    print(f"refused after {len(calls)} pair operations and 2 products "
+          f"(the search would have made up to {len(calls)} more):\n  {error}")
+else:
+    raise AssertionError("the tampered message was accepted")
+finally:
+    semidirect.op_circ = op_circ
 print()
 
 print("=== the suggested full-size parameters fall in seconds ===")

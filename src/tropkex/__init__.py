@@ -7,6 +7,7 @@ from .tropical import (
     FormatError,
     TropicalMatrix,
     chain_compare,
+    in_column_space,
     matrix_from_json,
     matrix_to_json,
     random_matrix,

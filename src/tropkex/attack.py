@@ -5,22 +5,32 @@ non-increasing chain under the min-plus order.  An eavesdropper who sees
 a public message A therefore:
 
   1. squares (M, H) repeatedly until the chain descends to A or below,
-     which bounds the hidden exponent by 2^t (doubling phase), then
+     which bounds the hidden exponent by 2^t (doubling phase), then,
+     under circ with t >= 2, refuses A unless it lies in the column
+     space of M_a, a = 2^(t-1) (off-chain test), then
   2. descends the stored squares from the top bit down (binary lifting),
      keeping each square whose product with the kept power still lies
      above A, which pins the least m' with M_{m'} == A, then
   3. derives the shared key from (A, P_E) = (M, H)^{m'} and the other
      party's public message, exactly as a legitimate party would.
 
+The off-chain test is exact.  Under circ M_{m+1} = M_m otimes B from
+m = 2 on, B = H oplus I, so M_m = M_a otimes B^(m-a) for m >= a >= 2;
+and M_a lies strictly above A, so any m with M_m == A exceeds a.  A
+target on the chain always passes it, so honest recoveries are
+unchanged, and a target it refuses costs t applications plus two k^3
+products instead of the search's further t.
+
 The chain may plateau, in which case m' can differ from the true private
 exponent; any index whose first component equals A yields the same key,
 so the attack does not care.
 
 Descending the stored squares, the whole recovery takes at most 2K pair
-applications (t to double, t to descend); a reference variant that
-powers every candidate from scratch stays within 2K^2 + K.  Each phase
-counts the applications it makes, and the tests check those counts
-against the ones they take by wrapping the pair laws.
+applications (t to double, t to descend) and the off-chain test's two
+products; a reference variant that powers every candidate from scratch
+stays within 2K^2 + K.  Each phase counts the applications it makes,
+and the tests check those counts against the ones they take by wrapping
+the pair laws.
 
 The recovery is reliable over circ.  Over star with k >= 2 the squares
 and candidate products are bracketing-dependent (star is not
@@ -36,7 +46,13 @@ from typing import Literal
 
 from .protocol import ProtocolParams, Transcript, derive_shared_key
 from .semidirect import SemigroupOpKind, SemigroupPair, apply, power
-from .tropical import ChainOrdering, TropicalMatrix, chain_compare, matrix_to_json
+from .tropical import (
+    ChainOrdering,
+    TropicalMatrix,
+    chain_compare,
+    in_column_space,
+    matrix_to_json,
+)
 
 
 class AttackError(Exception):
@@ -44,8 +60,10 @@ class AttackError(Exception):
 
 
 class ChainViolationError(AttackError):
-    """A probe was incomparable with the target: the intercepted matrix
-    cannot lie on the power chain of (M, H)."""
+    """The intercepted matrix cannot lie on the power chain of (M, H): a
+    probe was incomparable with it, or, under circ, it lies outside the
+    column space of a chain element above it, which every later element
+    lies in."""
 
 
 class ExponentNotFoundError(AttackError):
@@ -183,9 +201,22 @@ def find_chain_exponent(
     params: ProtocolParams, target: TropicalMatrix, cached: bool = True
 ) -> tuple[int, int, SemigroupPair, int]:
     """Both attack phases in sequence: returns (m', t, (M, H)^{m'}) and the
-    applications made, t to double plus the search's."""
+    applications made, t to double plus the search's.  Between the two,
+    under circ with t >= 2, it runs the off-chain test (see the module
+    docstring) against ``squares[t - 1]``, and raises
+    ``ChainViolationError`` when the target fails it."""
     squares = doubling_phase(params, target)
     t = len(squares) - 1
+    if (
+        params.op is SemigroupOpKind.CIRC
+        and t >= 2
+        and not in_column_space(squares[t - 1].first, target)
+    ):
+        raise ChainViolationError(
+            "the target is outside the column space of the chain element at "
+            f"index 2^{t - 1}, which every later element lies in; it is not on "
+            "this chain"
+        )
     m_prime, pair, searched = _bisect_chain(params.op, squares, target, cached)
     return m_prime, t, pair, t + searched
 

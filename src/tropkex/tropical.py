@@ -386,6 +386,24 @@ def chain_compare(x: TropicalMatrix, y: TropicalMatrix) -> ChainOrdering:
     return _INCOMPARABLE
 
 
+def in_column_space(y: TropicalMatrix, x: TropicalMatrix) -> bool:
+    """True iff x == y otimes z for some matrix z: each column of x is a
+    min-plus combination of the columns of y.
+
+    y otimes z >= x exactly when z[l][j] >= x[i][j] - y[i][l] for all
+    i, l and j, so the principal residual z*[l][j] = max over i of
+    x[i][j] - y[i][l] is the least such z.  If y otimes z == x, then
+    z >= z*, so x <= y otimes z* <= y otimes z == x: x lies in the column
+    space iff y otimes z* == x.  z* = -(y^T otimes -x), so the test is
+    two plain products on the ints themselves.
+    """
+    y._check_dim(x)
+    k = y.k
+    y_transposed = _flatten(zip(*_rows_of(y.entries, k)))
+    residual = [-e for e in _min_plus(y_transposed, [-e for e in x.entries], k)]
+    return tuple(_min_plus(y.entries, residual, k)) == x.entries
+
+
 def random_matrix(k: int, n_bound: int, rng: Random) -> TropicalMatrix:
     """A k-by-k matrix with entries drawn uniformly from [-n_bound, n_bound].
 

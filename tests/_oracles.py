@@ -72,6 +72,21 @@ def naive_otimes(a: TropicalMatrix, b: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(_otimes(a.rows, b.rows))
 
 
+def naive_residual(y: TropicalMatrix, x: TropicalMatrix) -> TropicalMatrix:
+    """The principal residual y \\ x, the least z with y otimes z >= x:
+    z[l][j] = max over i of x[i][j] - y[i][l]."""
+    y, x = y.rows, x.rows
+    k = len(y)
+    return TropicalMatrix(
+        [[max(x[i][j] - y[i][l] for i in range(k)) for j in range(k)] for l in range(k)]
+    )
+
+
+def naive_in_column_space(y: TropicalMatrix, x: TropicalMatrix) -> bool:
+    """Whether x == y otimes (y \\ x), i.e. x is y otimes z for some z."""
+    return naive_otimes(y, naive_residual(y, x)) == x
+
+
 def naive_apply(op: SemigroupOpKind, p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     return _pair(_law(op)(_unpair(p), _unpair(q)))
 

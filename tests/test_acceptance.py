@@ -121,7 +121,6 @@ def test_ac2_operation_count_bounds():
 
 # --- 3. key-size reproduction ----------------------------------------------
 
-@pytest.mark.slow
 def test_ac3_key_size_reproduction():
     targets = {5: (5222, 0.05), 10: (20885, 0.05), 30: (180_000, 0.10)}
     alphas = average_key_size_bits(RunConfig(k_list=tuple(targets), trials=10, seed=2024))

@@ -16,12 +16,14 @@ from tropkex import (
     attack_result_to_json,
     doubling_phase,
     find_chain_exponent,
+    in_column_space,
     matrix_from_json,
     power,
     recover_key_targeting,
     run_exchange,
     setup,
 )
+from tropkex import attack
 from tropkex.attack import _bisect_chain
 from tropkex.protocol import MAX_EXPONENT_BITS
 
@@ -153,6 +155,62 @@ def test_search_finds_least_matching_exponent(cached, monkeypatch):
             assert reported == applications.count
             if cached:
                 assert applications.count <= 2 * t
+
+
+def test_chain_elements_lie_in_the_column_space_of_earlier_ones():
+    # X_m = X_a otimes B^(m - a) for m >= a >= 2, so the off-chain test
+    # never refuses a chain element against an earlier one
+    for params in _search_oracle_params():
+        base = params.base_pair
+        chain, pair = [None, None], base  # chain[m] is X_m from m = 2 on
+        for _ in range(2, 41):
+            pair = naive_apply(CIRC, pair, base)
+            chain.append(pair.first)
+        assert chain[40] == chain_fold(CIRC, base, 40).first
+        for a in range(2, 41):
+            for m in range(a, 41):
+                assert in_column_space(chain[a], chain[m])
+
+
+def test_off_chain_target_is_refused_after_doubling(monkeypatch):
+    # one entry of an honest k = 5, K = 200 Alice message moved by +-1: a
+    # target outside the column space of the square below the last costs
+    # the t doubling applications and no more; the rest still run the
+    # search
+    applications = count_applications(monkeypatch)
+    refused = 0
+    for s in range(10):
+        rng = Random(1000 + s)
+        params = setup(5, 1000, 200, CIRC, rng)
+        transcript, _ = run_exchange(params, rng)
+        entries = list(transcript.alice_message.entries)
+        entries[rng.randrange(25)] += rng.choice((-1, 1))
+        target = TropicalMatrix([entries[i : i + 5] for i in range(0, 25, 5)])
+        squares = doubling_phase(params, target)
+        t = len(squares) - 1
+        assert t >= 2
+        outside = not in_column_space(squares[t - 1].first, target)
+        applications.count = 0
+        with pytest.raises(ChainViolationError if outside else AttackError):
+            find_chain_exponent(params, target)
+        assert applications.count == t if outside else applications.count > t
+        refused += outside
+    assert refused == 8  # of 10
+
+
+def test_star_search_skips_the_column_space_test(monkeypatch):
+    # star is not associative, so its chain gives no column-space test
+    calls = []
+    monkeypatch.setattr(attack, "in_column_space", lambda y, x: calls.append(x))
+    rng = Random(51)
+    for k in (1, 1, 2, 3, 3):
+        params = setup(k, 100, 10, STAR, rng)
+        target = power(STAR, params.base_pair, rng.randint(4, 2**10 - 1)).first
+        try:
+            find_chain_exponent(params, target)
+        except AttackError:  # see test_star_attack_can_fail_off_chain_for_k_at_least_2
+            pass
+    assert calls == []
 
 
 def test_binary_search_no_match():

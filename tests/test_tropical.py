@@ -15,6 +15,7 @@ from tropkex import (
     SemigroupPair,
     TropicalMatrix,
     chain_compare,
+    in_column_space,
     matrix_from_json,
     matrix_to_json,
     random_matrix,
@@ -31,7 +32,14 @@ from tropkex.semidirect import (
 )
 from tropkex.tropical import _Packing
 
-from _oracles import count_fallbacks, naive_apply, naive_otimes, random_mat
+from _oracles import (
+    count_fallbacks,
+    naive_apply,
+    naive_in_column_space,
+    naive_otimes,
+    naive_residual,
+    random_mat,
+)
 
 
 @st.composite
@@ -310,6 +318,33 @@ def test_chain_compare():
     assert chain_compare(
         TropicalMatrix([[0, 5], [0, 5]]), TropicalMatrix([[1, 2], [1, 2]])
     ) is ChainOrdering.INCOMPARABLE
+
+
+def test_in_column_space_matches_residuation_oracle():
+    # random pairs mostly fail the test; products y otimes z and the
+    # residual's own product always pass it
+    rng = Random(31)
+    outcomes = set()
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        y, x = random_mat(rng, k, 6), random_mat(rng, k, 6)
+        for a, b in ((y, x), (x, y), (y, naive_otimes(y, x))):
+            expected = naive_in_column_space(a, b)
+            assert in_column_space(a, b) is expected
+            outcomes.add(expected)
+        assert in_column_space(y, naive_otimes(y, naive_residual(y, x)))
+        assert in_column_space(y, y)
+    assert outcomes == {True, False}
+
+
+def test_in_column_space_examples():
+    # 1x1: every x is y + (x - y)
+    assert in_column_space(TropicalMatrix([[5]]), TropicalMatrix([[-9]]))
+    y = TropicalMatrix([[0, 0], [0, 0]])
+    assert in_column_space(y, TropicalMatrix([[3, -1], [3, -1]]))
+    assert not in_column_space(y, TropicalMatrix([[0, 0], [0, 1]]))
+    with pytest.raises(DimensionMismatchError):
+        in_column_space(TropicalMatrix([[0]]), y)
 
 
 def test_dimension_mismatch_rejected():
