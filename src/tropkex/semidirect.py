@@ -56,8 +56,8 @@ and ``op_star`` up at call time, so a wrapper installed on either module
 attribute sees every application.  The attack's cost guarantees are
 stated in applications, which each phase counts where it makes them.
 ``product_first`` computes only the first component of a product, which
-is all a party needs to derive the shared key; under circ it multiplies
-on the packed kernel.
+is all a party needs to derive the shared key; it makes the same kernel
+calls as that component of ``op_circ`` or ``op_star``.
 """
 
 from __future__ import annotations
@@ -120,8 +120,10 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# Honest circ products are packed (``periodic_powers``, ``product_first``);
-# the attack's and the fallback pass's are plain, for the k^3 cost AC4 times.
+# The honest walk's circ products are packed (``periodic_powers``); every
+# other product is plain: the attack's and the fallback pass's, for the k^3
+# cost AC4 times, and the key derivation's, whose one product would pay
+# for its own packing (slower below k = 15 on an exchange's operands).
 
 
 def _b_entries(h: TropicalMatrix) -> list[int]:
@@ -134,20 +136,6 @@ def _b_entries(h: TropicalMatrix) -> list[int]:
     return b
 
 
-def _min_plus_by_packing(a: Sequence[int], b: Sequence[int], k: int) -> list[int]:
-    # The product of two k-by-k matrices given flat and row-major, flat and
-    # row-major like ``_min_plus``'s, through the packed kernel: each factor
-    # less its least entry, in one layout whose fields hold the sum of the
-    # two spans, so every sum of a field of each stays below the guard bit;
-    # the two least entries are added back on the way out.
-    a_least, b_least = min(a), min(b)
-    packing = _Packing(k, max(a) - a_least + max(b) - b_least)
-    x = packing.pack([e - a_least for e in a])
-    tiles = packing.tiles(packing.pack([e - b_least for e in b]))
-    least = a_least + b_least
-    return [f + least for f in packing.fields(_min_plus_packed(x, tiles, packing))]
-
-
 def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> TropicalMatrix:
     # (H * M^T) + (M^T * H) + S: star's first component, with M^T made once
     # and each product one kernel call, the first with S as its floor and
@@ -155,6 +143,14 @@ def _star_first(m: TropicalMatrix, s: TropicalMatrix, h: TropicalMatrix) -> Trop
     k, mt = m.k, m.transpose().entries
     left = _min_plus(h.entries, mt, k, s.entries)
     return _wrap_flat(_min_plus(mt, h.entries, k, left), k)
+
+
+def _circ_first(
+    m: TropicalMatrix, b: list[int], s: TropicalMatrix, h: TropicalMatrix
+) -> TropicalMatrix:
+    # (M * B) + S + H: circ's first component, one kernel call with S and H
+    # as its floors, the same for ``op_circ`` and ``product_first``.
+    return _wrap_flat(_min_plus(m.entries, b, m.k, s.entries, h.entries), m.k)
 
 
 def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
@@ -165,7 +161,7 @@ def op_circ(p: SemigroupPair, q: SemigroupPair) -> SemigroupPair:
     # (M * B) + S + H and (G * B) + H.
     h, k = q.second, q.first.k
     b = _b_entries(h)
-    first = _wrap_flat(_min_plus(p.first.entries, b, k, q.first.entries, h.entries), k)
+    first = _circ_first(p.first, b, q.first, h)
     second = _wrap_flat(_min_plus(p.second.entries, b, k, h.entries), k)
     return _new_pair(first, second)
 
@@ -182,10 +178,7 @@ def product_first(op: SemigroupOpKind, m: TropicalMatrix, q: SemigroupPair) -> T
     if m.k != q.k:
         raise DimensionMismatchError(f"pair dimension mismatch: {m.k} vs {q.k}")
     if op is _CIRC:
-        h = q.second
-        product = _min_plus_by_packing(m.entries, _b_entries(h), h.k)
-        # (M * B) + S + H: the packed kernel takes no floors
-        return _wrap_flat(map(min, product, q.first.entries, h.entries), h.k)
+        return _circ_first(m, _b_entries(q.second), q.first, q.second)
     if op is _STAR:
         return _star_first(m, q.first, q.second)
     raise ValueError(f"unknown operation kind: {op!r}")

@@ -244,26 +244,21 @@ class Tally:
 
 
 def count_products(monkeypatch) -> Tally:
-    """Count k^3 products from here on, by wrapping the library's own
-    entry points: two per pair application (``op_circ``, which calls the
-    plain product kernel directly), one per packed product
-    (``_min_plus_packed``, looked up on ``semidirect``, which the walk
-    over the powers of B, its serving step, P_2 and ``product_first``
-    under circ call).  Nothing else on a circ path makes a product:
-    ``TropicalMatrix.otimes`` serves only star."""
+    """Count k^3 products from here on, one per call of either kernel as
+    ``semidirect`` looks it up: ``_min_plus``, the plain one (two per
+    ``op_circ``, one per circ ``product_first``), and ``_min_plus_packed``
+    (the walk over the powers of B, P_2 and its serving).  Products made
+    in ``tropical`` are not counted: ``TropicalMatrix.otimes``, which
+    serves only star, and the two of the attack's ``in_column_space``."""
     tally = Tally()
-    op_circ, packed = semidirect.op_circ, semidirect._min_plus_packed
+    for name in ("_min_plus", "_min_plus_packed"):
+        kernel = getattr(semidirect, name)
 
-    def counted_circ(p, q):
-        tally.count += 2
-        return op_circ(p, q)
+        def counted(*args, kernel=kernel):
+            tally.count += 1
+            return kernel(*args)
 
-    def counted_packed(x, tiles, packing):
-        tally.count += 1
-        return packed(x, tiles, packing)
-
-    monkeypatch.setattr(semidirect, "op_circ", counted_circ)
-    monkeypatch.setattr(semidirect, "_min_plus_packed", counted_packed)
+        monkeypatch.setattr(semidirect, name, counted)
     return tally
 
 

@@ -297,23 +297,30 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
     assert paths == {True, False}
 
 
-def test_exchange_packs_b_once(monkeypatch):
-    """An exchange at the benchmark's size multiplies on the walk's one
-    layout, with B packed and tiled once: the only products packed on
-    their own are the two key derivations."""
-    calls = []
-    by_packing = semidirect._min_plus_by_packing
+def test_exchange_packs_once_and_derives_plain(monkeypatch):
+    """An exchange at the benchmark's size packs on one layout, the walk's,
+    and derives each party's key as ``op_circ`` makes a first component:
+    the only plain-kernel calls are the two derivations, each one product
+    with S and H as its two floors."""
+    layouts, plain = [], []
+    packing, min_plus = semidirect._Packing, semidirect._min_plus
 
-    def counted(a, b, k):
-        calls.append(k)
-        return by_packing(a, b, k)
+    def built(k, largest):
+        layouts.append(k)
+        return packing(k, largest)
 
-    monkeypatch.setattr(semidirect, "_min_plus_by_packing", counted)
+    def recorded(a, b, k, *floors):
+        plain.append((k, len(floors)))
+        return min_plus(a, b, k, *floors)
+
+    monkeypatch.setattr(semidirect, "_Packing", built)
+    monkeypatch.setattr(semidirect, "_min_plus", recorded)
     for seed in range(4):
         params = setup(10, 1000, 200, CIRC, Random(seed))
-        calls.clear()
+        layouts[:], plain[:] = [], []
         run_exchange(params, Random(seed))
-        assert calls == [10, 10]
+        assert layouts == [10]
+        assert plain == [(10, 2), (10, 2)]
 
 
 def test_party_powers_cost_bound(monkeypatch):

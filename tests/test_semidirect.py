@@ -13,10 +13,11 @@ from tropkex import (
     periodic_powers,
     power,
     powers,
+    run_exchange,
     setup,
 )
 from tropkex import protocol, semidirect
-from tropkex.attack import find_chain_exponent
+from tropkex.attack import recover_key_targeting
 from tropkex.semidirect import apply, product_first
 from tropkex.tropical import _min_plus_packed, _Packing
 
@@ -125,11 +126,10 @@ def test_apply_matches_naive_oracle():
             assert product_first(op, p.first, q) == expected.first
 
 
-def test_packed_product_first_matches_naive_oracle():
-    """``product_first`` under circ multiplies by B on the packed kernel:
-    against the triple loop at k = 1..6, with H's diagonal all above, at
-    or below 0, and entries of +-10^30, whose spans need fields past 64
-    bits."""
+def test_circ_product_first_matches_naive_oracle():
+    """``product_first`` under circ, one product by B with S and H as its
+    floors: against the triple loop at k = 1..6, with H's diagonal all
+    above, at or below 0, and entries of +-10^30."""
     rng = Random(17)
     for k in range(1, 7):
         for bound in (50, 10**30):
@@ -146,10 +146,10 @@ def test_packed_product_first_matches_naive_oracle():
                     assert product_first(CIRC, m, q) == expected
 
 
-def test_attack_search_makes_no_packed_product(monkeypatch):
-    """The eavesdropper's search, the timed region of the scaling gate,
-    stays on the plain kernel: ``find_chain_exponent`` makes no packed
-    product at k = 5 or 10."""
+def test_attack_makes_no_packed_product(monkeypatch):
+    """The eavesdropper's whole recovery stays on the plain kernel: its
+    search, the timed region of the scaling gate, and its key derivation
+    make no packed product at k = 5 or 10, and the key is the parties'."""
     calls = []
     packed = semidirect._min_plus_packed
 
@@ -158,12 +158,11 @@ def test_attack_search_makes_no_packed_product(monkeypatch):
         return packed(x, tiles, packing)
 
     for k in (5, 10):
-        params = setup(k, 1000, 40, CIRC, Random(k))
-        target = protocol.party_powers(params, (Random(k).randint(1, 1 << 40),))[0].first
+        transcript, key = run_exchange(setup(k, 1000, 40, CIRC, Random(k)), Random(k))
         monkeypatch.setattr(semidirect, "_min_plus_packed", recorded)
-        m_prime, t, pair, _ = find_chain_exponent(params, target)
+        result = recover_key_targeting(transcript, "alice")
         monkeypatch.undo()
-        assert pair.first == target
+        assert result.recovered_key == key
         assert calls == []
 
 

@@ -24,13 +24,12 @@ from tropkex import tropical
 from tropkex.protocol import MAX_K, setup
 from tropkex.semidirect import (
     SemigroupOpKind,
-    _min_plus_by_packing,
     op_circ,
     op_star,
     periodic_powers,
     product_first,
 )
-from tropkex.tropical import _Packing
+from tropkex.tropical import _min_plus_packed, _Packing
 
 from _oracles import (
     count_fallbacks,
@@ -77,11 +76,15 @@ def test_otimes_examples():
 
 
 def _packed_otimes(a, b):
-    # a otimes b through the packed kernel, as the laws' single-use
-    # operands take it: each factor less its least entry, in the narrowest
-    # byte-sized fields that hold the sum of two
-    fa, fb = [x for row in a.rows for x in row], [x for row in b.rows for x in row]
-    return TropicalMatrix(zip(*[iter(_min_plus_by_packing(fa, fb, a.k))] * a.k))
+    # a otimes b through the packed kernel: each factor less its least
+    # entry, in the narrowest byte-sized fields that hold the sum of the
+    # two spans, so no sum reaches the guard bit; the two least entries
+    # are added back on the way out
+    a_least, b_least = min(a.entries), min(b.entries)
+    packing = _Packing(a.k, max(a.entries) - a_least + max(b.entries) - b_least)
+    x = packing.pack([e - a_least for e in a.entries])
+    tiles = packing.tiles(packing.pack([e - b_least for e in b.entries]))
+    return packing.unpack(_min_plus_packed(x, tiles, packing), a_least + b_least)
 
 
 @pytest.mark.parametrize("size", (1, 2, 3, 4, 8, 9, 16))
