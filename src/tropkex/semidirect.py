@@ -47,7 +47,8 @@ power the same public pair).  ``periodic_powers`` is circ only: it walks
 the powers of B = H oplus I to an exact repeat up to a scalar shift and
 serves each exponent off that period, in O(k log T) products for B's
 transient T, and runs ``powers`` itself where that could cost more; its
-docstring has the schedule, the proof and the packed layout.  There is
+docstring has the proof and the serving, and ``_certify_b``'s, the walk's
+schedule, repeat key and packed layout.  There is
 no identity pair (the semiring has no multiplicative identity matrix),
 so exponents start at 1.
 
@@ -120,10 +121,11 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# The honest walk's circ products are packed (``periodic_powers``); every
-# other product is plain: the attack's and the fallback pass's, for the k^3
-# cost AC4 times, and the key derivation's, whose one product would pay
-# for its own packing (slower below k = 15 on an exchange's operands).
+# The honest walk's circ products are packed (``periodic_powers`` and its
+# ``_certify_b``); every other product is plain: the attack's and the
+# fallback pass's, for the k^3 cost AC4 times, and the key derivation's,
+# whose one product would pay for its own packing (slower below k = 15 on
+# an exchange's operands).
 
 
 def _b_entries(h: TropicalMatrix) -> list[int]:
@@ -232,6 +234,83 @@ def power(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     return powers(op, base, (e,))[0]
 
 
+def _certify_b(
+    walk: _Packing, x: int, tiles: list[int], offset: int, allowance: int, least: int
+) -> tuple[int, int, int, dict[int, tuple[int, int]]] | None:
+    """B's certificate W_{n+p} = W_n + c, W_j = B^j, as (n, p, c, segment),
+    or None when the walk gives up.  B is the packed ``x`` plus ``offset``
+    in the layout ``walk``, rebased as below, with ``tiles`` its
+    ``walk.tiles``.  The segment maps each index j the walk holds at the
+    end, n and n + p among them, to W_j packed, (fields, offset).
+
+    Schedule: the walk squares from W_1 = B (otimes is associative) while
+    its index j is below 2k, then steps W_{j+1} = W_j otimes B in segments
+    W_s .. W_{s+k}, squaring the last power of each to start the next.  It
+    gives up before a product past the ``allowance``-th, and before a
+    squaring that would start a segment past ``least``.  The squarings
+    cost one product each and a segment k + 1, so the walk passes B's
+    transient T after about log2(2k) + (k + 1) log2(T / 2k) products and
+    shows the period within p more.
+
+    Repeat key: each power of a segment is keyed by W_j - W_j[0][0], so a
+    hit on W_n, p = j - n, is the exact certificate W_j = W_n + c,
+    c = W_j[0][0] - W_n[0][0].  It proves every later index, since
+    otimes B commutes with adding a scalar: W_{n+qp+r} = W_{n+r} + q c for
+    r < p.  A repeat always comes: B is irreducible because H is finite,
+    so by the cyclicity theorem of min-plus algebra its powers are
+    ultimately periodic up to such a shift, and p divides B's cyclicity,
+    the lcm over the strongly connected components of B's critical graph
+    of the gcd of each one's cycle lengths.  When that graph is strongly
+    connected, the cyclicity divides the length of one of its elementary
+    cycles, so p <= k and the first segment to start at or past T shows
+    it.  Otherwise p can exceed k (critical cycles of lengths 2 and 3 at
+    k = 5 give p = 6): no segment holds two powers p apart, and the walk
+    gives up.
+
+    Rebasing: ``walk`` holds W_j as one int of k^2 fields, w bits each,
+    row-major, plus an offset, W_j = fields + offset (``tropical._Packing``),
+    and its products are ``_min_plus_packed``, exact while every sum of
+    two fields stays below a field's top (guard) bit.  With S = span(B),
+    the largest entry less the least, every power has span(W_j) <= 2S: a
+    least-weight path of length j >= 2 from i' to l' becomes a path from
+    i to l when its first edge is swapped for one out of i and its last
+    for one into l, each swap adding at most S (for j = 1, the one edge
+    adds at most S).  After each product the walk rebases: f0 the packed
+    [0][0] field, it takes f0 - 2S off every field and adds it to the
+    offset, so field [0][0] is 2S and every field lies in [0, 4S].  B
+    comes packed the same way, so its [0][0] field gives 2S.  The rebased
+    int is W_j - W_j[0][0] + 2S exactly, so it is the repeat key, and c is
+    the difference of the offsets.
+
+    Width rule: the walk's sums stay at most 8S, and ``periodic_powers``'
+    P_2 and serving's at most R + 4S (R is defined there), so one layout
+    whose fields hold 4S + max(4S, R) is exact for all three at any entry
+    size.
+    """
+    k, corner = walk.k, (1 << walk.w) - 1  # field [0][0]
+    lift, b_offset = x & corner, offset  # 2S
+    window: dict[int, tuple[int, int]] = {}  # the segment's packed powers, by index
+    first_seen: dict[int, int] = {}  # their indices, by packed power
+    j, spent = 1, 0
+    while True:  # W_j is x with offset, after ``spent`` products
+        window[j] = x, offset
+        if (n := first_seen.setdefault(x, j)) < j:
+            return n, j - n, offset - window[n][1], window
+        squaring = j < 2 * k or len(window) > k  # to W_{2j}, starting a new segment
+        if spent >= allowance or (squaring and 2 * j > least):
+            return None
+        if squaring:
+            x, offset, j = _min_plus_packed(x, walk.tiles(x), walk), 2 * offset, 2 * j
+            window.clear()
+            first_seen.clear()
+        else:
+            x, offset, j = _min_plus_packed(x, tiles, walk), offset + b_offset, j + 1
+        shift = (x & corner) - lift
+        x -= shift * walk.ones
+        offset += shift
+        spent += 1
+
+
 def periodic_powers(
     base: SemigroupPair, exponents: Sequence[int]
 ) -> tuple[SemigroupPair, ...]:
@@ -246,40 +325,10 @@ def periodic_powers(
     it: P_2 = ((M otimes B) oplus H, H otimes B), past it X_m <= M oplus H
     and G_m <= H, so a step is (X_m otimes B, G_m otimes B), and
     P_e = (X_2 otimes W_{e-2}, G_2 otimes W_{e-2}) with W_j = B^j.
-
-    The walk squares from W_1 = B (otimes is associative) while its index
-    j is below 2k, then steps W_{j+1} = W_j otimes B in segments W_s ..
-    W_{s+k}, squaring the last power of each to start the next.  It keys
-    each power of a segment by W_j - W_j[0][0], so a hit on W_n, p = j - n,
-    is the exact certificate W_j = W_n + c, c = W_j[0][0] - W_n[0][0].  It
-    proves every later index, since otimes B commutes with adding a scalar:
-    W_{n+qp+r} = W_{n+r} + q c for r < p.
-
-    A repeat always comes: B is irreducible because H is finite, so by the
-    cyclicity theorem of min-plus algebra its powers are ultimately
-    periodic up to such a shift, and p divides B's cyclicity, the lcm over
-    the strongly connected components of B's critical graph of the gcd of
-    each one's cycle lengths.  When that graph is strongly connected, the
-    cyclicity divides the length of one of its elementary cycles, so
-    p <= k and the first segment to start at or past B's transient T shows
-    it.  Otherwise p can exceed k (critical cycles of lengths 2 and 3 at
-    k = 5 give p = 6): no segment holds two powers p apart, and the walk
-    falls back.
-
-    The walk holds each W_j packed (``tropical._Packing``): one int of k^2
-    fields, w bits each, row-major, plus an offset, W_j = fields + offset;
-    its products are ``_min_plus_packed``, exact while every sum of two
-    fields stays below a field's top (guard) bit.  With S = span(B), the
-    largest entry less the least, every power has span(W_j) <= 2S: a
-    least-weight path of length j >= 2 from i' to l' becomes a path from
-    i to l when its first edge is swapped for one out of i and its last
-    for one into l, each swap adding at most S (for j = 1, the one edge
-    adds at most S).  After each product the walk rebases: f0 the packed
-    [0][0] field, it takes f0 - 2S off every field and adds it to the
-    offset, so field [0][0] is 2S and every field lies in [0, 4S], B's
-    included, and the walk's sums stay at most 8S.  The rebased int is
-    W_j - W_j[0][0] + 2S exactly, so it is the repeat key, and c is the
-    difference of the offsets.
+    ``_certify_b`` walks the W_j to the certificate W_{n+p} = W_n + c, so
+    P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c for
+    e - 2 = n + q p + r, r < p; its docstring has the schedule, the repeat
+    key, the rebasing and the width rule, with S = span(B).
 
     P_2 multiplies M and H by B, and serving X_2 and G_2 by the walk's own
     W_i, all in the walk's layout.  For P_2, M is first clipped at
@@ -292,23 +341,18 @@ def periodic_powers(
     G_2 each less its least entry.  X_2 has H as an oplus term and
     G_2 <= H, so every entry is at most max(H), and min(B) <= 0, so every
     entry is at least min(min M, min H) + min(B).  Each then spans at most
-    R too, and serving's sums stay at most R + 4S.  So one layout whose
-    fields hold 4S + max(4S, R) is exact for the walk, P_2 and serving at
-    any entry size; offsets add, so P_e is unpacked with its component's
-    least entry plus W_i's offset plus q c.  B is packed and tiled once.
+    R too, and serving's sums stay at most R + 4S.  Offsets add, so P_e is
+    unpacked with its component's least entry plus W_i's offset plus q c.
+    B is packed and tiled once.
 
-    Cost: the squarings cost one product each and a segment k + 1, so the
-    walk passes T after about log2(2k) + (k + 1) log2(T / 2k) products and
-    shows the period within p more.  Serving costs two products for P_2,
-    then, since adding a scalar commutes with otimes, two per distinct
-    W_{n+r} (or W_i of the segment, for i < n) the exponents need:
-    P_e = (X_2 otimes W_{n+r}, G_2 otimes W_{n+r}) + q c.  The walk falls
-    back to ``powers`` before the product that would leave less of the
-    budget than the most serving can cost, two per exponent above 2, and
-    before a squaring that would start a segment past the least needed
-    index e - 2, whose power it then never holds.  So it never costs more
-    than the pass, and a fallback at most twice.  Only one segment and one
-    matrix per exponent are kept.
+    Cost: serving costs two products for P_2, then, since adding a scalar
+    commutes with otimes, two per distinct W_{n+r} (or W_i of the segment,
+    for i < n) the exponents need.  The walk's allowance is the budget
+    less the most serving can cost, two per exponent above 2, and no
+    segment may start past the least needed index e - 2, whose power it
+    would then never hold; where it gives up, ``powers`` runs.  So this
+    never costs more than the pass, and a fallback at most twice.  Only
+    one segment and one matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
@@ -329,28 +373,10 @@ def periodic_powers(
         b_tiles = walk.tiles(x)
     if top > 2:
         least = min(e for e in exponents if e > 2) - 2
-        corner = (1 << walk.w) - 1  # field [0][0]
-        window: dict[int, tuple[int, int]] = {}  # the segment's packed powers, by index
-        first_seen: dict[int, int] = {}  # their indices, by packed power
-        offset, j, spent = b_offset, 1, 0
-        while True:  # W_j is x with offset, after ``spent`` products
-            window[j] = x, offset
-            if (n := first_seen.setdefault(x, j)) < j:
-                break
-            squaring = j < 2 * k or len(window) > k  # to W_{2j}, starting a new segment
-            if spent + serving >= budget or (squaring and 2 * j > least):
-                return powers(_CIRC, base, exponents)
-            if squaring:
-                x, offset, j = _min_plus_packed(x, walk.tiles(x), walk), 2 * offset, 2 * j
-                window.clear()
-                first_seen.clear()
-            else:
-                x, offset, j = _min_plus_packed(x, b_tiles, walk), offset + b_offset, j + 1
-            shift = (x & corner) - lift
-            x -= shift * walk.ones
-            offset += shift
-            spent += 1
-        period, c = j - n, offset - window[n][1]
+        certificate = _certify_b(walk, x, b_tiles, b_offset, budget - serving, least)
+        if certificate is None:
+            return powers(_CIRC, base, exponents)
+        n, period, c, window = certificate
     if top > 1:  # X_2 = (M * B) + H and G_2 = H * B, on the walk's layout
 
         def times_b(y: list[int], lo: int) -> list[int]:  # y otimes B, y's entries at least lo

@@ -399,8 +399,7 @@ def in_column_space(y: TropicalMatrix, x: TropicalMatrix) -> bool:
     """
     y._check_dim(x)
     k = y.k
-    y_transposed = _flatten(zip(*_rows_of(y.entries, k)))
-    residual = [-e for e in _min_plus(y_transposed, [-e for e in x.entries], k)]
+    residual = [-e for e in _min_plus(y.transpose().entries, [-e for e in x.entries], k)]
     return tuple(_min_plus(y.entries, residual, k)) == x.entries
 
 

@@ -18,7 +18,7 @@ from tropkex import (
 )
 from tropkex import protocol, semidirect
 from tropkex.attack import recover_key_targeting
-from tropkex.semidirect import apply, product_first
+from tropkex.semidirect import _certify_b, apply, product_first
 from tropkex.tropical import _min_plus_packed, _Packing
 
 from _oracles import (
@@ -707,6 +707,74 @@ def test_periodic_powers_window_overflow(monkeypatch):
     assert fallbacks == [exponents]
     assert pairs == powers(CIRC, base, exponents)
     assert pairs == (chain_fold(CIRC, base, 191), chain_fold(CIRC, base, 255))
+
+
+def _packed_b(h):
+    """B = H oplus I packed as ``periodic_powers`` packs it, less 2S so
+    that field [0][0] reads 2S, in fields that hold the walk's own sums,
+    8S: (layout, fields, tiles, offset)."""
+    entries = [e for row in identity_oplus(h).rows for e in row]
+    lift = 2 * (max(entries) - min(entries))
+    walk = _Packing(h.k, 4 * lift)
+    offset = entries[0] - lift
+    x = walk.pack([e - offset for e in entries])
+    return walk, x, walk.tiles(x), offset
+
+
+def _check_certificate(h, walk, certificate):
+    """Every power the segment holds is the triple loop's B^j, and the
+    certificate holds: W_{n+p} = W_n + c.  Returns (n, p)."""
+    n, p, c, segment = certificate
+    b = identity_oplus(h)
+    power, j = b, 1
+    for i in sorted(segment):
+        while j < i:
+            power, j = naive_otimes(power, b), j + 1
+        assert walk.unpack(*segment[i]) == power
+    w_n = walk.unpack(*segment[n]).rows
+    assert walk.unpack(*segment[n + p]) == TropicalMatrix([[e + c for e in row] for row in w_n])
+    return n, p
+
+
+def test_certify_b_returns_the_certificate(monkeypatch):
+    """The walk alone, with room to certify: its period is the oracle's,
+    its n is at or past the oracle's first repeat, and the segment it
+    returns holds B's powers.  On the long transient it certifies at
+    n = 2044 past the oracle's 1038, after 27 products."""
+    rng = Random(101)
+    for k in range(1, 7):
+        for bound in (5, 50, 1000):
+            for _ in range(3):
+                h = random_mat(rng, k, bound)
+                first, period = matrix_period(identity_oplus(h))
+                walk, x, tiles, offset = _packed_b(h)
+                n, p = _check_certificate(h, walk, _certify_b(walk, x, tiles, offset, 10**6, 1 << 64))
+                assert p == period and n >= first
+    h = setup(2, 10**6, 200, CIRC, Random(1997)).H
+    assert matrix_period(identity_oplus(h)) == (1038, 1)
+    walk, x, tiles, offset = _packed_b(h)
+    products = count_products(monkeypatch)
+    certificate = _certify_b(walk, x, tiles, offset, 10**6, 1 << 64)
+    assert products.count == 27
+    assert _check_certificate(h, walk, certificate) == (2044, 1)
+    assert certificate[2] == -536237
+
+
+def test_certify_b_gives_up(monkeypatch):
+    """The walk gives up at its allowance or before a segment past the
+    least index it may serve.  On ``period_six_pair`` (p = 6 > k = 5) with
+    the allowance ``periodic_powers`` leaves it for exponents 2^40 and
+    2^40 + 5, 84 less 6 for serving, it gives up after exactly 78
+    products.  On the long transient with least index 3 it squares to
+    B^2, and gives up before squaring to B^4."""
+    products = count_products(monkeypatch)
+    h = period_six_pair().second
+    assert _certify_b(*_packed_b(h), 78, (1 << 40) - 2) is None
+    assert products.count == 78
+    products.count = 0
+    h = setup(2, 10**6, 200, CIRC, Random(1997)).H
+    assert _certify_b(*_packed_b(h), 10**6, 3) is None
+    assert products.count == 1
 
 
 def test_star_never_reaches_the_walk(monkeypatch):
