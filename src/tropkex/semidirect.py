@@ -121,11 +121,11 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# The honest walk's circ products are packed (``periodic_powers`` and its
-# ``_certify_b``); every other product is plain: the attack's and the
-# fallback pass's, for the k^3 cost AC4 times, and the key derivation's,
-# whose one product would pay for its own packing (slower below k = 15 on
-# an exchange's operands).
+# The honest walk's circ products are packed (``_certify_b`` and
+# ``periodic_powers``' serving); every other product is plain: the attack's
+# and the fallback pass's, for the k^3 cost AC4 times, and P_2's and the
+# key derivation's, which would pay for packing their own factors (both are
+# slower packed below k = 15 on an exchange's operands).
 
 
 def _b_entries(h: TropicalMatrix) -> list[int]:
@@ -283,9 +283,8 @@ def _certify_b(
     the difference of the offsets.
 
     Width rule: the walk's sums stay at most 8S, and ``periodic_powers``'
-    P_2 and serving's at most R + 4S (R is defined there), so one layout
-    whose fields hold 4S + max(4S, R) is exact for all three at any entry
-    size.
+    serving's at most R + 4S (R is defined there), so one layout whose
+    fields hold 4S + max(4S, R) is exact for both at any entry size.
     """
     k, corner = walk.k, (1 << walk.w) - 1  # field [0][0]
     lift, b_offset = x & corner, offset  # 2S
@@ -330,20 +329,15 @@ def periodic_powers(
     e - 2 = n + q p + r, r < p; its docstring has the schedule, the repeat
     key, the rebasing and the width rule, with S = span(B).
 
-    P_2 multiplies M and H by B, and serving X_2 and G_2 by the walk's own
-    W_i, all in the walk's layout.  For P_2, M is first clipped at
-    cap = max(H) - min(B): a term M_il + B_lj with M_il > cap exceeds
-    max(H) >= H_ij, so it never sets an entry of X_2, and with cap in its
-    place the term is still at least max(H), so X_2 is unchanged.
-    Clipped M and H, each packed less its least entry, then span at most
-    R = max(H) - min(min M, min H) - min(B), and B's rebased fields lie in
-    [S, 3S], so P_2's sums stay at most R + 3S.  Serving packs X_2 and
-    G_2 each less its least entry.  X_2 has H as an oplus term and
-    G_2 <= H, so every entry is at most max(H), and min(B) <= 0, so every
-    entry is at least min(min M, min H) + min(B).  Each then spans at most
-    R too, and serving's sums stay at most R + 4S.  Offsets add, so P_e is
-    unpacked with its component's least entry plus W_i's offset plus q c.
-    B is packed and tiled once.
+    P_2 is two plain products of M and H by B.  Serving multiplies X_2 and
+    G_2 by the walk's own W_i in the walk's layout, each packed less its
+    least entry.  X_2 has H as an oplus term and G_2 <= H, so every entry
+    is at most max(H), and min(B) <= 0, so every entry is at least
+    min(min M, min H) + min(B): each spans at most
+    R = max(H) - min(min M, min H) - min(B), and serving's sums stay at
+    most R + 4S.  Offsets add, so P_e is unpacked with its component's
+    least entry plus W_i's offset plus q c.  B is packed and tiled once,
+    only when some exponent is above 2.
 
     Cost: serving costs two products for P_2, then, since adding a scalar
     commutes with otimes, two per distinct W_{n+r} (or W_i of the segment,
@@ -359,31 +353,20 @@ def periodic_powers(
     top = max(exponents, default=1)
     budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
-    k, m, h = base.k, base.first, base.second
-    if top > 1:
-        b, h_entries = _b_entries(h), h.entries
-        cap = max(h_entries) - min(b)  # an entry of M above it never reaches X_2
-        m_entries = [e if e < cap else cap for e in m.entries]
-        m_least, h_least = min(m_entries), min(h_entries)
+    k, m, h, b = base.k, base.first.entries, base.second.entries, _b_entries(base.second)
+    if top > 2:
         lift = 2 * (max(b) - min(b))  # 2S
-        reach = max(h_entries) - min(m_least, h_least) - min(b)  # R
+        reach = max(h) - min(min(m), min(h)) - min(b)  # R
         walk = _Packing(k, 2 * lift + max(2 * lift, reach))
         b_offset = b[0] - lift
         x = walk.pack([e - b_offset for e in b])
-        b_tiles = walk.tiles(x)
-    if top > 2:
         least = min(e for e in exponents if e > 2) - 2
-        certificate = _certify_b(walk, x, b_tiles, b_offset, budget - serving, least)
+        certificate = _certify_b(walk, x, walk.tiles(x), b_offset, budget - serving, least)
         if certificate is None:
             return powers(_CIRC, base, exponents)
         n, period, c, window = certificate
-    if top > 1:  # X_2 = (M * B) + H and G_2 = H * B, on the walk's layout
-
-        def times_b(y: list[int], lo: int) -> list[int]:  # y otimes B, y's entries at least lo
-            product = _min_plus_packed(walk.pack([e - lo for e in y]), b_tiles, walk)
-            return [f + lo + b_offset for f in walk.fields(product)]
-
-        x2, g2 = [*map(min, times_b(m_entries, m_least), h_entries)], times_b(h_entries, h_least)
+    if top > 1:  # X_2 = (M * B) + H and G_2 = H * B
+        x2, g2 = _min_plus(m, b, k, h), _min_plus(h, b, k)
         square = _new_pair(_wrap_flat(x2, k), _wrap_flat(g2, k))
     if top > 2:
         factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]

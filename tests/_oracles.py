@@ -246,10 +246,11 @@ class Tally:
 def count_products(monkeypatch) -> Tally:
     """Count k^3 products from here on, one per call of either kernel as
     ``semidirect`` looks it up: ``_min_plus``, the plain one (two per
-    ``op_circ``, one per circ ``product_first``), and ``_min_plus_packed``
-    (the walk over the powers of B, P_2 and its serving).  Products made
-    in ``tropical`` are not counted: ``TropicalMatrix.otimes``, which
-    serves only star, and the two of the attack's ``in_column_space``."""
+    ``op_circ``, one per circ ``product_first``, two for P_2 in
+    ``periodic_powers``), and ``_min_plus_packed`` (the walk over the
+    powers of B and its serving).  Products made in ``tropical`` are not
+    counted: ``TropicalMatrix.otimes``, which serves only star, and the
+    two of the attack's ``in_column_space``."""
     tally = Tally()
     for name in ("_min_plus", "_min_plus_packed"):
         kernel = getattr(semidirect, name)
@@ -291,3 +292,23 @@ def count_fallbacks(monkeypatch) -> list:
 
     monkeypatch.setattr(semidirect, "powers", recorded)
     return calls
+
+
+def record_layouts_and_plain(monkeypatch) -> tuple[list, list]:
+    """Record from here on the k of every ``_Packing`` that ``semidirect``
+    builds, and (k, number of floors) for every plain-kernel call it
+    makes, as two lists."""
+    layouts, plain = [], []
+    packing, min_plus = semidirect._Packing, semidirect._min_plus
+
+    def built(k, largest):
+        layouts.append(k)
+        return packing(k, largest)
+
+    def recorded(a, b, k, *floors):
+        plain.append((k, len(floors)))
+        return min_plus(a, b, k, *floors)
+
+    monkeypatch.setattr(semidirect, "_Packing", built)
+    monkeypatch.setattr(semidirect, "_min_plus", recorded)
+    return layouts, plain

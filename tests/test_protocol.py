@@ -45,6 +45,7 @@ from _oracles import (
     periodic_cost,
     random_mat,
     random_pair,
+    record_layouts_and_plain,
 )
 
 CIRC = SemigroupOpKind.CIRC
@@ -299,28 +300,17 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
 
 def test_exchange_packs_once_and_derives_plain(monkeypatch):
     """An exchange at the benchmark's size packs on one layout, the walk's,
-    and derives each party's key as ``op_circ`` makes a first component:
-    the only plain-kernel calls are the two derivations, each one product
-    with S and H as its two floors."""
-    layouts, plain = [], []
-    packing, min_plus = semidirect._Packing, semidirect._min_plus
-
-    def built(k, largest):
-        layouts.append(k)
-        return packing(k, largest)
-
-    def recorded(a, b, k, *floors):
-        plain.append((k, len(floors)))
-        return min_plus(a, b, k, *floors)
-
-    monkeypatch.setattr(semidirect, "_Packing", built)
-    monkeypatch.setattr(semidirect, "_min_plus", recorded)
+    makes P_2 and derives each party's key on the plain kernel: the only
+    plain-kernel calls are P_2's two, M * B with H as its floor and then
+    H * B, and the two derivations, each made as ``op_circ`` makes a first
+    component, one product with S and H as its two floors."""
+    layouts, plain = record_layouts_and_plain(monkeypatch)
     for seed in range(4):
         params = setup(10, 1000, 200, CIRC, Random(seed))
         layouts[:], plain[:] = [], []
         run_exchange(params, Random(seed))
         assert layouts == [10]
-        assert plain == [(10, 2), (10, 2)]
+        assert plain == [(10, 1), (10, 0), (10, 2), (10, 2)]
 
 
 def test_party_powers_cost_bound(monkeypatch):

@@ -39,6 +39,7 @@ from _oracles import (
     periodic_cost,
     random_mat,
     random_pair,
+    record_layouts_and_plain,
 )
 
 CIRC = SemigroupOpKind.CIRC
@@ -377,6 +378,27 @@ def test_circ_square_is_read_off_b(k, diagonal):
             assert periodic_powers(base, (2,)) == (square,)
 
 
+def test_periodic_powers_square_alone_is_plain(monkeypatch):
+    """With no exponent above 2 there is no walk: no layout is built, and
+    P_2 is two plain products, M * B with H as its floor and then H * B.
+    Beside an exponent past 2^64, which does build the walk, P_2 is still
+    the pass's."""
+    layouts, plain = record_layouts_and_plain(monkeypatch)
+    rng = Random(53)
+    for k in range(1, 7):
+        base = random_pair(rng, k, rng.choice((5, 1000, 10**30)))
+        for exponents in ((2,), (1, 2), (2, 1, 2)):
+            plain[:] = []
+            result = periodic_powers(base, exponents)
+            assert layouts == []
+            assert plain == [(k, 1), (k, 0)]
+            assert result == powers(CIRC, base, exponents)
+        exponents = (2, rng.randint((1 << 64) + 1, 1 << 200))
+        assert periodic_powers(base, exponents) == powers(CIRC, base, exponents)
+        assert layouts == [k]
+        layouts[:] = []
+
+
 def _span(w):
     entries = [x for row in w.rows for x in row]
     return max(entries) - min(entries)
@@ -505,24 +527,19 @@ def test_periodic_powers_fields_at_their_bound(monkeypatch):
     bounds.  B = [[-5000, 0], [0, 0]] spans S = 5000, and from B^2 on
     each power spans 2S with its least entry at [0][0], so its rebased
     fields reach 4S and squaring B^2 sums two fields to 8S = 40 000, past
-    15 value bits.  P_2 multiplies by B's rebased fields, [[10000, 15000],
-    [15000, 15000]], in the walk's layout: M is clipped at
-    max(H) - min(B) = 8 000, so it spans 8 000 + 15 000 = 23 000 and
-    M otimes B sums 23 000 + 15 000 = 38 000, and H spans 8 000, so
-    H otimes B sums 23 000.  X_2 = [[-5000, 0], [-20000, -15000]] spans
-    20 000 with its largest entry in column 1, so serving sums
-    20 000 + 4S = 40 000 too.  The walk's layout needs 24-bit fields."""
+    15 value bits.  X_2 = [[-5000, 0], [-20000, -15000]] spans 20 000
+    with its largest entry in column 1, so serving sums 20 000 + 4S =
+    40 000 too.  The walk's layout needs 24-bit fields."""
     sums = packed_sums(monkeypatch)
     m = TropicalMatrix([[0, 15000], [-15000, 15000]])
     base = SemigroupPair(m, TropicalMatrix([[-5000, 0], [0, 3000]]))
     assert apply(CIRC, base, base).first == TropicalMatrix([[-5000, 0], [-20000, -15000]])
     exponents = ((1 << 60) + 1, (1 << 61) + 3)
     result = periodic_powers(base, exponents)
-    # B^2, B^4 and B^5 for the walk, which then repeats; M and H times B
-    # for P_2; X_2 and G_2 times the one power of B both exponents share
-    # for serving
-    walk, square, serving = [(30000, 24), (40000, 24), (35000, 24)], [(38000, 24), (23000, 24)], [(40000, 24), (30000, 24)]
-    assert sums == walk + square + serving
+    # B^2, B^4 and B^5 for the walk, which then repeats; X_2 and G_2 times
+    # the one power of B both exponents share for serving
+    walk, serving = [(30000, 24), (40000, 24), (35000, 24)], [(40000, 24), (30000, 24)]
+    assert sums == walk + serving
     assert result == powers(CIRC, base, exponents)
     rng = Random(89)
     for trial in range(40):
@@ -539,20 +556,17 @@ def test_periodic_powers_serving_sets_the_width(monkeypatch):
     R = 5 + 1000 + 0 = 1005, and 4S + R = 1025 needs 16 bits.  B is
     idempotent, so the walk squares B to B^2 and B^4, steps to B^5 and
     repeats (p = 1, c = 0): three products of rebased fields [[10, 15],
-    [15, 10]], summing to 30.  P_2 multiplies by B's rebased fields in the
-    walk's layout too: M is clipped at max(H) - min(B) = 5, so it spans
-    1005 and M otimes B sums 1005 + 15 = 1020, and H spans none, so
-    H otimes B sums 15, both below R + 3S.  X_2 = [[-1000, -995], [0, 0]]
-    spans 1000 and G_2 = H none, so serving sums 1000 + 15 = 1015 and 15,
-    both below R + 4S."""
+    [15, 10]], summing to 30.  X_2 = [[-1000, -995], [0, 0]] spans 1000
+    and G_2 = H none, so serving sums 1000 + 15 = 1015 and 15, both below
+    R + 4S."""
     sums = packed_sums(monkeypatch)
     m = TropicalMatrix([[-1000, 1000], [0, 0]])
     base = SemigroupPair(m, TropicalMatrix([[5, 5], [5, 5]]))
     assert apply(CIRC, base, base).first == TropicalMatrix([[-1000, -995], [0, 0]])
     exponents = ((1 << 60) + 1, (1 << 61) + 3)
     result = periodic_powers(base, exponents)
-    walk, square, serving = [(30, 16)] * 3, [(1020, 16), (15, 16)], [(1015, 16), (15, 16)]
-    assert sums == walk + square + serving
+    walk, serving = [(30, 16)] * 3, [(1015, 16), (15, 16)]
+    assert sums == walk + serving
     assert result == powers(CIRC, base, exponents)
 
 
