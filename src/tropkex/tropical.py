@@ -10,21 +10,38 @@ comparisons, and a rounded entry could fake or hide an order relation.
 
 The plain product kernel is generated as Python source, once per k and
 number of "floors", and kept: it unpacks the right factor into k^2 local
-names and writes each entry out as a running minimum, its first sum and
-then one inline compare for each later sum and for the same entry of
-each floor.  The floors are a pair law's oplus terms, so each component
-of a law is one kernel call with no entrywise pass after it.  A generic
-loop spends an interpreted call or iterator step per entry on top of
-those k adds, which at small k costs as much as the adds themselves,
-and ending each entry with one ``min`` call made ``otimes`` take 1.3-1.4
-times as long at k = 5 and 10; unrolled into compares, only the adds
-and the compares remain, the same ones ``min`` makes on the same plain
-ints, so the results are those of the triple loop at any entry size.
-Generating a kernel costs about 0.3-0.4 ms at k = 5, 1.0-1.2 ms at
-k = 10 and 9 ms at k = 30, and its compile peaks at 0.2, 0.6-0.8 and
-5.4-5.9 MB (0, 1 or 2 floors; Python 3.11 on a 2-vCPU VM).  A process
-builds at most three per k: one for each number of floors the laws use,
-0, 1 or 2.
+names and writes each entry out as a running minimum, its first sum,
+then one inline compare for each later sum and, after a shift, one for
+the same entry of each floor.  The floors are a pair law's oplus terms,
+so each component of a law is one kernel call with no entrywise pass
+after it.  A generic loop spends an interpreted call or iterator step
+per entry on top of those k adds, which at small k costs as much as the
+adds themselves, and ending each entry with one ``min`` call made
+``otimes`` take 1.3-1.4 times as long at k = 5 and 10; unrolled into
+compares, only the adds and the compares remain.
+Its sums are narrow.  The kernel takes s = a[0] off every entry of the
+left factor as it unpacks a row, and t = b[0] off each of its locals of
+the right factor, so each sum is (a - s) + (b - t), and it adds
+c = s + t back once per entry, before the floor compares.  That is
+exact for any ints: (a - s) + (b - t) + c = a + b, and adding one
+constant to every sum commutes with taking their minimum, so the
+results are those of the triple loop at any entry size, and only the
+speed depends on the factors' spans.  The powers the attack and the
+exchange multiply are wide but span little: at K = 200 a ladder
+square's entries reach ~210 bits, and no matrix of it spans more than
+11.  CPython adds and compares ints of one 30-bit digit on a fast path,
+so the k^3 sums and their compares run at small-int speed and only the
+3 k^2 shifts (a, b and c) pay for the width: in one process, on a
+K = 200 ladder's operands, ``op_circ`` took 0.83 times the time of
+wide sums at k = 10 and 0.77 at k = 20, and 0.69 at k = 10 with
+K = 1 000, whose entries are ~1 000 bits wide, but 1.08 at k = 5, where
+the k^2 shifts weigh about what the k^3 narrow sums save.
+Generating a kernel costs about 0.6-0.7 ms at k = 5, 1.6-2.0 ms at
+k = 10 and 16-17 ms at k = 30, and its compile peaks at 0.24-0.30,
+0.86-0.97 and 7.3-7.6 MB (0, 1 or 2 floors; Python 3.11.7 on a 2-vCPU
+VM; 1.2-1.6 times the time and 1.3 times the memory without the shifts).
+A process builds at most three per k: one for each number of
+floors the laws use, 0, 1 or 2.
 Besides it there is a packed kernel for matrices of bounded span, each
 held as one int of fixed-width fields: exact integer arithmetic too,
 under the width condition its docstring proves.
@@ -206,66 +223,89 @@ def _kernel(k: int, floors: int) -> Callable[..., list[int]]:
 
 
 def _kernel_source(k: int, floors: int) -> str:
-    # The text of the product for one k and number of floors.  One zip
-    # cuts each row of a together with the same row of every floor, as
-    # one flat tuple, and each entry is a running minimum: its first sum,
-    # then one compare per later sum and per floor.  For k = 2 and no
-    # floors:
+    # The text of the product for one k and number of floors.  It takes
+    # s = a[0] off each entry of a as it unpacks a row, and t = b[0] off
+    # each of its k^2 locals of b, so that every sum is (a - s) + (b - t),
+    # no wider than the two factors' spans.  One zip cuts each row of a
+    # together with the same row of every floor, as one flat tuple, and
+    # each entry is a running minimum: its first sum, one compare per
+    # later sum, then c = s + t added once, and one compare per floor.
+    # For k = 2 and no floors:
     #
     #     def min_plus_2_0(a, b):
     #         b0, b1, b2, b3, = b
+    #         s, t = a[0], b0
+    #         c = s + t
+    #         b0, b1, b2, b3, = b0 - t, b1 - t, b2 - t, b3 - t,
     #         a = iter(a)
     #         out = []
     #         append = out.append
     #         for a0, a1, in zip(a, a):
+    #             a0 -= s
+    #             a1 -= s
     #             m = a0 + b0
     #             if (x := a1 + b2) < m: m = x
-    #             append(m)
+    #             append(m + c)
     #             m = a0 + b1
     #             if (x := a1 + b3) < m: m = x
-    #             append(m)
+    #             append(m + c)
     #         return out
     #
     # and for k = 2 and two floors:
     #
     #     def min_plus_2_2(a, b, f0, f1):
     #         b0, b1, b2, b3, = b
+    #         s, t = a[0], b0
+    #         c = s + t
+    #         b0, b1, b2, b3, = b0 - t, b1 - t, b2 - t, b3 - t,
     #         a, f0, f1 = iter(a), iter(f0), iter(f1)
     #         out = []
     #         append = out.append
     #         for a0, a1, f0_0, f0_1, f1_0, f1_1, in zip(a, a, f0, f0, f1, f1):
+    #             a0 -= s
+    #             a1 -= s
     #             m = a0 + b0
     #             if (x := a1 + b2) < m: m = x
-    #             if (x := f0_0) < m: m = x
-    #             if (x := f1_0) < m: m = x
+    #             m += c
+    #             if f0_0 < m: m = f0_0
+    #             if f1_0 < m: m = f1_0
     #             append(m)
     #             m = a0 + b1
     #             if (x := a1 + b3) < m: m = x
-    #             if (x := f0_1) < m: m = x
-    #             if (x := f1_1) < m: m = x
+    #             m += c
+    #             if f0_1 < m: m = f0_1
+    #             if f1_1 < m: m = f1_1
     #             append(m)
     #         return out
     floor_names = [f"f{n}" for n in range(floors)]
     cut = ["a", *floor_names]  # read k at a time by one zip
 
     def entry(j: int) -> list[str]:
-        first, *rest = (
-            *(f"a{l} + b{l * k + j}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors))
-        )
-        return [f"m = {first}", *(f"if (x := {term}) < m: m = x" for term in rest), "append(m)"]
+        first, *rest = (f"a{l} + b{l * k + j}" for l in range(k))
+        sums = [f"m = {first}", *(f"if (x := {term}) < m: m = x" for term in rest)]
+        if not floors:
+            return [*sums, "append(m + c)"]
+        compares = (f"if f{n}_{j} < m: m = f{n}_{j}" for n in range(floors))
+        return [*sums, "m += c", *compares, "append(m)"]
 
-    names = ", ".join(f"b{i}" for i in range(k * k))
+    b_names = [f"b{i}" for i in range(k * k)]
+    names = ", ".join(b_names)
     row = ", ".join(
         [*(f"a{l}" for l in range(k)), *(f"f{n}_{j}" for n in range(floors) for j in range(k))]
     )
+    narrow = "".join(f"        a{l} -= s\n" for l in range(k))
     body = "".join(f"        {line}\n" for j in range(k) for line in entry(j))
     return (
         f"def min_plus_{k}_{floors}({', '.join(['a', 'b', *floor_names])}):\n"
         f"    {names}, = b\n"
+        f"    s, t = a[0], b0\n"
+        f"    c = s + t\n"
+        f"    {names}, = {', '.join(f'{name} - t' for name in b_names)},\n"
         f"    {', '.join(cut)} = {', '.join(f'iter({s})' for s in cut)}\n"
         f"    out = []\n"
         f"    append = out.append\n"
         f"    for {row}, in zip({', '.join(s for s in cut for _ in range(k))}):\n"
+        f"{narrow}"
         f"{body}"
         f"    return out\n"
     )

@@ -8,6 +8,7 @@ build one checked ``TropicalMatrix`` per matrix they return.
 kernels to count their calls.
 """
 
+from fractions import Fraction
 from random import Random
 
 from tropkex import SemigroupOpKind, SemigroupPair, TropicalMatrix, semidirect
@@ -144,6 +145,25 @@ def identity_oplus(h: TropicalMatrix) -> TropicalMatrix:
     """I oplus h, I the min-plus identity (0 on the diagonal, +inf off it):
     h with its diagonal clipped at 0."""
     return TropicalMatrix(_identity_oplus(h.rows))
+
+
+def min_cycle_mean(m: TropicalMatrix) -> Fraction:
+    """The least mean weight of a cycle in the complete digraph whose edge
+    i -> j weighs m[i][j], exactly, by Karp's theorem: with d_j[v] the
+    least weight of a walk of j edges from node 0 to v, it is the least
+    over v of the largest over j < k of (d_k[v] - d_j[v]) / (k - j).  Every
+    node is one edge from every other, so only d_0 has entries that no
+    walk reaches (None)."""
+    w = m.rows
+    k = len(w)
+    d = [[0] + [None] * (k - 1)]
+    for _ in range(k):
+        last = d[-1]
+        d.append([min(last[i] + w[i][v] for i in range(k) if last[i] is not None) for v in range(k)])
+    return min(
+        max(Fraction(d[k][v] - d[j][v], k - j) for j in range(k) if d[j][v] is not None)
+        for v in range(k)
+    )
 
 
 def _relative(w: list) -> tuple:

@@ -1,4 +1,7 @@
 import math
+from fractions import Fraction
+from itertools import combinations, permutations
+from random import Random
 
 import pytest
 
@@ -17,7 +20,9 @@ from tropkex import (
     rows_to_csv,
     run_experiment,
 )
-from tropkex.protocol import MAX_K
+from tropkex.protocol import MAX_K, draw_exponent, party_powers, setup
+
+from _oracles import identity_oplus, min_cycle_mean, random_mat
 
 STAR = SemigroupOpKind.STAR
 
@@ -153,3 +158,41 @@ def test_key_size_scales_linearly_in_exponent_bits():
         alpha = average_key_size_bits(RunConfig(k_list=(3,), K=exp_bits, trials=5, seed=2))[3]
         ratios.append(alpha / exp_bits)
     assert max(ratios) <= 1.10 * min(ratios)
+
+
+def test_min_cycle_mean_is_the_least_mean_of_a_simple_cycle():
+    # Karp's formula against every simple cycle, at k <= 5: a least cycle
+    # mean is always reached on a simple one
+    rng = Random(5)
+    for k in range(1, 6):
+        for _ in range(10):
+            w = random_mat(rng, k)
+            rows = w.rows
+            least = min(
+                Fraction(sum(rows[i][j] for i, j in zip(cycle, cycle[1:] + cycle[:1])), len(cycle))
+                for size in range(1, k + 1)
+                for nodes in combinations(range(k), size)
+                for cycle in permutations(nodes)
+                if cycle[0] == nodes[0]
+            )
+            assert min_cycle_mean(w) == least, k
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_key_size_is_read_off_b(k):
+    """On AC3's own draws, Alice's message has key size
+    k^2 (bit_length(floor(|lambda| m)) + 1), lambda the minimum cycle mean
+    of B = H oplus I and m her exponent: every entry of X_m is
+    X_2 otimes B^(m-2), which drifts by (m - 2) lambda plus a bounded term,
+    so at 200-bit exponents each entry has the bit length of |lambda| m."""
+    config = RunConfig(k_list=(k,), trials=10, seed=2024)
+    alphas = []
+    for trial in range(config.trials):
+        rng = Random(config.seed + trial)
+        params = setup(k, config.N, config.K, config.op, rng)
+        m = draw_exponent(params, rng)
+        alpha = measure_alpha(party_powers(params, (m,))[0].first)
+        drift = abs(min_cycle_mean(identity_oplus(params.H))) * m
+        assert alpha == k * k * (math.floor(drift).bit_length() + 1), trial
+        alphas.append(alpha)
+    assert sum(alphas) / config.trials == average_key_size_bits(config)[k]  # the same draws

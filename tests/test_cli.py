@@ -38,6 +38,8 @@ from tropkex.semidirect import product_first
 
 from _oracles import count_products, periodic_cost
 
+SRC = Path(__file__).resolve().parent.parent / "src"  # this checkout's sources
+
 
 def run_cli(*argv):
     return cli_main(list(argv))
@@ -658,6 +660,14 @@ def test_star_exchange_failure_maps_to_attack_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:attack:")
 
 
+def _child_env(**overrides: str) -> dict:
+    # The environment of a ``python -m tropkex`` child: this checkout's
+    # ``src`` first on its import path, so that the child runs the code
+    # under test whether or not the package is installed.
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "p.json"
     proc = subprocess.run(
@@ -665,6 +675,7 @@ def test_module_entry_point(tmp_path):
          "--K", "4", "--seed", "1", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert params_from_json(json.loads(out.read_text())).k == 2
@@ -682,7 +693,7 @@ def test_files_are_read_as_utf8_under_any_locale(tmp_path):
     valid, not_utf8 = tmp_path / "valid.json", tmp_path / "not_utf8.json"
     valid.write_bytes(json.dumps(transcript, ensure_ascii=False).encode("utf-8"))
     not_utf8.write_bytes(b"\xff\xfe")
-    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    env = _child_env(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C")
     for path, code in ((valid, EXIT_OK), (not_utf8, EXIT_FORMAT)):
         proc = subprocess.run(
             [sys.executable, "-m", "tropkex", "attack", "--transcript", str(path)],

@@ -234,6 +234,51 @@ def test_min_plus_each_term_wins_in_turn(k):
             assert tropical._min_plus(a, b, k, *floors) == expected, (k, count, winner)
 
 
+def _far(rng):
+    # a scalar of either sign and ~4 000 bits
+    return rng.choice((-1, 1)) * (2**3999 + rng.getrandbits(3999))
+
+
+def test_min_plus_commutes_with_scalar_shifts():
+    """Adding s to every entry of a, t to every entry of b and s + t to
+    every floor adds s + t to every entry of the product, at every k up
+    to MAX_K with no floor, one and two, for s and t of ~4 000 bits and
+    either sign: the kernel takes a's and b's first entries off its sums
+    and adds them back once per entry, before the floors."""
+    rng = Random(3301)
+    for k in range(1, MAX_K + 1):
+        for count in (0, 1, 2):
+            a, b = random_mat(rng, k).entries, random_mat(rng, k).entries
+            floors = [random_mat(rng, k, 100).entries for _ in range(count)]
+            s, t = _far(rng), _far(rng)
+            shifted = tropical._min_plus(
+                [e + s for e in a], [e + t for e in b], k, *([e + s + t for e in f] for f in floors)
+            )
+            product = tropical._min_plus(a, b, k, *floors)
+            assert shifted == [e + s + t for e in product], (k, count)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10, MAX_K])
+def test_min_plus_with_outlying_first_entries(k):
+    """Operands whose first entry lies ~4 000 bits from the rest, above or
+    below, so that taking it off leaves the other entries as wide as
+    before, still give the triple loop's product, with no floor, one and
+    two."""
+    rng = Random(3400 + k)
+    for count in (0, 1, 2):
+        for a_sign in (-1, 1):
+            for b_sign in (-1, 1):
+                a, b = ([[*row] for row in random_mat(rng, k).rows] for _ in range(2))
+                a[0][0] += a_sign * 2**4000
+                b[0][0] += b_sign * 2**4000
+                a, b = TropicalMatrix(a), TropicalMatrix(b)
+                sums = naive_otimes(a, b).entries
+                floors = _floors_around(rng, sums, count)
+                expected = [min((e, *column)) for e, *column in zip(sums, *floors)]
+                product = tropical._min_plus(a.entries, b.entries, k, *floors)
+                assert product == expected, (count, a_sign, b_sign)
+
+
 def test_min_plus_kernel_is_built_once_per_k(monkeypatch):
     """One kernel per (k, number of floors), kept for every later product;
     a k that is not an int of at least 1 is refused before any source text
