@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .protocol import ProtocolParams, Transcript, derive_shared_key
-from .semidirect import SemigroupOpKind, SemigroupPair, apply, power
+from .semidirect import SemigroupOpKind, SemigroupPair, _pass_cost, apply, power
 from .tropical import (
     ChainOrdering,
     TropicalMatrix,
@@ -167,7 +167,7 @@ def _bisect_chain(
             applications += 1
         else:
             candidate = power(op, base, e + step)
-            applications += _power_cost(e + step)
+            applications += _pass_cost((e + step,))
         relation = chain_compare(candidate.first, target)
         if relation is ChainOrdering.GREATER:
             acc, e = candidate, e + step
@@ -183,18 +183,13 @@ def _bisect_chain(
         applications += 1
     else:
         pair = power(op, base, m_prime)
-        applications += _power_cost(m_prime)
+        applications += _pass_cost((m_prime,))
     if pair.first != target:
         raise ExponentNotFoundError(
             "no exponent up to the doubling bound has the target as first "
             "component; the target is not on this chain"
         )
     return m_prime, pair, applications
-
-
-def _power_cost(e: int) -> int:
-    # Applications ``power`` makes for base^e: see ``semidirect.powers``.
-    return e.bit_length() + e.bit_count() - 2
 
 
 def find_chain_exponent(

@@ -12,9 +12,9 @@ parameters plus the two exchanged matrices.  Private exponents are never
 serialized.
 
 Every honest powering goes through ``party_powers``: under circ
-``semidirect.periodic_powers`` (``semidirect._certify_b``'s docstring has
-the walk, its cost and its packed widths), under star the least-bit-first
-pass ``powers``.
+``semidirect.periodic_powers``, which squares with ``op_circ`` and serves
+the rest off B's walk in the packed layout ``semidirect._certify_b``
+builds, under star the least-bit-first pass ``powers``.
 
 Under circ the derived keys provably agree.  Under star they need not:
 star is not associative for k >= 2 (see ``semidirect``), so the two

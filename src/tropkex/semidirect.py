@@ -15,13 +15,8 @@ On the plain kernel each component is one call of ``tropical._min_plus``
 with the law's oplus terms as its floors, so no entrywise pass follows
 the products: circ's first component is M * B with floors S and H, its
 second G * B with floor H, and star's first is H * M^T with floor S,
-then M^T * H with that product as its floor.  Each call sums its two
-factors less their first entries, which leaves the sums no wider than
-the factors' spans however wide the entries are, and adds the two first
-entries back once per entry before the floors (``tropical``'s docstring
-has why that is exact): from k = 10 on that makes a product of a
-chain's wide powers cheaper, and at k = 5 the 3 k^2 shifts cost about
-what the k^3 narrow sums save.
+then M^T * H with that product as its floor.  ``tropical``'s docstring
+has how the kernel keeps its sums narrow and why that is exact.
 
 circ is an honest semigroup operation: its first component applies the
 map X -> (X * B) + H to M and adds S, and that family of maps is closed
@@ -54,9 +49,9 @@ the powers of B = H oplus I to an exact repeat up to a scalar shift and
 serves each exponent off that period, in O(k log T) products for B's
 transient T, and runs ``powers`` itself where that could cost more; its
 docstring has the proof and the serving, and ``_certify_b``'s, the walk's
-schedule, repeat key and packed layout.  There is
-no identity pair (the semiring has no multiplicative identity matrix),
-so exponents start at 1.
+schedule, repeat key and packed layout, which it builds.  There is no
+identity pair (the semiring has no multiplicative identity matrix), so
+exponents start at 1.
 
 ``apply`` is one pair application under either law; it looks ``op_circ``
 and ``op_star`` up at call time, so a wrapper installed on either module
@@ -127,11 +122,11 @@ def _new_pair(first: TropicalMatrix, second: TropicalMatrix) -> SemigroupPair:
     return pair
 
 
-# The honest walk's circ products are packed (``_certify_b`` and
-# ``periodic_powers``' serving); every other product is plain: the attack's
-# and the fallback pass's, for the k^3 cost AC4 times, and P_2's and the
-# key derivation's, which would pay for packing their own factors (both are
-# slower packed below k = 15 on an exchange's operands).
+# The products of B's walk and its serving are packed, in the layout
+# ``_certify_b`` builds; every other product is plain: the attack's and the
+# fallback pass's, for the k^3 cost AC4 times, and P_2's (``op_circ``) and the
+# key derivation's (``product_first``), which would pay for packing their own
+# factors (both are slower packed below k = 15 on an exchange's operands).
 
 
 def _b_entries(h: TropicalMatrix) -> list[int]:
@@ -240,14 +235,20 @@ def power(op: SemigroupOpKind, base: SemigroupPair, e: int) -> SemigroupPair:
     return powers(op, base, (e,))[0]
 
 
+def _pass_cost(exponents: Sequence[int]) -> int:
+    # Applications ``powers`` makes on ``exponents``: see its docstring.
+    return max(exponents, default=1).bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents)
+
+
 def _certify_b(
-    walk: _Packing, x: int, tiles: list[int], offset: int, allowance: int, least: int
-) -> tuple[int, int, int, dict[int, tuple[int, int]]] | None:
-    """B's certificate W_{n+p} = W_n + c, W_j = B^j, as (n, p, c, segment),
-    or None when the walk gives up.  B is the packed ``x`` plus ``offset``
-    in the layout ``walk``, rebased as below, with ``tiles`` its
-    ``walk.tiles``.  The segment maps each index j the walk holds at the
-    end, n and n + p among them, to W_j packed, (fields, offset).
+    b: list[int], k: int, reach: int, allowance: int, least: int
+) -> tuple[_Packing, int, int, int, dict[int, tuple[int, int]]] | None:
+    """B's certificate W_{n+p} = W_n + c, W_j = B^j, as (walk, n, p, c,
+    segment), or None when the walk gives up.  ``b`` is B's entries, flat
+    and row-major; ``walk`` is the layout the walk builds, wide enough for
+    left factors of span ``reach`` too (the width rule).  The segment maps
+    each index j it holds at the end, n and n + p among them, to W_j
+    packed in ``walk``, (fields, offset).
 
     Schedule: the walk squares from W_1 = B (otimes is associative) while
     its index j is below 2k, then steps W_{j+1} = W_j otimes B in segments
@@ -281,26 +282,30 @@ def _certify_b(
     least-weight path of length j >= 2 from i' to l' becomes a path from
     i to l when its first edge is swapped for one out of i and its last
     for one into l, each swap adding at most S (for j = 1, the one edge
-    adds at most S).  After each product the walk rebases: f0 the packed
-    [0][0] field, it takes f0 - 2S off every field and adds it to the
-    offset, so field [0][0] is 2S and every field lies in [0, 4S].  B
-    comes packed the same way, so its [0][0] field gives 2S.  The rebased
-    int is W_j - W_j[0][0] + 2S exactly, so it is the repeat key, and c is
-    the difference of the offsets.
+    adds at most S).  B is packed less B[0][0] - 2S, and after each
+    product the walk rebases: f0 the packed [0][0] field, it takes
+    f0 - 2S off every field and adds it to the offset, so field [0][0] is
+    2S and every field lies in [0, 4S].  The rebased int is
+    W_j - W_j[0][0] + 2S exactly, so it is the repeat key, and c is the
+    difference of the offsets.
 
-    Width rule: the walk's sums stay at most 8S, and ``periodic_powers``'
-    serving's at most R + 4S (R is defined there), so one layout whose
-    fields hold 4S + max(4S, R) is exact for both at any entry size.
+    Width rule: the walk's sums stay at most 8S, and a left factor of
+    span at most R, packed less its least entry, times a W_j sums to at
+    most R + 4S, so fields that hold 4S + max(4S, R) are exact for both
+    at any entry size.
     """
-    k, corner = walk.k, (1 << walk.w) - 1  # field [0][0]
-    lift, b_offset = x & corner, offset  # 2S
+    lift = 2 * (max(b) - min(b))  # 2S
+    walk = _Packing(k, 2 * lift + max(2 * lift, reach))
+    offset = b_offset = b[0] - lift
+    x = walk.pack([e - b_offset for e in b])
+    tiles, corner = walk.tiles(x), (1 << walk.w) - 1  # field [0][0]
     window: dict[int, tuple[int, int]] = {}  # the segment's packed powers, by index
     first_seen: dict[int, int] = {}  # their indices, by packed power
     j, spent = 1, 0
     while True:  # W_j is x with offset, after ``spent`` products
         window[j] = x, offset
         if (n := first_seen.setdefault(x, j)) < j:
-            return n, j - n, offset - window[n][1], window
+            return walk, n, j - n, offset - window[n][1], window
         squaring = j < 2 * k or len(window) > k  # to W_{2j}, starting a new segment
         if spent >= allowance or (squaring and 2 * j > least):
             return None
@@ -322,7 +327,7 @@ def periodic_powers(
     """base^e under circ for every e in ``exponents``, read off the period
     of one matrix's powers, or from ``powers`` when that does not fit the
     k^3 products the pass spends: two per application, so a budget of
-    2 ((L - 1) + sum(popcount(e) - 1)), L the largest bit length.
+    twice ``_pass_cost``.
 
     Write base = (M, H), P_m = (X_m, G_m) = base^m and B = H oplus I as in
     circ's law.  Y otimes B <= Y for any Y, as B's diagonal is at most 0,
@@ -335,46 +340,45 @@ def periodic_powers(
     e - 2 = n + q p + r, r < p; its docstring has the schedule, the repeat
     key, the rebasing and the width rule, with S = span(B).
 
-    P_2 is two plain products of M and H by B.  Serving multiplies X_2 and
-    G_2 by the walk's own W_i in the walk's layout, each packed less its
-    least entry.  X_2 has H as an oplus term and G_2 <= H, so every entry
-    is at most max(H), and min(B) <= 0, so every entry is at least
+    P_2 is ``op_circ(base, base)``.  Serving multiplies X_2 and G_2 by the
+    walk's own W_i in the walk's layout, each packed less its least entry.
+    X_2 has H as an oplus term and G_2 <= H, so every entry is at most
+    max(H), and min(B) <= 0, so every entry is at least
     min(min M, min H) + min(B): each spans at most
-    R = max(H) - min(min M, min H) - min(B), and serving's sums stay at
-    most R + 4S.  Offsets add, so P_e is unpacked with its component's
-    least entry plus W_i's offset plus q c.  B is packed and tiled once,
-    only when some exponent is above 2.
+    R = max(H) - min(min M, min H) - min(B), the reach the walk's layout
+    is built for.  Offsets add, so P_e is unpacked with its component's
+    least entry plus W_i's offset plus q c.
 
     Cost: serving costs two products for P_2, then, since adding a scalar
     commutes with otimes, two per distinct W_{n+r} (or W_i of the segment,
-    for i < n) the exponents need.  The walk's allowance is the budget
-    less the most serving can cost, two per exponent above 2, and no
-    segment may start past the least needed index e - 2, whose power it
-    would then never hold; where it gives up, ``powers`` runs.  So this
-    never costs more than the pass, and a fallback at most twice.  Only
-    one segment and one matrix per exponent are kept.
+    for i < n) the exponents need, kept in ``served`` as exponents often
+    share one: over ``setup(10, 1000, 200, circ, Random(s))``, s < 300,
+    two ``draw_exponent``s each, one W_i served both in 203 exchanges, p
+    was 1, 2 or 3 in 145, 77 and 34 and never above 7, n had median 32
+    and at most 1 644, and no walk gave up.  The walk's allowance is the
+    budget less the most serving can cost, two per exponent above 2, and
+    no segment may start past the least needed index e - 2, whose power
+    it would then never hold; where it gives up, ``powers`` runs.  So
+    this never costs more than the pass, and a fallback at most twice.
+    Only one segment and one matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
     top = max(exponents, default=1)
-    budget = 2 * (top.bit_length() - 1 + sum(e.bit_count() - 1 for e in exponents))
+    budget = 2 * _pass_cost(exponents)
     serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
-    k, m, h, b = base.k, base.first.entries, base.second.entries, _b_entries(base.second)
     if top > 2:
-        lift = 2 * (max(b) - min(b))  # 2S
+        m, h, b = base.first.entries, base.second.entries, _b_entries(base.second)
         reach = max(h) - min(min(m), min(h)) - min(b)  # R
-        walk = _Packing(k, 2 * lift + max(2 * lift, reach))
-        b_offset = b[0] - lift
-        x = walk.pack([e - b_offset for e in b])
         least = min(e for e in exponents if e > 2) - 2
-        certificate = _certify_b(walk, x, walk.tiles(x), b_offset, budget - serving, least)
+        certificate = _certify_b(b, base.k, reach, budget - serving, least)
         if certificate is None:
             return powers(_CIRC, base, exponents)
-        n, period, c, window = certificate
-    if top > 1:  # X_2 = (M * B) + H and G_2 = H * B
-        x2, g2 = _min_plus(m, b, k, h), _min_plus(h, b, k)
-        square = _new_pair(_wrap_flat(x2, k), _wrap_flat(g2, k))
+        walk, n, period, c, window = certificate
+    if top > 1:
+        square = op_circ(base, base)
     if top > 2:
+        x2, g2 = square.first.entries, square.second.entries
         factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]
     served: dict[int, list[tuple[int, int]]] = {}  # X_2 and G_2 times W_i, packed, by i
     result = []

@@ -327,8 +327,9 @@ class _Packing:
     multiple of 8 so that packing and unpacking go through bytes, and
     through one ``array`` of the field's machine width when it has one
     (1, 2, 4 or 8 bytes).  Either way an entry below 0 or of 2^w or more
-    raises ``OverflowError``.  Callers build one per use (four masks) and
-    keep track of each packed matrix's offset, the scalar its fields omit.
+    raises ``OverflowError``.  ``semidirect._certify_b`` builds one per walk
+    (four masks) and keeps track of each packed matrix's offset, the
+    scalar its fields omit.
     """
 
     __slots__ = ("k", "w", "code", "column", "spread", "guard", "ones")

@@ -301,16 +301,17 @@ def test_run_exchange_shares_the_squarings(monkeypatch):
 def test_exchange_packs_once_and_derives_plain(monkeypatch):
     """An exchange at the benchmark's size packs on one layout, the walk's,
     makes P_2 and derives each party's key on the plain kernel: the only
-    plain-kernel calls are P_2's two, M * B with H as its floor and then
-    H * B, and the two derivations, each made as ``op_circ`` makes a first
-    component, one product with S and H as its two floors."""
+    plain-kernel calls are P_2's two, made by ``op_circ``, M * B with M
+    and H as its floors and then H * B with H as its floor, and the two
+    derivations, each made as ``op_circ`` makes a first component, one
+    product with S and H as its two floors."""
     layouts, plain = record_layouts_and_plain(monkeypatch)
     for seed in range(4):
         params = setup(10, 1000, 200, CIRC, Random(seed))
         layouts[:], plain[:] = [], []
         run_exchange(params, Random(seed))
         assert layouts == [10]
-        assert plain == [(10, 1), (10, 0), (10, 2), (10, 2)]
+        assert plain == [(10, 2), (10, 1), (10, 2), (10, 2)]
 
 
 def test_party_powers_cost_bound(monkeypatch):

@@ -380,9 +380,9 @@ def test_circ_square_is_read_off_b(k, diagonal):
 
 def test_periodic_powers_square_alone_is_plain(monkeypatch):
     """With no exponent above 2 there is no walk: no layout is built, and
-    P_2 is two plain products, M * B with H as its floor and then H * B.
-    Beside an exponent past 2^64, which does build the walk, P_2 is still
-    the pass's."""
+    P_2 is ``op_circ``'s two plain products, M * B with M and H as its
+    floors and then H * B with H as its floor.  Beside an exponent past
+    2^64, which does build the walk, P_2 is still the pass's."""
     layouts, plain = record_layouts_and_plain(monkeypatch)
     rng = Random(53)
     for k in range(1, 7):
@@ -391,7 +391,7 @@ def test_periodic_powers_square_alone_is_plain(monkeypatch):
             plain[:] = []
             result = periodic_powers(base, exponents)
             assert layouts == []
-            assert plain == [(k, 1), (k, 0)]
+            assert plain == [(k, 2), (k, 1)]
             assert result == powers(CIRC, base, exponents)
         exponents = (2, rng.randint((1 << 64) + 1, 1 << 200))
         assert periodic_powers(base, exponents) == powers(CIRC, base, exponents)
@@ -723,22 +723,15 @@ def test_periodic_powers_window_overflow(monkeypatch):
     assert pairs == (chain_fold(CIRC, base, 191), chain_fold(CIRC, base, 255))
 
 
-def _packed_b(h):
-    """B = H oplus I packed as ``periodic_powers`` packs it, less 2S so
-    that field [0][0] reads 2S, in fields that hold the walk's own sums,
-    8S: (layout, fields, tiles, offset)."""
-    entries = [e for row in identity_oplus(h).rows for e in row]
-    lift = 2 * (max(entries) - min(entries))
-    walk = _Packing(h.k, 4 * lift)
-    offset = entries[0] - lift
-    x = walk.pack([e - offset for e in entries])
-    return walk, x, walk.tiles(x), offset
+def _b(h):
+    return [e for row in identity_oplus(h).rows for e in row]
 
 
-def _check_certificate(h, walk, certificate):
+def _check_certificate(h, certificate):
     """Every power the segment holds is the triple loop's B^j, and the
-    certificate holds: W_{n+p} = W_n + c.  Returns (n, p)."""
-    n, p, c, segment = certificate
+    certificate holds: W_{n+p} = W_n + c, read in the layout the walk
+    returns.  Returns (n, p)."""
+    walk, n, p, c, segment = certificate
     b = identity_oplus(h)
     power, j = b, 1
     for i in sorted(segment):
@@ -751,27 +744,34 @@ def _check_certificate(h, walk, certificate):
 
 
 def test_certify_b_returns_the_certificate(monkeypatch):
-    """The walk alone, with room to certify: its period is the oracle's,
-    its n is at or past the oracle's first repeat, and the segment it
-    returns holds B's powers.  On the long transient it certifies at
-    n = 2044 past the oracle's 1038, after 27 products."""
+    """The walk alone, given B's entries and reach 0, with room to
+    certify: its period is the oracle's, its n is at or past the oracle's
+    first repeat, and the segment it returns holds B's powers.  On the
+    long transient it certifies at n = 2044 past the oracle's 1038, after
+    27 products, and a reach past 4S widens its layout to 4S + R."""
     rng = Random(101)
     for k in range(1, 7):
         for bound in (5, 50, 1000):
             for _ in range(3):
                 h = random_mat(rng, k, bound)
                 first, period = matrix_period(identity_oplus(h))
-                walk, x, tiles, offset = _packed_b(h)
-                n, p = _check_certificate(h, walk, _certify_b(walk, x, tiles, offset, 10**6, 1 << 64))
+                n, p = _check_certificate(h, _certify_b(_b(h), k, 0, 10**6, 1 << 64))
                 assert p == period and n >= first
     h = setup(2, 10**6, 200, CIRC, Random(1997)).H
     assert matrix_period(identity_oplus(h)) == (1038, 1)
-    walk, x, tiles, offset = _packed_b(h)
     products = count_products(monkeypatch)
-    certificate = _certify_b(walk, x, tiles, offset, 10**6, 1 << 64)
+    certificate = _certify_b(_b(h), 2, 0, 10**6, 1 << 64)
     assert products.count == 27
-    assert _check_certificate(h, walk, certificate) == (2044, 1)
-    assert certificate[2] == -536237
+    assert _check_certificate(h, certificate) == (2044, 1)
+    assert certificate[3] == -536237
+    # the layout's fields hold 4S + max(4S, R), S = span(B): 8S at reach
+    # 0, and 4S + R once R passes 4S, with the same certificate
+    lift = 2 * _span(identity_oplus(h))
+    assert certificate[0].w == _Packing(2, 4 * lift).w
+    reach = 1 << 80
+    wide = _certify_b(_b(h), 2, reach, 10**6, 1 << 64)
+    assert wide[0].w == _Packing(2, 2 * lift + reach).w > certificate[0].w
+    assert _check_certificate(h, wide) == (2044, 1) and wide[3] == -536237
 
 
 def test_certify_b_gives_up(monkeypatch):
@@ -783,11 +783,11 @@ def test_certify_b_gives_up(monkeypatch):
     B^2, and gives up before squaring to B^4."""
     products = count_products(monkeypatch)
     h = period_six_pair().second
-    assert _certify_b(*_packed_b(h), 78, (1 << 40) - 2) is None
+    assert _certify_b(_b(h), 5, 0, 78, (1 << 40) - 2) is None
     assert products.count == 78
     products.count = 0
     h = setup(2, 10**6, 200, CIRC, Random(1997)).H
-    assert _certify_b(*_packed_b(h), 10**6, 3) is None
+    assert _certify_b(_b(h), 2, 0, 10**6, 3) is None
     assert products.count == 1
 
 
