@@ -104,29 +104,26 @@ def doubling_phase(
     square = params.base_pair
     squares = [square]
     stationary_exit = op is SemigroupOpKind.CIRC
-    for level in range(K + 1):
-        relation = chain_compare(square.first, target)
-        if relation is ChainOrdering.GREATER:
-            if level == K:
-                raise ExponentNotFoundError(
-                    f"chain never descended to the target within 2^{K}; "
-                    "the transcript is malformed or the bound is wrong"
-                )
-            square = apply(op, square, square)
-            if stationary_exit and square.first == squares[-1].first:
-                raise ExponentNotFoundError(
-                    f"chain is constant from index 2^{level} on and still above "
-                    "the target; the transcript is malformed"
-                )
-            squares.append(square)
-        elif relation is ChainOrdering.INCOMPARABLE:
-            raise ChainViolationError(
-                f"chain element at level {level} is incomparable with the target; "
-                "the intercepted matrix was not generated from these parameters"
+    while (relation := chain_compare(square.first, target)) is ChainOrdering.GREATER:
+        level = len(squares) - 1
+        if level == K:
+            raise ExponentNotFoundError(
+                f"chain never descended to the target within 2^{K}; "
+                "the transcript is malformed or the bound is wrong"
             )
-        else:
-            return tuple(squares)
-    raise AssertionError("unreachable")
+        square = apply(op, square, square)
+        if stationary_exit and square.first == squares[-1].first:
+            raise ExponentNotFoundError(
+                f"chain is constant from index 2^{level} on and still above "
+                "the target; the transcript is malformed"
+            )
+        squares.append(square)
+    if relation is ChainOrdering.INCOMPARABLE:
+        raise ChainViolationError(
+            f"chain element at level {len(squares) - 1} is incomparable with the target; "
+            "the intercepted matrix was not generated from these parameters"
+        )
+    return tuple(squares)
 
 
 def _bisect_chain(

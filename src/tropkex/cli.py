@@ -23,13 +23,15 @@ reach, has at most ``sys.get_int_max_str_digits()`` decimal digits (no
 cap when that is 0).  All three are checked before any pair operation: a
 params or transcript file asking for more is malformed input and exits
 4, flags asking for more exit 2.  ``exchange --params`` takes k, N, K
-and op from the file, so giving any of those flags with it exits 2.
+and op from the file, so giving any of those flags with it exits 2, as
+does ``exchange`` with --out and --keys-out naming the same file.
 
 The arguments after a subcommand's name go straight to that
-subcommand's parser; the top-level parser only runs when the first
-argument names no subcommand (none given, ``--help``, an unknown name),
-so a usage error after a subcommand is reported under its own name,
-``tropkex exchange: error: ...``.
+subcommand's parser, so a usage error after a subcommand is reported
+under its own name, ``tropkex exchange: error: ...``; the parser sets
+``run`` to the subcommand's function, which ``cli_main`` calls.  The
+top-level parser only prints usage or help and exits, when the first
+argument names no subcommand (none given, ``--help``, an unknown name).
 
 Every JSON file is written by ``_json_text``, byte for byte what
 ``json.dumps(obj, indent=2)`` writes: two-space indent, keys in the
@@ -81,14 +83,11 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 def _k_list_arg(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         )
-    if not values:
-        raise argparse.ArgumentTypeError("at least one matrix dimension is required")
-    return values
 
 
 def _emit(*outputs: tuple[str, str | None]) -> None:
@@ -172,31 +171,42 @@ def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser unchanged, and
     # building its four subparsers costs several times a parse.  Each
     # subcommand's parser is kept by name as ``subcommands``, for
-    # ``cli_main`` to call directly.
+    # ``cli_main`` to call directly, and sets ``run`` to its command.
     parser = argparse.ArgumentParser(
         prog="tropkex",
         description="Min-plus matrix key exchange and the attack that breaks it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, run, text in (
+        ("gen", _cmd_gen, "generate public protocol parameters"),
+        ("exchange", _cmd_exchange, "run one key exchange"),
+        ("attack", _cmd_attack, "recover the key from a transcript"),
+        ("bench", _cmd_bench, "run the experiment grid"),
+    ):
+        sub.add_parser(name, help=text).set_defaults(run=run)
+    p_gen, p_ex, p_at, p_bench = sub.choices.values()
 
-    p_gen = sub.add_parser("gen", help="generate public protocol parameters")
-    p_ex = sub.add_parser("exchange", help="run one key exchange")
     for p in (p_gen, p_ex):
         p.add_argument("--k", type=int, default=10, action=_Given, help="matrix dimension")
+    p_bench.add_argument(
+        "--k",
+        required=True,
+        type=_k_list_arg,
+        help="comma-separated matrix dimensions, e.g. 5,10",
+    )
+    for p in (p_gen, p_ex, p_bench):
         _add_param_flags(p)
-    p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--out", default=None, help="params JSON path (default stdout)")
-
     p_ex.add_argument("--params", default=None, help="reuse params from a 'gen' file")
-    p_ex.add_argument("--seed", type=int, default=None)
-    p_ex.add_argument("--out", default=None, help="transcript JSON path (default stdout)")
+    p_bench.add_argument("--trials", type=int, default=40)
+    for p, written in ((p_gen, "params JSON"), (p_ex, "transcript JSON"), (p_bench, "CSV")):
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=None, help=f"{written} path (default stdout)")
     p_ex.add_argument(
         "--keys-out",
         default=None,
         help="shared-key JSON path (default stdout)",
     )
 
-    p_at = sub.add_parser("attack", help="recover the key from a transcript")
     p_at.add_argument("--transcript", required=True, help="transcript JSON path")
     p_at.add_argument("--out", default=None, help="result JSON path (default stdout)")
     p_at.add_argument(
@@ -205,18 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="alice",
         help="whose public message to search for",
     )
-
-    p_bench = sub.add_parser("bench", help="run the experiment grid")
-    p_bench.add_argument(
-        "--k",
-        required=True,
-        type=_k_list_arg,
-        help="comma-separated matrix dimensions, e.g. 5,10",
-    )
-    _add_param_flags(p_bench)
-    p_bench.add_argument("--trials", type=int, default=40)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--out", default=None, help="CSV path (default stdout)")
 
     parser.subcommands = sub.choices
     return parser
@@ -230,6 +228,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_exchange(args) -> int:
+    if args.out not in (None, "-") and args.keys_out not in (None, "-"):
+        if os.path.realpath(args.out) == os.path.realpath(args.keys_out):
+            raise ValueError(f"--out and --keys-out name the same file, {args.out!r}")
     if args.params is not None and args.given:
         flags = ", ".join(args.given)
         raise ValueError(f"{flags} cannot be given with --params, which sets them")
@@ -269,29 +270,19 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "exchange": _cmd_exchange,
-    "attack": _cmd_attack,
-    "bench": _cmd_bench,
-}
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = _build_parser()
     try:
-        if argv and argv[0] in parser.subcommands:
-            command, args = argv[0], parser.subcommands[argv[0]].parse_args(argv[1:])
-        else:
-            args = parser.parse_args(argv)
-            command = args.command
+        if not argv or argv[0] not in parser.subcommands:
+            parser.parse_args(argv)  # no command, --help or an unknown one: exits
+        args = parser.subcommands[argv[0]].parse_args(argv[1:])
     except SystemExit as exc:
         # argparse already printed usage; translate to a return code.
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return _COMMANDS[command](args)
+        return args.run(args)
     except OSError as exc:
         print(f"error:io: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -308,7 +299,3 @@ def cli_main(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
-
-
-if __name__ == "__main__":
-    main()

@@ -356,30 +356,29 @@ def periodic_powers(
     two ``draw_exponent``s each, one W_i served both in 203 exchanges, p
     was 1, 2 or 3 in 145, 77 and 34 and never above 7, n had median 32
     and at most 1 644, and no walk gave up.  The walk's allowance is the
-    budget less the most serving can cost, two per exponent above 2, and
-    no segment may start past the least needed index e - 2, whose power
-    it would then never hold; where it gives up, ``powers`` runs.  So
-    this never costs more than the pass, and a fallback at most twice.
+    budget less the most serving can cost, two for P_2 and two per
+    exponent above 2, and no segment may start past the least needed
+    index e - 2, whose power it would then never hold; where it gives up,
+    ``powers`` runs.  So this never costs more than the pass, and a
+    fallback at most twice.  Exponents of 1 and 2 alone need no walk.
     Only one segment and one matrix per exponent are kept.
     """
     if any(e < 1 for e in exponents):
         raise ValueError("exponent must be >= 1 (the semigroup has no identity)")
-    top = max(exponents, default=1)
-    budget = 2 * _pass_cost(exponents)
-    serving = 2 * (top > 1) + 2 * sum(e > 2 for e in exponents)  # the most it can cost
-    if top > 2:
-        m, h, b = base.first.entries, base.second.entries, _b_entries(base.second)
-        reach = max(h) - min(min(m), min(h)) - min(b)  # R
-        least = min(e for e in exponents if e > 2) - 2
-        certificate = _certify_b(b, base.k, reach, budget - serving, least)
-        if certificate is None:
-            return powers(_CIRC, base, exponents)
-        walk, n, period, c, window = certificate
-    if top > 1:
-        square = op_circ(base, base)
-    if top > 2:
-        x2, g2 = square.first.entries, square.second.entries
-        factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]
+    if all(e < 3 for e in exponents):
+        square = op_circ(base, base) if 2 in exponents else None
+        return tuple(base if e == 1 else square for e in exponents)
+    m, h, b = base.first.entries, base.second.entries, _b_entries(base.second)
+    reach = max(h) - min(min(m), min(h)) - min(b)  # R
+    least = min(e for e in exponents if e > 2) - 2
+    allowance = 2 * _pass_cost(exponents) - 2 - 2 * sum(e > 2 for e in exponents)
+    certificate = _certify_b(b, base.k, reach, allowance, least)
+    if certificate is None:
+        return powers(_CIRC, base, exponents)
+    walk, n, period, c, window = certificate
+    square = op_circ(base, base)
+    x2, g2 = square.first.entries, square.second.entries
+    factors = [(walk.pack([e - lo for e in y]), lo) for y, lo in ((x2, min(x2)), (g2, min(g2)))]
     served: dict[int, list[tuple[int, int]]] = {}  # X_2 and G_2 times W_i, packed, by i
     result = []
     for e in exponents:

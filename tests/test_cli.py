@@ -452,6 +452,9 @@ def test_error_exit_codes(tmp_path, capsys, monkeypatch):
 
     # well-formed JSON that violates the transcript schema
     not_transcript = tmp_path / "nt.json"
+    not_transcript.write_text("[]")
+    assert run_cli("attack", "--transcript", str(not_transcript)) == EXIT_FORMAT
+    assert capsys.readouterr().err == "error:format: transcript must be a JSON object\n"
     not_transcript.write_text(json.dumps({"params": {}}))
     assert run_cli("attack", "--transcript", str(not_transcript)) == EXIT_FORMAT
 
@@ -537,6 +540,61 @@ def test_usage_edges(capsys):
         assert run_cli(*argv) == code, argv
         captured = capsys.readouterr()
         assert text in getattr(captured, stream), (argv, captured)
+
+
+def test_k_list_parses_every_comma_separated_part(capsys):
+    """``bench --k`` reads each part between commas with int, so an empty
+    part is as malformed as any other that is not an integer."""
+    assert cli._k_list_arg("5,10") == (5, 10)
+    assert cli._k_list_arg(" 5 , 10 ") == (5, 10)
+    for text in ("5,,10", "2,", ",", ""):
+        argv = ("bench", "--k", text, "--N", "5", "--K", "4", "--trials", "1")
+        assert run_cli(*argv) == EXIT_USAGE, text
+        err = capsys.readouterr().err
+        assert f"argument --k: expected comma-separated integers, got {text!r}" in err, err
+
+
+def test_exchange_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    """--out and --keys-out naming the same file, however it is spelt, is
+    a usage error before any matrix is drawn, and leaves no file behind;
+    both may still go to stdout with "-"."""
+    def no_draw(*args):
+        raise AssertionError("matrix drawn for refused outputs")
+
+    monkeypatch.setattr(protocol, "random_matrix", no_draw)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    same = tmp_path / "x.json"
+    for keys_out in (str(same), "x.json", str(tmp_path / "sub" / ".." / "x.json")):
+        argv = ("exchange", "--k", "2", "--N", "5", "--K", "4", "--out", str(same))
+        assert run_cli(*argv, "--keys-out", keys_out) == EXIT_USAGE, keys_out
+        err = capsys.readouterr().err
+        assert err.startswith("error:usage: --out and --keys-out name the same file"), err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
+    monkeypatch.undo()
+    argv = ("exchange", "--k", "2", "--N", "5", "--K", "4", "--seed", "1")
+    assert run_cli(*argv, "--out", "-", "--keys-out", "-") == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count('"alice_message"') == 1 and out.count('"alice_key"') == 1
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    """Called without arguments, ``cli_main`` parses ``sys.argv[1:]``, and
+    ``main`` exits with its code."""
+    out = tmp_path / "p.json"
+    argv = ["tropkex", "gen", "--k", "2", "--N", "3", "--K", "4", "--seed", "1", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert cli_main() == EXIT_OK
+    written = out.read_text()
+    out.unlink()
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == EXIT_OK and out.read_text() == written
+    monkeypatch.setattr(sys, "argv", ["tropkex", "nosuch"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main()
+    assert exit_info.value.code == EXIT_USAGE
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -104,6 +104,17 @@ def test_apply_dispatches_and_counts(op, monkeypatch):
     assert applications.count == 2
 
 
+def test_unknown_op_kind_is_refused():
+    """Only the two ``SemigroupOpKind`` members name a law: its value,
+    or any other object, is refused by both dispatchers."""
+    p = random_pair(Random(4), 2)
+    for op in ("circ", None):
+        with pytest.raises(ValueError, match="unknown operation kind"):
+            apply(op, p, p)
+        with pytest.raises(ValueError, match="unknown operation kind"):
+            product_first(op, p.first, p)
+
+
 def test_apply_matches_naive_oracle():
     rng = Random(13)
     for op in (CIRC, STAR):

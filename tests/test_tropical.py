@@ -452,6 +452,14 @@ def test_immutability_and_value_semantics(monkeypatch):
         assert again == x and hash(again) == hash(x)
 
 
+def test_repr_lists_rows_up_to_120_characters():
+    assert repr(TropicalMatrix([[1, -2], [3, 4]])) == "TropicalMatrix([[1, -2], [3, 4]])"
+    at_limit = 10**117  # 118 digits, so the body "[...]" is 120 characters
+    assert repr(TropicalMatrix([[at_limit]])) == f"TropicalMatrix([[{at_limit}]])"
+    assert repr(TropicalMatrix([[10 * at_limit]])) == "TropicalMatrix(k=1, <1 entries>)"
+    assert repr(TropicalMatrix([[0] * 30] * 30)) == "TropicalMatrix(k=30, <900 entries>)"
+
+
 def test_random_matrix_contract():
     # degenerate range gives the all-zero matrix
     assert random_matrix(3, 0, Random(9)) == TropicalMatrix([[0] * 3 for _ in range(3)])
