@@ -555,22 +555,29 @@ def test_k_list_parses_every_comma_separated_part(capsys):
 
 
 def test_exchange_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
-    """--out and --keys-out naming the same file, however it is spelt, is
-    a usage error before any matrix is drawn, and leaves no file behind;
-    both may still go to stdout with "-"."""
+    """--out and --keys-out naming the same file, however it is spelt or
+    linked, is a usage error before any matrix is drawn, and leaves no
+    file behind; both may still go to stdout with "-"."""
     def no_draw(*args):
         raise AssertionError("matrix drawn for refused outputs")
 
     monkeypatch.setattr(protocol, "random_matrix", no_draw)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
-    same = tmp_path / "x.json"
-    for keys_out in (str(same), "x.json", str(tmp_path / "sub" / ".." / "x.json")):
-        argv = ("exchange", "--k", "2", "--N", "5", "--K", "4", "--out", str(same))
+    same, link = tmp_path / "x.json", tmp_path / "link.json"
+    link.symlink_to(same)  # dangling until something writes x.json
+    for out, keys_out in (
+        (str(same), str(same)),
+        (str(same), "x.json"),
+        (str(same), str(tmp_path / "sub" / ".." / "x.json")),
+        (str(same), str(link)),
+        (str(link), "x.json"),
+    ):
+        argv = ("exchange", "--k", "2", "--N", "5", "--K", "4", "--out", out)
         assert run_cli(*argv, "--keys-out", keys_out) == EXIT_USAGE, keys_out
         err = capsys.readouterr().err
         assert err.startswith("error:usage: --out and --keys-out name the same file"), err
-        assert sorted(tmp_path.iterdir()) == [tmp_path / "sub"]
+        assert sorted(tmp_path.iterdir()) == [link, tmp_path / "sub"]
     monkeypatch.undo()
     argv = ("exchange", "--k", "2", "--N", "5", "--K", "4", "--seed", "1")
     assert run_cli(*argv, "--out", "-", "--keys-out", "-") == EXIT_OK
